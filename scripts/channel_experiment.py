@@ -1,5 +1,9 @@
 """Sweep the corruption probability for one code and print exact rates.
 
+The simulation computes each codeword's image under the relation once
+per experiment and checks neither code-ness nor independence, so the
+script prints both verdicts (and error correction) before the sweep.
+
 Example:
     python3 scripts/channel_experiment.py --code "aabbb|bbbbaa" --rel Delta:2
     python3 scripts/channel_experiment.py --code "aaaa|aaab|abb|bab" --rel delta:1

@@ -7,6 +7,13 @@ decoder sees one block at a time and never has to resynchronize, so
 every outcome is a per-block verdict: delivered exactly, corrected to
 the unique candidate, flagged with several candidates, or flagged with
 none.
+
+The image of each codeword under the relation is computed once per
+experiment (or once per call of :func:`corrupt` and :func:`decode`), and
+every block is corrupted and decoded by lookups into it.
+:func:`run_experiment` simulates any finite set as given and checks
+neither code-ness nor independence; :func:`decode` warns when either
+fails, and ``codekit code`` and ``codekit independent`` decide them.
 """
 
 from __future__ import annotations
@@ -131,6 +138,65 @@ def encode(message: list[int], x_lang: Language) -> list[str]:
     return blocks
 
 
+class _ChannelTable:
+    """Everything a channel experiment needs from the relation, computed once.
+
+    Built from one plain image per source word.  ``choices[x]`` is the
+    antireflexive image of x (its plain image minus x itself) in
+    length-lex order, the list a corruption draws from.  ``candidates``
+    maps every word some source's image contains to those sources, in
+    the order given, which is canonical codeword order when the sources
+    are the codewords.
+    """
+
+    def __init__(self, sources, spec: EditRelationSpec, alphabet):
+        plain = spec.with_closure("plain")
+        self.members = frozenset(sources)
+        self.choices: dict[str, list[str]] = {}
+        candidates: dict[str, list[str]] = {}
+        for x in sources:
+            image = relation_image_word(plain, alphabet, x)
+            self.choices[x] = sort_words(image - {x}, alphabet)
+            for y in image:
+                candidates.setdefault(y, []).append(x)
+        self.candidates = {y: tuple(xs) for y, xs in candidates.items()}
+
+
+def _corrupt_blocks(
+    table: _ChannelTable, blocks: list[str], p: float, rng: random.Random
+) -> list[Block]:
+    out = []
+    for sent in blocks:
+        received = sent
+        if rng.random() < p:
+            choices = table.choices[sent]
+            if choices:
+                received = choices[rng.randrange(len(choices))]
+        out.append(Block(sent, received))
+    return out
+
+
+def _decode_blocks(table: _ChannelTable, received: list[str]) -> DecodeReport:
+    outcomes = []
+    counts = {"exact": 0, "corrected": 0, "ambiguous": 0, "detected": 0}
+    for r in received:
+        if r in table.members:
+            outcomes.append(BlockOutcome(r, "exact", r, (r,)))
+            counts["exact"] += 1
+            continue
+        candidates = table.candidates.get(r, ())
+        if len(candidates) == 1:
+            outcomes.append(BlockOutcome(r, "corrected", candidates[0], candidates))
+            counts["corrected"] += 1
+        elif candidates:
+            outcomes.append(BlockOutcome(r, "ambiguous", None, candidates))
+            counts["ambiguous"] += 1
+        else:
+            outcomes.append(BlockOutcome(r, "detected", None, ()))
+            counts["detected"] += 1
+    return DecodeReport(outcomes=tuple(outcomes), **counts)
+
+
 def corrupt(
     blocks: list[str],
     spec: EditRelationSpec,
@@ -144,19 +210,8 @@ def corrupt(
     image; blocks whose image is empty pass through untouched.  The
     draw sequence is fully determined by the seed.
     """
-    rng = random.Random(seed)
-    bar = spec.with_closure("antireflexive")
-    out = []
-    for sent in blocks:
-        received = sent
-        if rng.random() < p:
-            choices = sort_words(
-                relation_image_word(bar, alphabet, sent), alphabet
-            )
-            if choices:
-                received = choices[rng.randrange(len(choices))]
-        out.append(Block(sent, received))
-    return out
+    table = _ChannelTable(dict.fromkeys(blocks), spec, alphabet)
+    return _corrupt_blocks(table, blocks, p, random.Random(seed))
 
 
 def decode(
@@ -167,11 +222,10 @@ def decode(
     A received word inside the code is delivered as is.  Anything else
     is matched against the codewords whose image contains it: exactly
     one match corrects the block, several leave it ambiguous, none
-    leaves it merely detected.
+    leaves it merely detected.  Warns when the set is not a code, or
+    is a code that is not independent under the relation.
     """
-    alphabet = x_lang.alphabet
     codewords = _codewords(x_lang)
-    members = frozenset(codewords)
     if not sardinas_patterson(x_lang).is_code:
         warnings.warn("decoding over a set that is not a code", stacklevel=2)
     elif not is_independent(x_lang, spec).independent:
@@ -179,35 +233,21 @@ def decode(
             f"decoding over a code that is not independent under {spec.render()}",
             stacklevel=2,
         )
-    images = {
-        x: relation_image_word(spec.with_closure("plain"), alphabet, x)
-        for x in codewords
-    }
-    outcomes = []
-    counts = {"exact": 0, "corrected": 0, "ambiguous": 0, "detected": 0}
-    for r in received:
-        if r in members:
-            outcomes.append(BlockOutcome(r, "exact", r, (r,)))
-            counts["exact"] += 1
-            continue
-        candidates = tuple(x for x in codewords if r in images[x])
-        if len(candidates) == 1:
-            outcomes.append(BlockOutcome(r, "corrected", candidates[0], candidates))
-            counts["corrected"] += 1
-        elif candidates:
-            outcomes.append(BlockOutcome(r, "ambiguous", None, candidates))
-            counts["ambiguous"] += 1
-        else:
-            outcomes.append(BlockOutcome(r, "detected", None, ()))
-            counts["detected"] += 1
-    return DecodeReport(outcomes=tuple(outcomes), **counts)
+    table = _ChannelTable(codewords, spec, x_lang.alphabet)
+    return _decode_blocks(table, received)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Repeated random transmissions with per-seed reproducibility."""
+    """Repeated random transmissions with per-seed reproducibility.
+
+    Draws the same blocks and corruptions as encode, corrupt and decode
+    called once per trial, but computes the relation's images once for
+    the whole experiment.  It checks neither code-ness nor independence.
+    """
     codewords = _codewords(config.code)
     if not codewords:
         raise ValueError("cannot transmit over an empty code")
+    table = _ChannelTable(codewords, config.spec, config.code.alphabet)
     master = random.Random(config.seed)
     trial_seeds = [master.getrandbits(64) for _ in range(config.trials)]
     totals = {
@@ -220,36 +260,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "miscorrected": 0,
         "restored_messages": 0,
     }
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for trial_seed in trial_seeds:
-            rng = random.Random(trial_seed)
-            message = [
-                rng.randrange(len(codewords)) for _ in range(config.message_length)
-            ]
-            sent = encode(message, config.code)
-            blocks = corrupt(
-                sent,
-                config.spec,
-                config.code.alphabet,
-                config.p,
-                rng.getrandbits(64),
-            )
-            report = decode([b.received for b in blocks], config.code, config.spec)
-            totals["blocks"] += len(blocks)
-            totals["corrupted"] += sum(1 for b in blocks if b.corrupted)
-            totals["exact"] += report.exact
-            totals["corrected"] += report.corrected
-            totals["ambiguous"] += report.ambiguous
-            totals["detected"] += report.detected
-            restored = True
-            for block, outcome in zip(blocks, report.outcomes):
-                if outcome.kind == "corrected" and outcome.decoded != block.sent:
-                    totals["miscorrected"] += 1
-                if outcome.decoded != block.sent:
-                    restored = False
-            if restored:
-                totals["restored_messages"] += 1
+    for trial_seed in trial_seeds:
+        rng = random.Random(trial_seed)
+        sent = [
+            codewords[rng.randrange(len(codewords))]
+            for _ in range(config.message_length)
+        ]
+        blocks = _corrupt_blocks(
+            table, sent, config.p, random.Random(rng.getrandbits(64))
+        )
+        report = _decode_blocks(table, [b.received for b in blocks])
+        totals["blocks"] += len(blocks)
+        totals["corrupted"] += sum(1 for b in blocks if b.corrupted)
+        totals["exact"] += report.exact
+        totals["corrected"] += report.corrected
+        totals["ambiguous"] += report.ambiguous
+        totals["detected"] += report.detected
+        restored = True
+        for block, outcome in zip(blocks, report.outcomes):
+            if outcome.kind == "corrected" and outcome.decoded != block.sent:
+                totals["miscorrected"] += 1
+            if outcome.decoded != block.sent:
+                restored = False
+        if restored:
+            totals["restored_messages"] += 1
     return ExperimentReport(config_seed=config.seed, trials=config.trials, **totals)
 
 

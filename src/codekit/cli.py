@@ -4,7 +4,8 @@ Every subcommand reads a language (inline expression or @file), runs
 one decision procedure or construction, and reports the verdict with a
 replayable witness when the answer is negative.  Exit codes separate
 the verdict channel from the error channel: 0 holds or constructed,
-1 fails, 2 undecidable here, 3 bad usage or input, 4 budget exhausted.
+1 fails, 2 undecidable here, 3 bad usage or input, 4 budget exhausted,
+5 internal error (a failed self-check such as a witness replay).
 """
 
 from __future__ import annotations
@@ -653,6 +654,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"codekit: error: {e}", file=sys.stderr)
         return 3
+    except (RuntimeError, AssertionError) as e:
+        print(f"codekit: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 5
     _emit(payload, fmt)
     return code
 

@@ -9,7 +9,7 @@ shorter words first, ties broken by the declared letter order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ParseError
 
@@ -25,12 +25,10 @@ class Alphabet:
     """
 
     letters: tuple[str, ...]
+    _rank: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.letters, str):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        else:
-            object.__setattr__(self, "letters", tuple(self.letters))
+        object.__setattr__(self, "letters", tuple(self.letters))
         if len(self.letters) < 2:
             raise ValueError("alphabet needs at least two letters")
         if len(set(self.letters)) != len(self.letters):
@@ -38,6 +36,7 @@ class Alphabet:
         for c in self.letters:
             if len(c) != 1:
                 raise ValueError(f"letters are single characters, got {c!r}")
+        object.__setattr__(self, "_rank", {c: i for i, c in enumerate(self.letters)})
 
     def __len__(self):
         return len(self.letters)
@@ -62,8 +61,12 @@ class Alphabet:
 
     def lex_key(self, w: str):
         """Sort key realizing the length-lex order."""
-        idx = self.letters.index
-        return (len(w), tuple(idx(c) for c in w))
+        try:
+            return (len(w), tuple(map(self._rank.__getitem__, w)))
+        except KeyError as e:
+            raise ValueError(
+                f"letter {e.args[0]!r} not in alphabet {''.join(self.letters)}"
+            ) from None
 
     def words_of_length(self, n: int):
         """Yield every word of length n in lex order."""

@@ -7,6 +7,7 @@ breadth-first search, deliberately sharing no code with the package.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 
@@ -201,3 +202,95 @@ def double_factorization_witness(codewords, letters, max_len):
             if count_factorizations(w, frozenset(codewords)) >= 2:
                 return w
     return None
+
+
+# --- channel ------------------------------------------------------------------
+
+
+def _lenlex(letters):
+    rank = {c: i for i, c in enumerate(letters)}
+    return lambda w: (len(w), [rank[c] for c in w])
+
+
+def reference_corrupt(blocks, kind, k, letters, p, rng):
+    """The received word of each block, drawing from ``rng`` as the channel does.
+
+    One ``random()`` per block; on a hit, one ``randrange`` over the
+    block's image minus itself in length-lex order, if that is not empty.
+    """
+    oracle = EditOracle(letters)
+    out = []
+    for x in blocks:
+        received = x
+        if rng.random() < p:
+            choices = sorted(oracle.image(x, kind, k) - {x}, key=_lenlex(letters))
+            if choices:
+                received = choices[rng.randrange(len(choices))]
+        out.append(received)
+    return out
+
+
+def reference_decode(received, codewords, kind, k, letters):
+    """``(verdict, decoded, candidates)`` for each received word.
+
+    ``codewords`` is in canonical order; a candidate is a codeword whose
+    image contains the received word.
+    """
+    oracle = EditOracle(letters)
+    out = []
+    for r in received:
+        if r in codewords:
+            out.append(("exact", r, (r,)))
+            continue
+        candidates = tuple(x for x in codewords if r in oracle.image(x, kind, k))
+        if len(candidates) == 1:
+            out.append(("corrected", candidates[0], candidates))
+        elif candidates:
+            out.append(("ambiguous", None, candidates))
+        else:
+            out.append(("detected", None, ()))
+    return out
+
+
+def reference_experiment(config):
+    """``run_experiment`` replayed block by block with fresh oracle images.
+
+    Takes the same draws: a 64-bit seed per trial from the experiment
+    seed; per trial, one symbol per block, then a 64-bit channel seed.
+    Images come from :class:`EditOracle` for every block, with no
+    tables kept between blocks or trials.  The code must be given as a
+    finite set of words.
+    """
+    # The report type is the one thing taken from the package, so that
+    # the two results compare equal; it is imported here so that merely
+    # importing this module still loads nothing of codekit.
+    from codekit.channel import ExperimentReport
+
+    letters = config.code.alphabet.letters
+    codewords = sorted(config.code.words(), key=_lenlex(letters))
+    kind, k = config.spec.kind, config.spec.k
+    master = random.Random(config.seed)
+    trial_seeds = [master.getrandbits(64) for _ in range(config.trials)]
+    totals = dict.fromkeys(
+        ("blocks", "corrupted", "exact", "corrected", "ambiguous", "detected",
+         "miscorrected", "restored_messages"),
+        0,
+    )
+    for trial_seed in trial_seeds:
+        rng = random.Random(trial_seed)
+        sent = [
+            codewords[rng.randrange(len(codewords))]
+            for _ in range(config.message_length)
+        ]
+        channel = random.Random(rng.getrandbits(64))
+        restored = True
+        for x in sent:
+            (r,) = reference_corrupt([x], kind, k, letters, config.p, channel)
+            ((verdict, decoded, _),) = reference_decode([r], codewords, kind, k, letters)
+            totals["blocks"] += 1
+            totals["corrupted"] += r != x
+            totals[verdict] += 1
+            totals["miscorrected"] += verdict == "corrected" and decoded != x
+            restored = restored and decoded == x
+        totals["restored_messages"] += restored
+    return ExperimentReport(config_seed=config.seed, trials=config.trials, **totals)

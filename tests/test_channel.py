@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,9 @@ from codekit.channel import (
     encode,
     run_experiment,
 )
-from codekit.transducers import EditRelationSpec, relation_image_word
+from codekit.transducers import KINDS, EditRelationSpec, relation_image_word
 from codekit.words import Alphabet
+from oracles import reference_corrupt, reference_decode, reference_experiment
 
 AB = Alphabet(("a", "b"))
 
@@ -203,3 +206,68 @@ def test_config_validation():
         ExperimentConfig(CORRECTING, spec("delta:1"), 0.5, 0, 10, 0)
     with pytest.raises(ValueError):
         ExperimentConfig(CORRECTING, spec("delta:1"), 0.5, 10, 0, 0)
+
+
+# --- differential checks against the oracle replay --------------------------
+
+# "a" has an empty image under delta:2 and sigma:2, so some hits leave
+# their block untouched; "a|ab|ba" is not even a code.
+SMALL_CODES = ("a|bb|aba", "a|ab|ba")
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_experiment_matches_reference_replay(kind, k, p):
+    for text in SMALL_CODES:
+        code = Language.finite(set(text.split("|")), AB)
+        for seed in range(3):
+            config = ExperimentConfig(code, spec(f"{kind}:{k}"), p, 12, 3, seed)
+            assert run_experiment(config) == reference_experiment(config)
+
+
+def test_experiment_with_empty_images_matches_reference_replay():
+    # no word of length 2 has an image under delta:3
+    config = ExperimentConfig(
+        Language.finite({"ab", "aaaab"}, AB), spec("delta:3"), 1.0, 20, 4, 5
+    )
+    report = run_experiment(config)
+    assert report == reference_experiment(config)
+    assert 0 < report.corrupted < report.blocks
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_corrupt_and_decode_match_reference_replay(kind, k):
+    words = ["a", "bb", "aba"]
+    # "ab" is not a codeword: corrupt takes any block
+    blocks = words * 4 + ["ab"]
+    rel = spec(f"{kind}:{k}")
+    for seed in range(3):
+        got = corrupt(blocks, rel, AB, 0.5, seed)
+        received = reference_corrupt(blocks, kind, k, AB.letters, 0.5, random.Random(seed))
+        assert got == [Block(x, r) for x, r in zip(blocks, received)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = decode(received, Language.finite(set(words), AB), rel)
+        want = reference_decode(received, words, kind, k, AB.letters)
+        assert [(o.kind, o.decoded, o.candidates) for o in report.outcomes] == want
+        assert [report.exact, report.corrected, report.ambiguous, report.detected] == [
+            sum(v == verdict for v, _, _ in want)
+            for verdict in ("exact", "corrected", "ambiguous", "detected")
+        ]
+
+
+def test_decode_is_silent_on_independent_code():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decode(["aabb"], CORRECTING, spec("Delta:2"))
+
+
+def test_experiment_runs_silently_on_non_code():
+    config = ExperimentConfig(
+        Language.finite({"a", "ab", "ba"}, AB), spec("delta:1"), 0.5, 10, 2, 0
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_experiment(config) == reference_experiment(config)

@@ -6,6 +6,7 @@ import subprocess
 
 import pytest
 
+from codekit import cli
 from codekit.cli import main
 
 
@@ -397,6 +398,28 @@ def test_precondition_failure_exits_three(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# --- internal error channel -------------------------------------------------
+
+def test_failed_witness_replay_exits_five(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_double_factorization", lambda *args: False)
+    code, out, err = run(capsys, "code", "--alphabet", "ab", "a|ab|ba", "--verify-witness")
+    assert code == 5
+    assert out == ""
+    assert err == "codekit: internal error: RuntimeError: internal: witness failed replay\n"
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, AssertionError])
+def test_internal_faults_exit_five(capsys, monkeypatch, fault):
+    def handler(args):
+        raise fault("inconsistent state")
+
+    monkeypatch.setitem(cli._HANDLERS, "code", handler)
+    code, out, err = run(capsys, "code", "--alphabet", "ab", "a|b", "--format", "json")
+    assert code == 5
+    assert out == ""
+    assert err == f"codekit: internal error: {fault.__name__}: inconsistent state\n"
 
 
 # --- budget channel ---------------------------------------------------------
