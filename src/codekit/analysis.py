@@ -29,7 +29,7 @@ from .automata import (
     union,
 )
 from .errors import BudgetExceededError
-from .words import Alphabet, sort_words
+from .words import Alphabet
 
 DEFAULT_SP_ITERATIONS = 10_000
 
@@ -309,8 +309,3 @@ def find_non_factor(x_lang: Language) -> str:
     w = shortest_word(complement(fl))
     assert w is not None
     return w
-
-
-def code_words_sorted(x_lang: Language) -> list[str]:
-    """Finite language in length-lex order; used for stable output."""
-    return sort_words(x_lang.words(), x_lang.alphabet)

@@ -335,11 +335,6 @@ class Language:
             self._dfa = minimize(determinize(self.nfa()))
         return self._dfa
 
-    def key(self):
-        if self._words is not None:
-            return ("finite", self._words)
-        return ("dfa", self.dfa().key())
-
     def canonical_key(self):
         """Representation-independent identity (canonical DFA table)."""
         return self.dfa().key()

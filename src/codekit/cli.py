@@ -22,7 +22,6 @@ from .analysis import (
     Distribution,
     DoubleFactorization,
     find_non_factor,
-    is_bifix_code,
     is_complete,
     is_maximal_code,
     is_prefix_code,
@@ -90,6 +89,15 @@ def _add_verify(p):
     )
 
 
+def _add_budget(p):
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=closed_mod.DEFAULT_CANDIDATE_BUDGET,
+        help="candidate evaluation cap",
+    )
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="codekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,16 +145,16 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
 
     p = add("classify-closed", "shape of a substitution-closed code", rel=True, verify=True)
-    p.add_argument("--budget", type=int, default=None, help="candidate evaluation cap")
+    _add_budget(p)
 
     p = add("enum-delta-closed", "all deletion-closed codes", language=False)
     p.add_argument("--alphabet", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="candidate evaluation cap")
+    _add_budget(p)
 
     p = add("embed-closed", "complete closed codes containing the input", rel=True)
-    p.add_argument("--budget", type=int, default=None, help="candidate evaluation cap")
+    _add_budget(p)
 
     p = add("simulate", "noisy block transmission", language=False, rel=True)
     p.add_argument("--code", required=True, dest="language")
@@ -257,7 +265,7 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {_render_value(value)}")
 
 
-# --- witnesses for the affix and completeness checks ------------------------
+# --- witnesses --------------------------------------------------------------
 
 def _prefix_pair(lang: Language):
     """Some codeword and a longer codeword it starts."""
@@ -273,59 +281,86 @@ def _suffix_pair(lang: Language):
     return rx[::-1], ry[::-1]
 
 
+def _render_pair(middle: str):
+    return lambda pair: f"{format_word(pair[0])} {middle} {format_word(pair[1])}"
+
+
+def _double_replay(lang: Language):
+    return lambda w: verify_double_factorization(w, lang)
+
+
+def _outside_replay(lang: Language, spec: EditRelationSpec):
+    plain = spec.with_closure("plain")
+
+    def replay(pair):
+        x, y = pair
+        ok = lang.member(x) and not lang.member(y)
+        return ok and y in relation_image_word(plain, lang.alphabet, x)
+
+    return replay
+
+
+def _witnessed(args, payload: dict, witness, render, replay, detail=None):
+    """Exit 1 with the rendered witness; --verify-witness replays it first."""
+    payload["witness"] = render(witness)
+    if detail is not None:
+        payload["detail"] = detail
+    if args.verify_witness:
+        if not replay(witness):
+            raise RuntimeError("internal: witness failed replay")
+        payload["witness_check"] = "verified"
+    return 1, payload
+
+
+def _verdict(args, prop, witness, render, replay, spec=None, detail=None):
+    """Exit code and payload of a yes/no question; a witness of None
+    means the property holds."""
+    payload = {"property": prop}
+    if spec is not None:
+        payload["relation"] = spec.render()
+    if witness is None:
+        payload["verdict"] = "holds"
+        return 0, payload
+    payload["verdict"] = "fails"
+    return _witnessed(args, payload, witness, render, replay, detail)
+
+
 # --- subcommands ------------------------------------------------------------
 
 def _cmd_code(args):
     lang = _load_language(args)
     verdict = sardinas_patterson(lang)
-    if verdict.is_code:
-        return 0, {"property": "code", "verdict": "holds"}
-    payload = {
-        "property": "code",
-        "verdict": "fails",
-        "witness": _render_double(verdict.witness),
-    }
-    if args.verify_witness:
-        if not verify_double_factorization(verdict.witness, lang):
-            raise RuntimeError("internal: witness failed replay")
-        payload["witness_check"] = "verified"
-    return 1, payload
+    return _verdict(args, "code", verdict.witness, _render_double, _double_replay(lang))
 
 
-def _affix(args, name, decide, pair):
-    lang = _load_language(args)
-    if decide(lang):
-        return 0, {"property": name, "verdict": "holds"}
-    x, y = pair(lang)
-    payload = {
-        "property": name,
-        "verdict": "fails",
-        "witness": f"{format_word(x)} begins or ends {format_word(y)}",
-    }
-    if args.verify_witness:
-        ok = lang.member(x) and lang.member(y) and x != y
-        ok = ok and (y.startswith(x) or y.endswith(x))
-        if not ok:
-            raise RuntimeError("internal: witness failed replay")
-        payload["witness_check"] = "verified"
-    return 1, payload
+def _affix(args, name, lang, pair, relation):
+    """``relation(y, x)`` is what the pair (x, y) claims: y starts or ends with x."""
+
+    def replay(xy):
+        x, y = xy
+        return lang.member(x) and lang.member(y) and x != y and relation(y, x)
+
+    return _verdict(args, name, pair, _render_pair("begins or ends"), replay)
 
 
 def _cmd_prefix(args):
-    return _affix(args, "prefix-code", is_prefix_code, _prefix_pair)
+    lang = _load_language(args)
+    pair = None if is_prefix_code(lang) else _prefix_pair(lang)
+    return _affix(args, "prefix-code", lang, pair, str.startswith)
 
 
 def _cmd_suffix(args):
-    return _affix(args, "suffix-code", is_suffix_code, _suffix_pair)
+    lang = _load_language(args)
+    pair = None if is_suffix_code(lang) else _suffix_pair(lang)
+    return _affix(args, "suffix-code", lang, pair, str.endswith)
 
 
 def _cmd_bifix(args):
-    def pair(lang):
-        if not is_prefix_code(lang):
-            return _prefix_pair(lang)
-        return _suffix_pair(lang)
-
-    return _affix(args, "bifix-code", is_bifix_code, pair)
+    lang = _load_language(args)
+    if not is_prefix_code(lang):
+        return _affix(args, "bifix-code", lang, _prefix_pair(lang), str.startswith)
+    pair = None if is_suffix_code(lang) else _suffix_pair(lang)
+    return _affix(args, "bifix-code", lang, pair, str.endswith)
 
 
 def _cmd_measure(args):
@@ -341,91 +376,68 @@ def _cmd_measure(args):
 
 def _cmd_complete(args):
     lang = _load_language(args)
-    if is_complete(lang):
-        return 0, {"property": "complete", "verdict": "holds"}
-    w = find_non_factor(lang)
-    payload = {
-        "property": "complete",
-        "verdict": "fails",
-        "witness": format_word(w),
-        "detail": "no message contains this word as a factor",
-    }
-    if args.verify_witness:
-        if factors(star(lang)).member(w):
-            raise RuntimeError("internal: witness failed replay")
-        payload["witness_check"] = "verified"
-    return 1, payload
+    w = None if is_complete(lang) else find_non_factor(lang)
+    return _verdict(
+        args,
+        "complete",
+        w,
+        format_word,
+        lambda w: not factors(star(lang)).member(w),
+        detail="no message contains this word as a factor",
+    )
 
 
 def _cmd_maximal(args):
     lang = _load_language(args)
-    if is_maximal_code(lang):
-        return 0, {"property": "maximal-code", "verdict": "holds"}
-    w = find_non_factor(lang)
-    payload = {
-        "property": "maximal-code",
-        "verdict": "fails",
-        "witness": format_word(w),
-        "detail": "adjoining this word keeps the set a code",
-    }
-    if args.verify_witness:
+    w = None if is_maximal_code(lang) else find_non_factor(lang)
+
+    def replay(w):
         extended = union(lang, Language.finite((w,), lang.alphabet))
-        if not sardinas_patterson(extended).is_code:
-            raise RuntimeError("internal: witness failed replay")
-        payload["witness_check"] = "verified"
-    return 1, payload
+        return sardinas_patterson(extended).is_code
+
+    return _verdict(
+        args,
+        "maximal-code",
+        w,
+        format_word,
+        replay,
+        detail="adjoining this word keeps the set a code",
+    )
 
 
 def _cmd_independent(args):
     lang = _load_language(args)
     spec = EditRelationSpec.parse(args.rel)
     report = indep_mod.is_independent(lang, spec)
-    if report.independent:
-        return 0, {"property": "independent", "relation": spec.render(), "verdict": "holds"}
-    x, y = report.witness
-    payload = {
-        "property": "independent",
-        "relation": spec.render(),
-        "verdict": "fails",
-        "witness": f"{format_word(x)} maps onto {format_word(y)}",
-    }
-    if args.verify_witness:
-        bar = spec.with_closure("antireflexive")
+    bar = spec.with_closure("antireflexive")
+
+    def replay(pair):
+        x, y = pair
         ok = lang.member(x) and lang.member(y)
-        ok = ok and y in relation_image_word(bar, lang.alphabet, x)
-        if not ok:
-            raise RuntimeError("internal: witness failed replay")
-        payload["witness_check"] = "verified"
-    return 1, payload
+        return ok and y in relation_image_word(bar, lang.alphabet, x)
+
+    render = _render_pair("maps onto")
+    return _verdict(args, "independent", report.witness, render, replay, spec)
 
 
 def _cmd_errcorrect(args):
     lang = _load_language(args)
     spec = EditRelationSpec.parse(args.rel)
     report = indep_mod.is_error_correcting(lang, spec)
-    if report.correcting:
-        return 0, {
-            "property": "error-correcting",
-            "relation": spec.render(),
-            "verdict": "holds",
-        }
-    x, y, common = report.witness
-    payload = {
-        "property": "error-correcting",
-        "relation": spec.render(),
-        "verdict": "fails",
-        "witness": (
+
+    def replay(triple):
+        x, y, common = triple
+        ok = common in relation_image_word(spec, lang.alphabet, x)
+        return ok and common in relation_image_word(spec, lang.alphabet, y)
+
+    def render(triple):
+        x, y, common = triple
+        return (
             f"{format_word(x)} and {format_word(y)} both corrupt to "
             f"{format_word(common)}"
-        ),
-    }
-    if args.verify_witness:
-        ok = common in relation_image_word(spec, lang.alphabet, x)
-        ok = ok and common in relation_image_word(spec, lang.alphabet, y)
-        if not ok:
-            raise RuntimeError("internal: witness failed replay")
-        payload["witness_check"] = "verified"
-    return 1, payload
+        )
+
+    return _verdict(args, "error-correcting", report.witness, render, replay, spec)
 
 
 def _cmd_image_code(args):
@@ -437,21 +449,13 @@ def _cmd_image_code(args):
     else:
         verdict = indep_mod.underline_image_is_code(lang, spec)
         closure = "antireflexive"
-    name = f"image-code[{args.closure}]"
-    if verdict.is_code:
-        return 0, {"property": name, "relation": spec.render(), "verdict": "holds"}
-    payload = {
-        "property": name,
-        "relation": spec.render(),
-        "verdict": "fails",
-        "witness": _render_double(verdict.witness),
-    }
-    if args.verify_witness:
+
+    def replay(w):
         img = relation_image(spec.with_closure(closure), lang.alphabet, lang)
-        if not verify_double_factorization(verdict.witness, img):
-            raise RuntimeError("internal: witness failed replay")
-        payload["witness_check"] = "verified"
-    return 1, payload
+        return verify_double_factorization(w, img)
+
+    name = f"image-code[{args.closure}]"
+    return _verdict(args, name, verdict.witness, _render_double, replay, spec)
 
 
 def _cmd_extend(args):
@@ -480,23 +484,10 @@ def _cmd_closed(args):
     lang = _load_language(args)
     spec = EditRelationSpec.parse(args.rel)
     report = closed_mod.is_closed(lang, spec)
-    if report.closed:
-        return 0, {"property": "closed", "relation": spec.render(), "verdict": "holds"}
-    x, y = report.witness
-    payload = {
-        "property": "closed",
-        "relation": spec.render(),
-        "verdict": "fails",
-        "witness": f"{format_word(x)} maps outside, onto {format_word(y)}",
-    }
-    if args.verify_witness:
-        plain = spec.with_closure("plain")
-        ok = lang.member(x) and not lang.member(y)
-        ok = ok and y in relation_image_word(plain, lang.alphabet, x)
-        if not ok:
-            raise RuntimeError("internal: witness failed replay")
-        payload["witness_check"] = "verified"
-    return 1, payload
+    render = _render_pair("maps outside, onto")
+    return _verdict(
+        args, "closed", report.witness, render, _outside_replay(lang, spec), spec
+    )
 
 
 def _cmd_sigma_star(args):
@@ -517,9 +508,10 @@ def _cmd_sigma_star(args):
 def _cmd_classify_closed(args):
     lang = _load_language(args)
     spec = EditRelationSpec.parse(args.rel)
-    budget = {"candidate_budget": args.budget} if args.budget is not None else {}
     if spec.kind == "sigma":
-        result = closed_mod.classify_sigma_closed(lang, spec.k, **budget)
+        result = closed_mod.classify_sigma_closed(
+            lang, spec.k, candidate_budget=args.budget
+        )
     elif spec.kind == "Sigma":
         result = closed_mod.classify_Sigma_closed(lang, spec.k)
     else:
@@ -527,35 +519,21 @@ def _cmd_classify_closed(args):
     payload = {"relation": spec.render(), "class": result.kind}
     if result.n is not None:
         payload["n"] = result.n
-    if result.kind in ("not_code", "not_closed"):
-        if result.kind == "not_code":
-            payload["witness"] = _render_double(result.witness)
-            if args.verify_witness:
-                if not verify_double_factorization(result.witness, lang):
-                    raise RuntimeError("internal: witness failed replay")
-                payload["witness_check"] = "verified"
-        else:
-            x, y = result.witness
-            payload["witness"] = (
-                f"{format_word(x)} maps outside, onto {format_word(y)}"
-            )
-            if args.verify_witness:
-                base = EditRelationSpec(spec.kind, spec.k)
-                ok = lang.member(x) and not lang.member(y)
-                ok = ok and y in relation_image_word(base, lang.alphabet, x)
-                if not ok:
-                    raise RuntimeError("internal: witness failed replay")
-                payload["witness_check"] = "verified"
-        return 1, payload
-    return 0, payload
+    if result.kind == "not_code":
+        render, replay = _render_double, _double_replay(lang)
+    elif result.kind == "not_closed":
+        render = _render_pair("maps outside, onto")
+        replay = _outside_replay(lang, spec)
+    else:
+        return 0, payload
+    return _witnessed(args, payload, result.witness, render, replay)
 
 
 def _cmd_enum_delta_closed(args):
     alphabet = parse_alphabet(args.alphabet)
-    budget = {"candidate_budget": args.budget} if args.budget is not None else {}
     codes = []
     for lang in closed_mod.enumerate_delta_closed(
-        args.k, alphabet, limit=args.limit, **budget
+        args.k, alphabet, limit=args.limit, candidate_budget=args.budget
     ):
         codes.append(sorted(lang.words(), key=alphabet.lex_key))
     return 0, {"k": args.k, "count": len(codes), "codes": codes}
@@ -564,11 +542,14 @@ def _cmd_enum_delta_closed(args):
 def _cmd_embed_closed(args):
     lang = _load_language(args)
     spec = EditRelationSpec.parse(args.rel)
-    budget = {"candidate_budget": args.budget} if args.budget is not None else {}
     if spec.kind == "delta":
-        results = closed_mod.embed_delta_closed_complete(lang, spec.k, **budget)
+        results = closed_mod.embed_delta_closed_complete(
+            lang, spec.k, candidate_budget=args.budget
+        )
     elif spec.kind == "sigma":
-        results = closed_mod.sigma_complete_embedding(lang, spec.k, **budget)
+        results = closed_mod.sigma_complete_embedding(
+            lang, spec.k, candidate_budget=args.budget
+        )
     else:
         raise ParseError("embedding applies to delta:k or sigma:k")
     alphabet = lang.alphabet

@@ -12,12 +12,12 @@ a parity class, or everything, and closed codes follow suit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .analysis import DoubleFactorization, is_complete, sardinas_patterson
 from .automata import (
     Language,
     difference,
-    intersect,
     is_empty,
     shortest_word,
     words_upto,
@@ -25,9 +25,9 @@ from .automata import (
 from .errors import BudgetExceededError
 from .transducers import (
     EditRelationSpec,
+    _least_source,
     build,
     image,
-    inverse,
     relation_image_word,
 )
 from .words import Alphabet, complement_word, parity_ones, sort_words, subsequences
@@ -127,16 +127,7 @@ def is_closed(x_lang: Language, spec: EditRelationSpec) -> ClosednessReport:
     if is_empty(escaped):
         return ClosednessReport(True, None)
     y = shortest_word(escaped)
-    x = _source_of(x_lang, spec, y)
-    return ClosednessReport(False, (x, y))
-
-
-def _source_of(x_lang: Language, spec: EditRelationSpec, y: str) -> str:
-    alphabet = x_lang.alphabet
-    machine = build(spec.with_closure("plain"), alphabet)
-    sources = Language.finite((y,), alphabet)
-    hits = intersect(x_lang, image(inverse(machine), sources))
-    return shortest_word(hits)
+    return ClosednessReport(False, (_least_source(spec, x_lang, y), y))
 
 
 def closure_star(x_lang: Language, spec: EditRelationSpec) -> Language:
@@ -176,8 +167,52 @@ def _delta_universe(k: int, alphabet: Alphabet) -> list[str]:
     return [w for n in lengths for w in alphabet.words_of_length(n)]
 
 
+def _delta_units(
+    k: int, alphabet: Alphabet, taken: frozenset[str] = frozenset()
+) -> list[tuple[tuple[str], frozenset[str]]]:
+    """Search units for the deletion searches: each universe word not
+    taken, with its k-deletion image, which a closed set must hold
+    before the word may join it."""
+    return [
+        ((w,), subsequences(w, len(w) - k) if len(w) > k else frozenset())
+        for w in _delta_universe(k, alphabet)
+        if w not in taken
+    ]
+
+
 def _is_code(words: frozenset[str], alphabet: Alphabet) -> bool:
     return sardinas_patterson(Language.finite(words, alphabet)).is_code
+
+
+def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budget):
+    """Pre-order walk over the codes base | u_i | u_j | ... with i < j.
+
+    A unit ``(words, needs)`` may join a set that already holds all of
+    ``needs``.  Each joined set spends one budget unit; only the codes
+    among them are yielded and extended.
+    """
+
+    def walk(current: frozenset[str], start: int):
+        for i in range(start, len(units)):
+            words, needs = units[i]
+            if not needs <= current:
+                continue
+            candidate = current.union(words)
+            budget.spend()
+            if _is_code(candidate, alphabet):
+                yield candidate
+                yield from walk(candidate, i + 1)
+
+    return walk(base, 0)
+
+
+def _complete_extensions(
+    base: frozenset[str], units, alphabet: Alphabet, budget: _Budget
+) -> list[Language]:
+    """The complete codes among the nonempty ones of base and its search."""
+    codes = chain((base,), _code_search(base, units, alphabet, budget))
+    found = (Language.finite(c, alphabet) for c in codes if c)
+    return [lang for lang in found if is_complete(lang)]
 
 
 def enumerate_delta_closed(
@@ -192,26 +227,12 @@ def enumerate_delta_closed(
     right, so prefixes of the stream are reproducible.  Every yielded
     set has been checked closed and uniquely decodable.
     """
-    universe = _delta_universe(k, alphabet)
+    units = _delta_units(k, alphabet)
     budget = _Budget(
-        candidate_budget, f"enumerating over a universe of {len(universe)} words"
+        candidate_budget, f"enumerating over a universe of {len(units)} words"
     )
-    images = {w: subsequences(w, len(w) - k) if len(w) > k else frozenset() for w in universe}
     emitted = 0
-
-    def walk(current: frozenset[str], start: int):
-        for i in range(start, len(universe)):
-            w = universe[i]
-            if not images[w] <= current:
-                continue
-            candidate = current | {w}
-            budget.spend()
-            if not _is_code(candidate, alphabet):
-                continue
-            yield candidate
-            yield from walk(candidate, i + 1)
-
-    for code in walk(frozenset(), 0):
+    for code in _code_search(frozenset(), units, alphabet, budget):
         yield Language.finite(code, alphabet)
         emitted += 1
         if limit is not None and emitted >= limit:
@@ -262,33 +283,11 @@ def embed_delta_closed_complete(
     """Every complete deletion-closed code containing the input."""
     words = _require_delta_closed_code(x_lang, k)
     alphabet = x_lang.alphabet
-    universe = [w for w in _delta_universe(k, alphabet) if w not in words]
-    images = {
-        w: subsequences(w, len(w) - k) if len(w) > k else frozenset() for w in universe
-    }
+    units = _delta_units(k, alphabet, words)
     budget = _Budget(
-        candidate_budget, f"embedding over a universe of {len(universe)} words"
+        candidate_budget, f"embedding over a universe of {len(units)} words"
     )
-    found: list[Language] = []
-
-    def closed_in(pool: frozenset[str], w: str) -> bool:
-        return images[w] <= pool
-
-    def walk(current: frozenset[str], start: int):
-        if is_complete(Language.finite(current, alphabet)):
-            found.append(Language.finite(current, alphabet))
-        for i in range(start, len(universe)):
-            w = universe[i]
-            if not closed_in(current, w):
-                continue
-            candidate = current | {w}
-            budget.spend()
-            if not _is_code(candidate, alphabet):
-                continue
-            walk(candidate, i + 1)
-
-    walk(words, 0)
-    return found
+    return _complete_extensions(words, units, alphabet, budget)
 
 
 def assert_empty_family(
@@ -499,21 +498,8 @@ def _short_embedding_search(
     budget.spend()
     if not _is_code(forced, alphabet):
         return []
-    free = [unit for unit in units if not unit & words]
-    found: list[Language] = []
-
-    def walk(current: frozenset[str], start: int):
-        if current and is_complete(Language.finite(current, alphabet)):
-            found.append(Language.finite(current, alphabet))
-        for i in range(start, len(free)):
-            candidate = current | free[i]
-            budget.spend()
-            if not _is_code(candidate, alphabet):
-                continue
-            walk(candidate, i + 1)
-
-    walk(forced, 0)
-    return found
+    free = [(unit, frozenset()) for unit in units if not unit & words]
+    return _complete_extensions(forced, free, alphabet, budget)
 
 
 __all__ = [

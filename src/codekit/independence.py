@@ -35,10 +35,9 @@ from .automata import (
 from .errors import UnsupportedError
 from .transducers import (
     EditRelationSpec,
+    _least_source,
     build,
     image,
-    inverse,
-    inverse_spec,
     relation_image,
     relation_image_word,
 )
@@ -89,11 +88,7 @@ def is_independent(x_lang: Language, spec: EditRelationSpec) -> IndependenceRepo
     if is_empty(overlap):
         return IndependenceReport(True, None)
     y = shortest_word(overlap)
-    sources = intersect(
-        x_lang, image(inverse(machine), Language.finite((y,), alphabet))
-    )
-    x = shortest_word(sources)
-    return IndependenceReport(False, (x, y))
+    return IndependenceReport(False, (_least_source(spec, x_lang, y), y))
 
 
 def is_error_correcting(
@@ -101,10 +96,7 @@ def is_error_correcting(
 ) -> ErrorCorrectionReport:
     """No corrupted block can have come from two different codewords.
 
-    Checked pairwise on image overlap, and cross-checked against the
-    preimage characterization: the relation corrects errors exactly
-    when every member with a nonempty image is the only member mapping
-    into that image.
+    Checked pairwise on image overlap.
     """
     fin = _finite_or_none(x_lang)
     if fin is None:
@@ -114,32 +106,14 @@ def is_error_correcting(
     alphabet = fin.alphabet
     members = sort_words(fin.words(), alphabet)
     images = {x: relation_image_word(spec, alphabet, x) for x in members}
-    verdict = None
     for i, x in enumerate(members):
         for y in members[i + 1 :]:
             common = images[x] & images[y]
             if common:
-                verdict = (x, y, min(common, key=alphabet.lex_key))
-                break
-        if verdict:
-            break
-    # the preimage characterization must agree: a member x is safe
-    # exactly when no other member maps into its image
-    back = inverse_spec(spec)
-    preimage_ok = True
-    member_set = fin.words()
-    for x in members:
-        if not images[x]:
-            continue
-        sources: set[str] = set()
-        for v in images[x]:
-            sources |= relation_image_word(back, alphabet, v)
-        if (sources & member_set) - {x}:
-            preimage_ok = False
-            break
-    if (verdict is None) != preimage_ok:
-        raise AssertionError("error-correction criteria disagree; internal fault")
-    return ErrorCorrectionReport(verdict is None, verdict)
+                return ErrorCorrectionReport(
+                    False, (x, y, min(common, key=alphabet.lex_key))
+                )
+    return ErrorCorrectionReport(True, None)
 
 
 def hat_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:

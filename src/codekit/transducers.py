@@ -1,11 +1,12 @@
 """Transducers realizing the edit relations.
 
 Machines are in normal form: each arc reads a letter or epsilon and
-writes a letter or epsilon, never epsilon on both sides.  The basic
-one-defect machines have two states joined by a single defect arc
-(deletion a:eps, insertion eps:a, or substitution a:b); relations with
-k defects chain k copies, and the cumulative families accept after any
-positive number of defects.
+writes a letter or epsilon, never epsilon on both sides.  A relation
+with k defects is a chain of k + 1 states with identity loops, joined
+by deletion (a:eps), insertion (eps:a) or substitution (a:b) arcs; the
+cumulative families accept after any positive number of defects.
+Machines realize the plain relation only: the reflexive and
+antireflexive closures are applied to the images they produce.
 """
 
 from __future__ import annotations
@@ -101,25 +102,6 @@ class Transducer:
         return out
 
 
-def identity_transducer(alphabet: Alphabet) -> Transducer:
-    arcs = tuple((0, c, c, 0) for c in alphabet)
-    return Transducer(alphabet, 1, frozenset((0,)), frozenset((0,)), arcs)
-
-
-def basic(kind: str, alphabet: Alphabet) -> Transducer:
-    """One-defect two-state machine for delta, iota or sigma."""
-    if kind not in ("delta", "iota", "sigma"):
-        raise ValueError(f"no basic machine for {kind!r}")
-    arcs = [(q, c, c, q) for q in (0, 1) for c in alphabet]
-    if kind == "delta":
-        arcs += [(0, c, EPS, 1) for c in alphabet]
-    elif kind == "iota":
-        arcs += [(0, EPS, c, 1) for c in alphabet]
-    else:
-        arcs += [(0, a, b, 1) for a in alphabet for b in alphabet if a != b]
-    return Transducer(alphabet, 2, frozenset((0,)), frozenset((1,)), tuple(arcs))
-
-
 _DEFECTS = {
     "delta": ("del",),
     "iota": ("ins",),
@@ -145,8 +127,8 @@ def build(spec: EditRelationSpec, alphabet: Alphabet) -> Transducer:
     insertion undone by one deletion) but which no one-pass chain can
     produce from empty input.
     """
-    if spec.closure == "antireflexive":
-        raise ValueError("antireflexive closure is applied downstream, not in machines")
+    if spec.closure != "plain":
+        raise ValueError("closures are applied downstream, not in machines")
     k = spec.k
     defects = _DEFECTS[spec.kind]
     arcs = [(j, c, c, j) for j in range(k + 1) for c in alphabet]
@@ -168,103 +150,7 @@ def build(spec: EditRelationSpec, alphabet: Alphabet) -> Transducer:
         n += 1
         initial.add(silent)
         accepting.add(silent)
-    if spec.closure == "reflexive":
-        accepting.add(0)
     return Transducer(alphabet, n, frozenset(initial), frozenset(accepting), tuple(arcs))
-
-
-def inverse(t: Transducer) -> Transducer:
-    arcs = tuple((src, y, x, dst) for src, x, y, dst in t.arcs)
-    return Transducer(t.alphabet, t.n, t.initial, t.accepting, arcs)
-
-
-def t_union(a: Transducer, b: Transducer) -> Transducer:
-    arcs = list(a.arcs) + [(s + a.n, x, y, d + a.n) for s, x, y, d in b.arcs]
-    return Transducer(
-        a.alphabet,
-        a.n + b.n,
-        a.initial | {s + a.n for s in b.initial},
-        a.accepting | {s + a.n for s in b.accepting},
-        tuple(arcs),
-    )
-
-
-def reflexive_closure(t: Transducer) -> Transducer:
-    return t_union(t, identity_transducer(t.alphabet))
-
-
-def compose(s: Transducer, t: Transducer) -> Transducer:
-    """Relational composition: first s, then t.
-
-    Matching s-output against t-input can create silent eps:eps moves;
-    they are eliminated by closure so the result stays in normal form.
-    """
-    s_by = s.arcs_by_state()
-    t_by = t.arcs_by_state()
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def node(pq):
-        i = index.get(pq)
-        if i is None:
-            i = len(order)
-            index[pq] = i
-            order.append(pq)
-        return i
-
-    for p in sorted(s.initial):
-        for q in sorted(t.initial):
-            node((p, q))
-    arcs = []
-    silent: dict[int, set[int]] = {}
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        for x, y, p2 in s_by.get(p, ()):
-            if y == EPS:
-                arcs.append((i, x, EPS, node((p2, q))))
-            else:
-                for ty, tz, q2 in t_by.get(q, ()):
-                    if ty == y:
-                        j = node((p2, q2))
-                        if x == EPS and tz == EPS:
-                            silent.setdefault(i, set()).add(j)
-                        else:
-                            arcs.append((i, x, tz, j))
-        for ty, tz, q2 in t_by.get(q, ()):
-            if ty == EPS:
-                arcs.append((i, EPS, tz, node((p, q2))))
-        i += 1
-
-    def silent_closure(start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in silent.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    n = len(order)
-    closures = {u: silent_closure(u) for u in range(n)}
-    accepting_raw = {
-        i for i, (p, q) in enumerate(order) if p in s.accepting and q in t.accepting
-    }
-    by_src: dict[int, list[tuple[str, str, int]]] = {}
-    for src, x, y, dst in arcs:
-        by_src.setdefault(src, []).append((x, y, dst))
-    final_arcs = set()
-    for u in range(n):
-        for v in closures[u]:
-            for x, y, dst in by_src.get(v, ()):
-                final_arcs.add((u, x, y, dst))
-    accepting = frozenset(u for u in range(n) if closures[u] & accepting_raw)
-    initial = frozenset(
-        index[(p, q)] for p in s.initial for q in t.initial if (p, q) in index
-    )
-    return Transducer(s.alphabet, n, initial, accepting, tuple(sorted(final_arcs)))
 
 
 def image(t: Transducer, lang: Language) -> Language:
@@ -407,6 +293,13 @@ def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> f
     if spec.closure == "antireflexive":
         return base - {w}
     return base
+
+
+def _least_source(spec: EditRelationSpec, lang: Language, y: str) -> str:
+    """Length-lex least member of the language whose plain image holds y."""
+    back = inverse_spec(spec.with_closure("plain"))
+    hits = [x for x in relation_image_word(back, lang.alphabet, y) if lang.member(x)]
+    return min(hits, key=lang.alphabet.lex_key)
 
 
 def relation_image(spec: EditRelationSpec, alphabet: Alphabet, lang: Language) -> Language:

@@ -410,6 +410,15 @@ def test_failed_witness_replay_exits_five(capsys, monkeypatch):
     assert err == "codekit: internal error: RuntimeError: internal: witness failed replay\n"
 
 
+def test_prefix_replay_rejects_a_suffix_pair(capsys, monkeypatch):
+    # "a" ends "ba" but does not begin it, so the prefix claim is false
+    monkeypatch.setattr(cli, "_prefix_pair", lambda lang: ("a", "ba"))
+    code, out, err = run(capsys, "prefix", "--alphabet", "ab", "a|ab|ba", "--verify-witness")
+    assert code == 5
+    assert out == ""
+    assert err == "codekit: internal error: RuntimeError: internal: witness failed replay\n"
+
+
 @pytest.mark.parametrize("fault", [RuntimeError, AssertionError])
 def test_internal_faults_exit_five(capsys, monkeypatch, fault):
     def handler(args):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codekit.analysis import sardinas_patterson, verify_double_factorization
-from codekit.automata import Language, nfa_from_words, star
+from codekit.automata import Language, compile_expression, nfa_from_words, star
 from codekit.closed import (
     Classification,
     assert_empty_family,
@@ -23,6 +23,7 @@ from codekit.closed import (
     sigma_star,
 )
 from codekit.errors import BudgetExceededError
+from codekit.independence import is_independent
 from codekit.transducers import EditRelationSpec, relation_image_word
 from codekit.words import Alphabet, subsequences, xor_add
 
@@ -88,6 +89,35 @@ def test_closedness_on_regular_set():
     assert lang.member(member)
     assert not lang.member(escaped)
     assert escaped in relation_image_word(spec("sigma:2"), AB, member)
+
+
+@pytest.mark.parametrize(
+    "decide, expr, alphabet, rel",
+    [
+        (is_closed, "(ba)*.(a|bb)", AB, "delta:1"),
+        (is_closed, "(ba)*.(a|bb)", AB, "Lambda:2"),
+        (is_closed, "(ab)*", AB, "S:2"),
+        (is_closed, "(a|b).(a|b).(a|b)*", AB, "Delta:2"),
+        (is_closed, "(a.b*.c)|(c.a*.b)", ABC, "I:2"),
+        (is_independent, "(a|b).(a|b)*", AB, "delta:1"),
+        (is_independent, "(ab)*|ababb", AB, "iota:1"),
+        (is_independent, "(a.b*.a)|(b.a*.b)", AB, "sigma:2"),
+        (is_independent, "(a.b*.c)|(c.a*.b)", ABC, "S:1"),
+    ],
+)
+def test_regular_witness_source_is_least(decide, expr, alphabet, rel):
+    # the source x of a regular witness (x, y) is the length-lex least
+    # member whose image contains y; k edits move a length by at most k
+    lang = compile_expression(expr, alphabet)
+    sp = spec(rel)
+    x, y = decide(lang, sp).witness
+    oracle = EditOracle(alphabet.letters)
+    sources = [
+        w
+        for w in alphabet.words_upto(len(y) + sp.k)
+        if lang.member(w) and y in oracle.image(w, sp.kind, sp.k)
+    ]
+    assert x == min(sources, key=alphabet.lex_key)
 
 
 # --- closure iteration ------------------------------------------------------

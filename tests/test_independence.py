@@ -175,6 +175,15 @@ def test_error_correction_matches_oracle(words, rel):
         for y in ordered[i + 1 :]
     )
     assert is_error_correcting(fin(words), sp).correcting == expected
+    # preimage characterization: no member with a nonempty image shares
+    # a preimage of that image with another member
+    back = inverse_spec(sp)
+    preimage_ok = all(
+        not (oracle.image(v, back.kind, back.k) & words) - {x}
+        for x in words
+        for v in images[x]
+    )
+    assert preimage_ok == expected
 
 
 # --- image code-ness --------------------------------------------------------

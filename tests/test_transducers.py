@@ -5,17 +5,12 @@ from codekit.automata import Language
 from codekit.errors import ParseError
 from codekit.transducers import (
     EditRelationSpec,
-    basic,
     build,
-    compose,
     image,
     image_word,
-    inverse,
     inverse_spec,
-    reflexive_closure,
     relation_image,
     relation_image_word,
-    t_union,
 )
 from codekit.words import Alphabet, hamming, levenshtein
 
@@ -55,15 +50,6 @@ def test_inverse_spec():
     assert inverse_spec(spec("delta:2")).kind == "iota"
     assert inverse_spec(spec("I:3")).kind == "Delta"
     assert inverse_spec(spec("Sigma:2")).kind == "Sigma"
-
-
-def test_basic_machines_shape():
-    for kind in ("delta", "iota", "sigma"):
-        t = basic(kind, AB)
-        assert t.n == 2
-        assert t.initial == {0} and t.accepting == {1}
-    with pytest.raises(ValueError):
-        basic("Delta", AB)
 
 
 def test_normal_form_guard():
@@ -155,61 +141,15 @@ def test_Lambda_sandwich(w, k):
         assert levenshtein(w, v) <= k
 
 
-def test_inverse_of_delta_is_iota():
-    td = inverse(build(spec("delta:2"), AB))
-    ti = build(spec("iota:2"), AB)
-    for w in AB.words_upto(3):
-        assert image_word(td, w) == image_word(ti, w)
-
-
-@given(st.text(alphabet="ab", max_size=4))
-@settings(max_examples=40)
-def test_inverse_involution(w):
-    t = build(spec("Lambda:2"), AB)
-    assert image_word(inverse(inverse(t)), w) == image_word(t, w)
-
-
-def test_union_of_machines():
-    t = t_union(build(spec("delta:1"), AB), build(spec("iota:1"), AB))
-    for w in AB.words_upto(3):
-        assert image_word(t, w) == image_word(build(spec("S:1"), AB), w)
-
-
-def test_compose_delta_then_iota():
-    c = compose(build(spec("delta:1"), AB), build(spec("iota:1"), AB))
-    oracle = ORACLES["ab"]
-    for w in AB.words_upto(3):
-        expected = set()
-        for y in oracle.one_deletions(w):
-            expected.update(oracle.one_insertions(y))
-        assert image_word(c, w) == expected
-        if w:
-            assert w in image_word(c, w)
-
-
-def test_compose_matches_sequential_image():
-    s1 = build(spec("sigma:1"), AB)
-    d1 = build(spec("delta:1"), AB)
-    c = compose(s1, d1)
-    lang = Language.finite({"ab", "ba", "aab"}, AB)
-    via_compose = image(c, lang)
-    via_steps = image(d1, image(s1, lang))
-    assert via_compose.words() == via_steps.words()
-
-
-def test_reflexive_closure_machine():
-    t = reflexive_closure(build(spec("delta:1"), AB))
-    assert image_word(t, "ab") == {"ab", "a", "b"}
-    hat = build(spec("delta:1:hat"), AB)
-    assert image_word(hat, "ab") == {"ab", "a", "b"}
-
-
 def test_relation_image_word_closures():
     assert relation_image_word(spec("delta:1:hat"), AB, "ab") == {"ab", "a", "b"}
     assert relation_image_word(spec("S:2:bar"), AB, "a") == (
         image_word(build(spec("S:2"), AB), "a") - {"a"}
     )
     assert relation_image_word(spec("sigma:1:bar"), AB, "a") == {"b"}
+    for rel in ("delta:1:hat", "delta:1:bar"):
+        with pytest.raises(ValueError):
+            build(spec(rel), AB)
 
 
 def test_relation_image_language_closures():

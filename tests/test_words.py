@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from codekit.words import (
     Alphabet,
@@ -80,12 +80,14 @@ def test_indel_examples():
     assert indel_distance("", "ab") == 2
 
 
+@settings(deadline=None)
 @given(st.text(alphabet="ab", max_size=5), st.text(alphabet="ab", max_size=5))
 def test_levenshtein_matches_bfs(u, v):
     oracle = EditOracle("ab")
     assert levenshtein(u, v) == oracle.bfs_distance(u, v, with_subs=True)
 
 
+@settings(deadline=None)
 @given(st.text(alphabet="ab", max_size=5), st.text(alphabet="ab", max_size=5))
 def test_indel_matches_bfs(u, v):
     oracle = EditOracle("ab")
