@@ -1,12 +1,14 @@
 """Code-ness, completeness and measure of finite and regular sets.
 
-The central decision procedure is the residual iteration
-U_0 = X^{-1}X minus the empty word, U_{n+1} = U_n^{-1}X union X^{-1}U_n:
-X is a code exactly when no U_n captures the empty word.  On finite
-sets the iteration runs over explicit word sets with provenance so a
-failing run replays into two distinct factorizations; on regular sets
-it runs over canonical automata with a seen-set for cycle detection,
-and the witness is rebuilt by quotient searches.
+Code-ness is decided by Sardinas & Patterson's test read one letter at
+a time: a breadth-first search over pairs of states of a trim
+deterministic automaton for X (its trie when X is finite, the live part
+of its canonical DFA otherwise).  Two runs read the same word and each
+may restart at the initial state right after reaching a final state;
+X is not a code exactly when the runs can part, one restarting while
+the other continues, and later reach final states together.  The search
+visits each pair once, so it ends without an iteration cap, and its
+parent pointers spell a shortest word with two factorizations.
 """
 
 from __future__ import annotations
@@ -16,27 +18,24 @@ from fractions import Fraction
 
 from .automata import (
     Language,
+    _live_states,
     complement,
     factors,
-    intersect,
-    is_empty,
     is_universal,
-    left_quotient,
     reverse,
-    right_quotient_word,
     shortest_word,
     star,
-    union,
 )
-from .errors import BudgetExceededError
 from .words import Alphabet
-
-DEFAULT_SP_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
 class DoubleFactorization:
-    """One word written as two different products of codewords."""
+    """One word written as two different products of codewords.
+
+    Found by the code-ness search, ``left`` is the product whose first
+    codeword is the shorter one.
+    """
 
     word: str
     left: tuple[str, ...]
@@ -47,7 +46,6 @@ class DoubleFactorization:
 class CodeVerdict:
     is_code: bool
     witness: DoubleFactorization | None
-    sp_trace: tuple[Language, ...]
 
 
 def verify_double_factorization(witness: DoubleFactorization, x_lang: Language) -> bool:
@@ -62,25 +60,6 @@ def verify_double_factorization(witness: DoubleFactorization, x_lang: Language) 
     return all(x_lang.member(p) for p in witness.left + witness.right)
 
 
-def _witness_from_chain(chain) -> DoubleFactorization:
-    """Forward replay of a provenance chain into two factorizations.
-
-    chain[0] is ("base", x, y) with y = x u_0; subsequent entries are
-    ("A", x') with u_{i-1} u_i = x' (roles swap) or ("B", x') with
-    x' u_i = u_{i-1} (roles keep).
-    """
-    _, x, y = chain[0]
-    left = [x]
-    right = [y]
-    for tag, xw in chain[1:]:
-        if tag == "A":
-            left, right = right, left + [xw]
-        else:
-            left = left + [xw]
-    word = "".join(right)
-    return DoubleFactorization(word, tuple(left), tuple(right))
-
-
 def _epsilon_member_witness(x_lang: Language) -> DoubleFactorization:
     words = None
     if x_lang.is_finite_repr:
@@ -91,129 +70,126 @@ def _epsilon_member_witness(x_lang: Language) -> DoubleFactorization:
     return DoubleFactorization("", ("",), ("", ""))
 
 
-def _sp_finite(x_lang: Language, max_iterations: int) -> CodeVerdict:
+def _automaton(x_lang: Language):
+    """Trim deterministic automaton for X with initial state 0.
+
+    Returns (rows, finals): rows[q][i] is the successor of q under
+    letter number i, or -1 where no member of X continues.
+    """
     alphabet = x_lang.alphabet
-    x_words = x_lang.words()
-    if "" in x_words:
-        return CodeVerdict(False, _epsilon_member_witness(x_lang), ())
-    prov: dict[tuple[int, str], tuple] = {}
-    u0 = set()
-    for x in x_words:
-        for y in x_words:
-            if x != y and y.startswith(x):
-                u = y[len(x) :]
-                if (0, u) not in prov:
-                    prov[(0, u)] = ("base", x, y)
-                u0.add(u)
-    levels = [frozenset(u0)]
-    seen = {levels[0]}
-    for n in range(max_iterations):
-        cur = levels[-1]
-        nxt = set()
-        for u in cur:
-            for x in x_words:
-                if x.startswith(u):
-                    v = x[len(u) :]
-                    if (n + 1, v) not in prov:
-                        prov[(n + 1, v)] = ("A", u, x)
-                    nxt.add(v)
-                if u.startswith(x) and x:
-                    v = u[len(x) :]
-                    if (n + 1, v) not in prov:
-                        prov[(n + 1, v)] = ("B", u, x)
-                    nxt.add(v)
-        nxt = frozenset(nxt)
-        levels.append(nxt)
-        trace = tuple(Language.finite(lvl, alphabet) for lvl in levels)
-        if "" in nxt:
-            chain = _walk_finite_chain(prov, len(levels) - 1)
-            return CodeVerdict(False, _witness_from_chain(chain), trace)
-        if nxt in seen:
-            return CodeVerdict(True, None, trace)
-        seen.add(nxt)
-    raise BudgetExceededError(
-        f"code-ness iteration exceeded {max_iterations} rounds", budget=max_iterations
-    )
-
-
-def _walk_finite_chain(prov, top_level):
-    chain = []
-    lvl, v = top_level, ""
-    while True:
-        rec = prov[(lvl, v)]
-        if rec[0] == "base":
-            chain.append(rec)
-            break
-        tag, u, x = rec
-        chain.append((tag, x))
-        lvl, v = lvl - 1, u
-    chain.reverse()
-    return chain
-
-
-def _sp_regular(x_lang: Language, max_iterations: int) -> CodeVerdict:
-    if x_lang.member(""):
-        return CodeVerdict(False, _epsilon_member_witness(x_lang), ())
-    levels = [left_quotient(x_lang, x_lang, exclude_epsilon=True)]
-    seen = {levels[0].canonical_key()}
-    for _ in range(max_iterations):
-        cur = levels[-1]
-        nxt = union(left_quotient(cur, x_lang), left_quotient(x_lang, cur))
-        levels.append(nxt)
-        if nxt.member(""):
-            chain = _regular_chain(levels, x_lang)
-            return CodeVerdict(False, _witness_from_chain(chain), tuple(levels))
-        key = nxt.canonical_key()
-        if key in seen:
-            return CodeVerdict(True, None, tuple(levels))
-        seen.add(key)
-    raise BudgetExceededError(
-        f"code-ness iteration exceeded {max_iterations} rounds", budget=max_iterations
-    )
-
-
-def _regular_chain(levels, x_lang: Language):
-    """Rebuild a provenance chain by quotient searches, top level down."""
-    steps = []
-    lvl, v = len(levels) - 1, ""
-    while lvl > 0:
-        prev = levels[lvl - 1]
-        cand = intersect(prev, right_quotient_word(x_lang, v))
-        u = shortest_word(cand)
-        if u is not None:
-            steps.append(("A", u + v))
-            lvl, v = lvl - 1, u
-            continue
-        cand = intersect(x_lang, right_quotient_word(prev, v))
-        x = shortest_word(cand)
-        if x is None:
-            raise AssertionError("provenance search failed; iteration is inconsistent")
-        steps.append(("B", x))
-        lvl, v = lvl - 1, x + v
-    base_cand = intersect(x_lang, right_quotient_word(x_lang, v))
-    x = shortest_word(base_cand)
-    if x is None:
-        raise AssertionError("provenance search failed at the base level")
-    chain = [("base", x, x + v)]
-    chain.extend(reversed(steps))
-    return chain
-
-
-def sardinas_patterson(
-    x_lang: Language, max_iterations: int = DEFAULT_SP_ITERATIONS
-) -> CodeVerdict:
-    """Decide code-ness; failing verdicts carry a replayable witness."""
     if x_lang.is_finite_repr:
-        return _sp_finite(x_lang, max_iterations)
-    return _sp_regular(x_lang, max_iterations)
+        width = len(alphabet.letters)
+        index = {c: i for i, c in enumerate(alphabet.letters)}
+        rows = [[-1] * width]
+        finals = set()
+        for w in x_lang.words():
+            q = 0
+            for c in w:
+                row, i = rows[q], index[c]
+                q = row[i]
+                if q < 0:
+                    q = row[i] = len(rows)
+                    rows.append([-1] * width)
+            finals.add(q)
+        return rows, finals
+    dfa = x_lang.dfa()
+    live = _live_states(dfa)
+    rows = [[r if r in live else -1 for r in row] for row in dfa.rows]
+    return rows, dfa.accepting & live
+
+
+def _double_factorization(x_lang: Language, rows, finals) -> DoubleFactorization | None:
+    """Breadth-first search for a shortest word with two factorizations.
+
+    A node is the pair (left state, right state) of two runs, plus
+    whether they have parted.  Before parting both runs sit in one
+    state p (node n*n + p); they part when the left run restarts at a
+    final state and the right run continues; after that the node is
+    p*n + q and either run may restart.  Letters are tried in alphabet
+    order and each node is entered once, from its first parent; nodes
+    where a run has no letter to read are never entered.
+    """
+    n = len(rows)
+    width = len(rows[0])
+    start = n * n
+    inner = {q for q, row in enumerate(rows) if max(row) >= 0}
+    parent = {start: -1}
+    queue = [start]
+    for node in queue:
+        if node >= start:
+            rp = rq = rows[node - start]
+        else:
+            p, q = divmod(node, n)
+            rp, rq = rows[p], rows[q]
+        for i in range(width):
+            p2, q2 = rp[i], rq[i]
+            if p2 < 0 or q2 < 0:
+                continue
+            restart = nxt = -1  # entered by a restart; by both runs reading on
+            if p2 in finals:
+                if q2 in finals and node < start:
+                    return _replay(x_lang, rows, finals, parent, node, i)
+                if q2 in inner:
+                    restart = q2
+            elif q2 in finals and p2 in inner:
+                restart = p2 * n
+            if p2 in inner and q2 in inner:
+                nxt = start + p2 if node >= start else p2 * n + q2
+            if restart >= 0 and restart not in parent:
+                parent[restart] = node * width + i
+                queue.append(restart)
+            if nxt >= 0 and nxt not in parent:
+                parent[nxt] = node * width + i
+                queue.append(nxt)
+    return None
+
+
+def _replay(x_lang: Language, rows, finals, parent, node, last) -> DoubleFactorization:
+    """Spell the word and both factorizations from the search's parents.
+
+    A node that is not the plain continuation of its parent was entered
+    by a restart: of the left run when its state was final, else of the
+    right run.
+    """
+    n, width = len(rows), len(rows[0])
+    start = n * n
+    letters = [last]
+    left, right = [], []  # restarts, as letter counts from the end
+    while node != start:
+        prev, i = divmod(parent[node], width)
+        if prev >= start:
+            p2 = q2 = rows[prev - start][i]
+            plain = start + p2
+        else:
+            p2, q2 = rows[prev // n][i], rows[prev % n][i]
+            plain = p2 * n + q2
+        if node != plain:
+            (left if p2 in finals else right).append(len(letters))
+        letters.append(i)
+        node = prev
+    size = len(letters)
+    word = "".join([x_lang.alphabet.letters[i] for i in reversed(letters)])
+    halves = []
+    for cuts in (left, right):
+        ends = [size - c for c in reversed(cuts)] + [size]
+        halves.append(tuple(word[i:j] for i, j in zip([0, *ends], ends)))
+    return DoubleFactorization(word, *halves)
+
+
+def sardinas_patterson(x_lang: Language) -> CodeVerdict:
+    """Decide code-ness; failing verdicts carry a replayable witness."""
+    rows, finals = _automaton(x_lang)
+    if 0 in finals:
+        return CodeVerdict(False, _epsilon_member_witness(x_lang))
+    witness = _double_factorization(x_lang, rows, finals)
+    return CodeVerdict(witness is None, witness)
 
 
 def is_prefix_code(x_lang: Language) -> bool:
-    """No member is a proper prefix of another member."""
-    if x_lang.is_finite_repr:
-        ws = x_lang.words()
-        return not any(x != y and y.startswith(x) for x in ws for y in ws)
-    return is_empty(left_quotient(x_lang, x_lang, exclude_epsilon=True))
+    """No member is a proper prefix of another member: in a trim
+    deterministic automaton for X, no final state has an outgoing arc."""
+    rows, finals = _automaton(x_lang)
+    return all(r < 0 for q in finals for r in rows[q])
 
 
 def is_suffix_code(x_lang: Language) -> bool:

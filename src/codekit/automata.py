@@ -445,8 +445,8 @@ def difference(a: Language, b: Language) -> Language:
 def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = False) -> Language:
     """Words w with uw in X for some u in U.
 
-    With exclude_epsilon, the empty word is removed from the result,
-    matching the seed set of the code-ness iteration.
+    With exclude_epsilon, the empty word is removed from the result:
+    X^{-1}X minus the empty word holds the tails of proper prefix pairs.
     """
     _check_same_alphabet(u_lang, x_lang)
     dx = x_lang.dfa()
@@ -558,18 +558,21 @@ def words_upto(lang: Language, max_len: int) -> frozenset[str]:
     if lang.is_finite_repr:
         return frozenset(w for w in lang.words() if len(w) <= max_len)
     dfa = lang.dfa()
+    live = _live_states(dfa)
     out = set()
-    frontier = {0: {""}}
-    for _ in range(max_len + 1):
+    frontier = {0: {""}} if 0 in live else {}
+    for length in range(max_len + 1):
+        if length:
+            nxt: dict[int, set[str]] = {}
+            for q, ws in frontier.items():
+                for li, c in enumerate(dfa.alphabet):
+                    r = dfa.rows[q][li]
+                    if r in live:
+                        nxt.setdefault(r, set()).update(w + c for w in ws)
+            frontier = nxt
         for q, ws in frontier.items():
             if q in dfa.accepting:
                 out.update(ws)
-        nxt: dict[int, set[str]] = {}
-        for q, ws in frontier.items():
-            for li, c in enumerate(dfa.alphabet):
-                r = dfa.rows[q][li]
-                nxt.setdefault(r, set()).update(w + c for w in ws)
-        frontier = nxt
     return frozenset(out)
 
 
@@ -593,8 +596,8 @@ def reverse(lang: Language) -> Language:
     )
 
 
-def _dfa_finite_words(dfa: Dfa) -> frozenset[str] | None:
-    """Enumerate the language of a DFA, or None when it is infinite."""
+def _live_states(dfa: Dfa) -> frozenset[int]:
+    """States on some path from the initial state to an accepting one."""
     # co-reachable: states from which acceptance is reachable
     back: dict[int, set[int]] = {}
     for q in range(dfa.n):
@@ -616,49 +619,28 @@ def _dfa_finite_words(dfa: Dfa) -> frozenset[str] | None:
             if r not in reach:
                 reach.add(r)
                 stack.append(r)
-    live = reach & co
-    if not live:
-        return frozenset()
-    # cycle within live states means infinitely many words
-    color = {}
-    for root in live:
-        if root in color:
-            continue
-        stack = [(root, iter(dfa.rows[root]))]
-        color[root] = 1
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for r in it:
-                if r not in live:
-                    continue
-                c = color.get(r)
-                if c == 1:
-                    return None
-                if c is None:
-                    color[r] = 1
-                    stack.append((r, iter(dfa.rows[r])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[q] = 2
-                stack.pop()
-    # topological accumulation of prefixes along the acyclic live part
-    order = []
+    return frozenset(reach & co)
+
+
+def _dfa_finite_words(dfa: Dfa) -> frozenset[str] | None:
+    """Enumerate the language of a DFA, or None when it is infinite."""
+    live = _live_states(dfa)
+    # Kahn's topological order of the live part: states on a cycle never
+    # enter it, and a cycle of live states means infinitely many words
     indeg = {q: 0 for q in live}
     for q in live:
         for r in dfa.rows[q]:
             if r in live:
                 indeg[r] += 1
-    ready = [q for q in live if indeg[q] == 0]
-    while ready:
-        q = ready.pop()
-        order.append(q)
+    order = [q for q in live if indeg[q] == 0]
+    for q in order:
         for r in dfa.rows[q]:
             if r in live:
                 indeg[r] -= 1
                 if indeg[r] == 0:
-                    ready.append(r)
+                    order.append(r)
+    if len(order) < len(live):
+        return None
     prefixes: dict[int, set[str]] = {q: set() for q in live}
     if 0 in live:
         prefixes[0].add("")
@@ -768,6 +750,9 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
             return Language.finite((node[1],), alphabet)
         if tag == "union":
             parts = [eval_node(p) for p in node[1]]
+            if all(p.is_finite_repr for p in parts):
+                words = frozenset().union(*(p.words() for p in parts))
+                return Language.finite(words, alphabet)
             out = parts[0]
             for p in parts[1:]:
                 out = union(out, p)

@@ -12,7 +12,7 @@ a parity class, or everything, and closed codes follow suit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .analysis import DoubleFactorization, is_complete, sardinas_patterson
 from .automata import (
@@ -225,18 +225,18 @@ def enumerate_delta_closed(
 
     Streams codes in the order induced by adding universe words left to
     right, so prefixes of the stream are reproducible.  Every yielded
-    set has been checked closed and uniquely decodable.
+    set has been checked closed and uniquely decodable.  A limit stops
+    the stream after that many codes; a negative limit raises ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     units = _delta_units(k, alphabet)
     budget = _Budget(
         candidate_budget, f"enumerating over a universe of {len(units)} words"
     )
-    emitted = 0
-    for code in _code_search(frozenset(), units, alphabet, budget):
+    codes = _code_search(frozenset(), units, alphabet, budget)
+    for code in islice(codes, limit):
         yield Language.finite(code, alphabet)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
 
 
 def _require_delta_closed_code(x_lang: Language, k: int) -> frozenset[str]:

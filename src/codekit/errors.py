@@ -34,7 +34,7 @@ class UnsupportedError(CodekitError):
 
 
 class BudgetExceededError(CodekitError):
-    """A configured resource cap (states, iterations, candidates) was hit."""
+    """A configured resource cap (states, candidates, search length) was hit."""
 
     def __init__(self, message, budget=None, observed=None):
         self.budget = budget

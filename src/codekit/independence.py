@@ -126,15 +126,15 @@ def hat_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:
 
 def underline_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:
     """Code-ness of the antireflexive image."""
-    try:
-        img = relation_image(
-            spec.with_closure("antireflexive"), x_lang.alphabet, x_lang
-        )
-    except ValueError:
-        raise UnsupportedError(
-            "Q3",
-            f"antireflexive image of an infinite regular set under {spec.render()}",
-        ) from None
+    if not spec.is_antireflexive_already:
+        fin = _finite_or_none(x_lang)
+        if fin is None:
+            raise UnsupportedError(
+                "Q3",
+                f"antireflexive image of an infinite regular set under {spec.render()}",
+            )
+        x_lang = fin
+    img = relation_image(spec.with_closure("antireflexive"), x_lang.alphabet, x_lang)
     return sardinas_patterson(img)
 
 

@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,14 +46,11 @@ def test_prefix_code_is_code():
     verdict = sardinas_patterson(fin({"a", "ba", "bb"}))
     assert verdict.is_code
     assert verdict.witness is None
-    # trace starts with the quotient seed set
-    assert verdict.sp_trace[0].words() == frozenset()
 
 
-def test_sp_trace_uniform_code():
-    # both words share the prefix a^2, the dangling suffix never resolves
+def test_dangling_suffix_that_never_resolves():
+    # both words share the prefix aab, the dangling suffix ab never resolves
     verdict = sardinas_patterson(fin({"aab", "aabab"}))
-    assert verdict.sp_trace[0].words() == {"ab"}
     assert verdict.is_code
 
 
@@ -88,20 +87,60 @@ def test_sp_regular_agrees_with_finite():
 @given(finite_sets)
 @settings(max_examples=120, deadline=None)
 def test_sp_matches_enumeration_oracle(words):
-    verdict = sardinas_patterson(fin(words))
+    # the finite form is searched on its trie, the regular one on its DFA
     brute = double_factorization_witness(words, "ab", 10)
-    if brute is not None:
-        assert not verdict.is_code
-    if not verdict.is_code:
+    forms = (fin(words), Language.regular(fin(words).nfa()))
+    verdicts = [sardinas_patterson(lang) for lang in forms]
+    assert verdicts[0].is_code == verdicts[1].is_code
+    for verdict in verdicts:
+        if brute is not None:
+            assert not verdict.is_code
+        if verdict.is_code:
+            continue
         assert verify_double_factorization(verdict.witness, fin(words))
+        if brute is not None:
+            assert len(verdict.witness.word) == len(brute)
+        else:
+            assert len(verdict.witness.word) > 10
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "(ab|ba|a).(ab|ba|a)*",
+        "(aab|abb|ba).(aab|abb|ba)*",
+        "a.b*|b.a*",
+        "(ab)*.b|a",
+        "a.(ba)*|bab",
+        "a.b*.a|bab|b",
+        "(a|b.b).(a.a)*",
+        "(aab)*.b|ab.a*.b",
+    ],
+)
+def test_sp_regular_matches_enumeration_oracle(expr):
+    # members up to length 9 by Python's own regular expressions
+    pattern = re.compile(expr.replace(".", ""))
+    members = [
+        w
+        for n in range(1, 10)
+        for w in map("".join, itertools.product("ab", repeat=n))
+        if pattern.fullmatch(w)
+    ]
+    brute = double_factorization_witness(members, "ab", 9)
+    lang = compile_expression(expr, AB)
+    verdict = sardinas_patterson(lang)
+    assert verdict.is_code == (brute is None)
+    if brute is not None:
+        assert verify_double_factorization(verdict.witness, lang)
+        assert len(verdict.witness.word) == len(brute)
 
 
 @given(finite_sets)
 @settings(max_examples=80, deadline=None)
-def test_prefix_iff_empty_seed(words):
-    lang = fin(words)
-    verdict_seed = sardinas_patterson(lang).sp_trace[0]
-    assert is_prefix_code(lang) == (not verdict_seed.words())
+def test_prefix_code_matches_definition(words):
+    want = not any(x != y and y.startswith(x) for x in words for y in words)
+    assert is_prefix_code(fin(words)) == want
+    assert is_prefix_code(Language.regular(fin(words).nfa())) == want
 
 
 def test_affix_checks():

@@ -1,8 +1,11 @@
 """Exit codes, witness lines, and report formats of the command line tool."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +276,17 @@ def test_enum_delta_closed_k2(capsys):
     assert payload["codes"] == [["a"], ["a", "b"], ["b"]]
 
 
+def test_enum_delta_closed_limit(capsys):
+    argv = ["enum-delta-closed", "--alphabet", "ab", "--k", "3", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--limit", "0")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+    code, out, err = run(capsys, *argv, "--limit", "-1")
+    assert code == 3
+    assert out == ""
+    assert err == "codekit: error: limit must be at least 0, got -1\n"
+
+
 def test_embed_closed_exit_reflects_existence(capsys):
     code, out, _ = run(
         capsys, "embed-closed", "--alphabet", "ab", "aa|ab|bb", "--rel", "delta:3"
@@ -512,6 +526,22 @@ def test_json_simulate_renders_fractions_as_strings(capsys):
     payload = json.loads(out)
     assert payload["correction_rate"] == "1"
     assert payload["blocks"] == 10
+
+
+def test_witness_does_not_depend_on_hash_seed():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [
+        sys.executable, "-m", "codekit.cli", "image-code", "--alphabet", "ab",
+        "aabb|bbaa", "--rel", "S:2", "--closure", "bar",
+    ]
+    outputs = set()
+    for seed in "0123":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 # --- console script ---------------------------------------------------------

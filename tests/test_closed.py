@@ -185,6 +185,15 @@ def test_enumeration_is_deterministic():
     assert first == second
 
 
+def test_enumeration_limit_zero_yields_nothing():
+    assert list(enumerate_delta_closed(3, AB, limit=0)) == []
+
+
+def test_enumeration_negative_limit_rejected():
+    with pytest.raises(ValueError):
+        list(enumerate_delta_closed(3, AB, limit=-1))
+
+
 def test_five_word_code_reachable_by_the_stream_filter():
     # replay the enumerator's own add chain for the known five-word code
     universe_order = sorted(FIVE_WORD_CODE, key=AB.lex_key)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codekit import independence
 from codekit.analysis import is_complete, sardinas_patterson, verify_double_factorization
 from codekit.automata import Language, compile_expression, star, union, words_upto
 from codekit.errors import UnsupportedError
@@ -222,6 +223,16 @@ def test_antireflexive_image_unsupported_for_infinite_chain_relation():
     with pytest.raises(UnsupportedError) as err:
         underline_image_is_code(star(fin({"ab"})), spec("Lambda:2"))
     assert err.value.question == "Q3"
+
+
+def test_antireflexive_image_fault_is_not_an_open_question(monkeypatch):
+    # a finite input meets Q3's precondition, so a ValueError is a fault
+    def broken(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(independence, "relation_image", broken)
+    with pytest.raises(ValueError, match="injected fault"):
+        underline_image_is_code(fin({"aabb", "bbaa"}), spec("S:2"))
 
 
 # --- maximality -------------------------------------------------------------
