@@ -7,8 +7,10 @@ of its canonical DFA otherwise).  Two runs read the same word and each
 may restart at the initial state right after reaching a final state;
 X is not a code exactly when the runs can part, one restarting while
 the other continues, and later reach final states together.  The search
-visits each pair once, so it ends without an iteration cap, and its
-parent pointers spell a shortest word with two factorizations.
+visits each pair once, so it ends without an iteration cap.  The one
+search has two readers: ``is_code`` takes the verdict alone, and
+``sardinas_patterson`` also spells, from the search's parent pointers,
+a shortest word with two factorizations.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def _automaton(x_lang: Language):
     return rows, dfa.accepting & live
 
 
-def _double_factorization(x_lang: Language, rows, finals) -> DoubleFactorization | None:
+def _double_factorization(rows, finals) -> tuple[dict[int, int], int, int] | None:
     """Breadth-first search for a shortest word with two factorizations.
 
     A node is the pair (left state, right state) of two runs, plus
@@ -108,6 +110,10 @@ def _double_factorization(x_lang: Language, rows, finals) -> DoubleFactorization
     p*n + q and either run may restart.  Letters are tried in alphabet
     order and each node is entered once, from its first parent; nodes
     where a run has no letter to read are never entered.
+
+    Returns None when X is a code; otherwise the parent pointers, the
+    node where both runs end on final states, and the letter number
+    read last, from which ``_replay`` spells the word.
     """
     n = len(rows)
     width = len(rows[0])
@@ -128,7 +134,7 @@ def _double_factorization(x_lang: Language, rows, finals) -> DoubleFactorization
             restart = nxt = -1  # entered by a restart; by both runs reading on
             if p2 in finals:
                 if q2 in finals and node < start:
-                    return _replay(x_lang, rows, finals, parent, node, i)
+                    return parent, node, i
                 if q2 in inner:
                     restart = q2
             elif q2 in finals and p2 in inner:
@@ -181,8 +187,16 @@ def sardinas_patterson(x_lang: Language) -> CodeVerdict:
     rows, finals = _automaton(x_lang)
     if 0 in finals:
         return CodeVerdict(False, _epsilon_member_witness(x_lang))
-    witness = _double_factorization(x_lang, rows, finals)
-    return CodeVerdict(witness is None, witness)
+    meeting = _double_factorization(rows, finals)
+    if meeting is None:
+        return CodeVerdict(True, None)
+    return CodeVerdict(False, _replay(x_lang, rows, finals, *meeting))
+
+
+def is_code(x_lang: Language) -> bool:
+    """The verdict of ``sardinas_patterson`` without spelling a witness."""
+    rows, finals = _automaton(x_lang)
+    return 0 not in finals and _double_factorization(rows, finals) is None
 
 
 def is_prefix_code(x_lang: Language) -> bool:
@@ -269,19 +283,29 @@ def is_complete(x_lang: Language) -> bool:
     return is_universal(factors(star(x_lang)))
 
 
+def _require_code(x_lang: Language) -> None:
+    if not is_code(x_lang):
+        raise ValueError("maximality is only defined for codes; input is not a code")
+
+
 def is_maximal_code(x_lang: Language) -> bool:
     """For a regular code, maximality coincides with completeness."""
-    verdict = sardinas_patterson(x_lang)
-    if not verdict.is_code:
-        raise ValueError("maximality is only defined for codes; input is not a code")
+    _require_code(x_lang)
     return is_complete(x_lang)
+
+
+def _least_non_factor(x_lang: Language) -> str | None:
+    """Length-lex least word outside the factors of the star closure, or
+    None when the set is complete; the closure is determinized once."""
+    fl = factors(star(x_lang))
+    if is_universal(fl):
+        return None
+    return shortest_word(complement(fl))
 
 
 def find_non_factor(x_lang: Language) -> str:
     """Length-lex least word outside the factors of the star closure."""
-    fl = factors(star(x_lang))
-    if is_universal(fl):
+    w = _least_non_factor(x_lang)
+    if w is None:
         raise ValueError("language is complete: every word is a factor")
-    w = shortest_word(complement(fl))
-    assert w is not None
     return w

@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import sardinas_patterson
+from .analysis import is_code
 from .automata import Language
 from .independence import is_independent
 from .transducers import EditRelationSpec, relation_image_word
@@ -226,7 +226,7 @@ def decode(
     is a code that is not independent under the relation.
     """
     codewords = _codewords(x_lang)
-    if not sardinas_patterson(x_lang).is_code:
+    if not is_code(x_lang):
         warnings.warn("decoding over a set that is not a code", stacklevel=2)
     elif not is_independent(x_lang, spec).independent:
         warnings.warn(

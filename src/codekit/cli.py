@@ -21,9 +21,9 @@ from . import independence as indep_mod
 from .analysis import (
     Distribution,
     DoubleFactorization,
-    find_non_factor,
-    is_complete,
-    is_maximal_code,
+    _least_non_factor,
+    _require_code,
+    is_code,
     is_prefix_code,
     is_suffix_code,
     measure_partial,
@@ -268,7 +268,15 @@ def _emit(payload: dict, fmt: str) -> None:
 # --- witnesses --------------------------------------------------------------
 
 def _prefix_pair(lang: Language):
-    """Some codeword and a longer codeword it starts."""
+    """A codeword x and a longer codeword xu: u is the length-lex least
+    nonempty tail, x the least codeword that u extends into X."""
+    if lang.is_finite_repr:
+        words, key = lang.words(), lang.alphabet.lex_key
+        u = min(
+            (y[i:] for y in words for i in range(len(y)) if y[:i] in words), key=key
+        )
+        x = min((x for x in words if x + u in words), key=key)
+        return x, x + u
     tails = left_quotient(lang, lang, exclude_epsilon=True)
     u = shortest_word(tails)
     holders = intersect(lang, right_quotient_word(lang, u))
@@ -376,7 +384,7 @@ def _cmd_measure(args):
 
 def _cmd_complete(args):
     lang = _load_language(args)
-    w = None if is_complete(lang) else find_non_factor(lang)
+    w = _least_non_factor(lang)
     return _verdict(
         args,
         "complete",
@@ -389,11 +397,12 @@ def _cmd_complete(args):
 
 def _cmd_maximal(args):
     lang = _load_language(args)
-    w = None if is_maximal_code(lang) else find_non_factor(lang)
+    _require_code(lang)
+    w = _least_non_factor(lang)
 
     def replay(w):
         extended = union(lang, Language.finite((w,), lang.alphabet))
-        return sardinas_patterson(extended).is_code
+        return is_code(extended)
 
     return _verdict(
         args,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .analysis import DoubleFactorization, is_complete, sardinas_patterson
+from .analysis import DoubleFactorization, is_code, is_complete, sardinas_patterson
 from .automata import (
     Language,
     difference,
@@ -30,7 +30,7 @@ from .transducers import (
     image,
     relation_image_word,
 )
-from .words import Alphabet, complement_word, parity_ones, sort_words, subsequences
+from .words import Alphabet, complement_word, parity_ones, sort_words
 
 DEFAULT_CANDIDATE_BUDGET = 1 << 24
 
@@ -172,16 +172,43 @@ def _delta_units(
 ) -> list[tuple[tuple[str], frozenset[str]]]:
     """Search units for the deletion searches: each universe word not
     taken, with its k-deletion image, which a closed set must hold
-    before the word may join it."""
+    before the word may join it.
+
+    The images come from one recursion on suffixes, D(cu, j) =
+    c.D(u, j) | D(u, j - 1) with D(u, 0) = {u}, so words sharing a
+    suffix share its work.  Every distinct word is one string object,
+    whichever image or unit holds it; the table of suffixes lives for
+    this call only.
+    """
+    universe = _delta_universe(k, alphabet)
+    word = {w: w for w in universe}  # one string object per distinct word
+    table: dict[tuple[str, int], frozenset[str]] = {}
+
+    def deletions(u: str, j: int) -> frozenset[str]:
+        if j == 0:
+            return frozenset((u,))
+        if j > len(u):
+            return frozenset()
+        out = table.get((u, j))
+        if out is None:
+            c, rest = u[0], u[1:]
+            rest = word.setdefault(rest, rest)
+            kept = [c + v for v in deletions(rest, j)]
+            out = frozenset(
+                chain((word.setdefault(v, v) for v in kept), deletions(rest, j - 1))
+            )
+            table[u, j] = out
+        return out
+
     return [
-        ((w,), subsequences(w, len(w) - k) if len(w) > k else frozenset())
-        for w in _delta_universe(k, alphabet)
+        ((w,), deletions(w, k) if len(w) > k else frozenset())
+        for w in universe
         if w not in taken
     ]
 
 
 def _is_code(words: frozenset[str], alphabet: Alphabet) -> bool:
-    return sardinas_patterson(Language.finite(words, alphabet)).is_code
+    return is_code(Language.finite(words, alphabet))
 
 
 def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budget):
@@ -190,20 +217,39 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
     A unit ``(words, needs)`` may join a set that already holds all of
     ``needs``.  Each joined set spends one budget unit; only the codes
     among them are yielded and extended.
-    """
 
-    def walk(current: frozenset[str], start: int):
-        for i in range(start, len(units)):
-            words, needs = units[i]
-            if not needs <= current:
-                continue
-            candidate = current.union(words)
+    Each level carries ``ready``: the sorted indices of the units after
+    the last one joined whose needs the set already holds.  A child
+    keeps the rest of its parent's list and merges in the units that
+    its joined unit wakes: those whose latest needed unit it is, and
+    whose other needs the set holds.  Units with no needs outside
+    ``base`` are ready from the start; a unit needing a word that no
+    earlier unit holds can never join.  So the walk visits the same
+    sets in the same order as a scan of every later unit would, without
+    testing the units that cannot join.  Each word sits in one unit.
+    """
+    unit_of = {w: i for i, (words, _) in enumerate(units) for w in words}
+    never = len(units)
+    ready: list[int] = []
+    wakes: list[list[int]] = [[] for _ in units]
+    for j, (_, needs) in enumerate(units):
+        last = max((unit_of.get(w, never) for w in needs - base), default=-1)
+        if last < 0:
+            ready.append(j)
+        elif last < j:
+            wakes[last].append(j)
+
+    def walk(current: frozenset[str], ready: list[int]):
+        for pos, i in enumerate(ready):
+            candidate = current.union(units[i][0])
             budget.spend()
             if _is_code(candidate, alphabet):
                 yield candidate
-                yield from walk(candidate, i + 1)
+                rest = ready[pos + 1 :]
+                woken = [j for j in wakes[i] if units[j][1] <= candidate]
+                yield from walk(candidate, sorted(rest + woken) if woken else rest)
 
-    return walk(base, 0)
+    return walk(base, ready)
 
 
 def _complete_extensions(
@@ -244,7 +290,7 @@ def _require_delta_closed_code(x_lang: Language, k: int) -> frozenset[str]:
     if fin is None:
         raise ValueError("deletion-closed analysis needs a finite set")
     spec = EditRelationSpec("delta", k)
-    if not sardinas_patterson(fin).is_code:
+    if not is_code(fin):
         raise ValueError("precondition failed: input is not a code")
     report = is_closed(fin, spec)
     if not report.closed:
@@ -309,7 +355,7 @@ def assert_empty_family(
     if fin is None or not fin.words():
         raise ValueError("a nonempty finite candidate code is required")
     alphabet = x_lang.alphabet
-    if not sardinas_patterson(fin).is_code:
+    if not is_code(fin):
         raise ValueError("precondition failed: input is not a code")
     x = min(fin.words(), key=alphabet.lex_key)
     k = spec.k
@@ -462,7 +508,7 @@ def sigma_complete_embedding(
     only sit inside its full length class.
     """
     alphabet = x_lang.alphabet
-    if not sardinas_patterson(x_lang).is_code:
+    if not is_code(x_lang):
         raise ValueError("precondition failed: input is not a code")
     if is_complete(x_lang):
         raise ValueError("precondition failed: input is already complete")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .analysis import (
     CodeVerdict,
     find_non_factor,
+    is_code,
     is_complete,
     sardinas_patterson,
     verify_double_factorization,
@@ -180,7 +181,7 @@ def witness_independent_extension(x_lang: Language, spec: EditRelationSpec) -> s
         not any(x_lang.member(u) for u in hits)
         and not x_lang.member(w)
         and is_independent(extended, spec).independent
-        and sardinas_patterson(extended).is_code
+        and is_code(extended)
     )
     if not ok:
         raise RuntimeError("internal: constructed extension failed verification")
@@ -207,7 +208,7 @@ def er_complete(x_lang: Language) -> Language:
     surrounded = concat(concat(universe, w_lang), universe)
     u_lang = complement(union(star(x_lang), surrounded))
     y_lang = union(x_lang, concat(w_lang, star(concat(u_lang, w_lang))))
-    if not sardinas_patterson(y_lang).is_code or not is_complete(y_lang):
+    if not is_code(y_lang) or not is_complete(y_lang):
         raise RuntimeError("internal: completion failed verification")
     return y_lang
 

@@ -294,3 +294,33 @@ def reference_experiment(config):
             restored = restored and decoded == x
         totals["restored_messages"] += restored
     return ExperimentReport(config_seed=config.seed, trials=config.trials, **totals)
+
+
+# --- closed-family search -------------------------------------------------------
+
+
+def reference_code_search(base, units, alphabet, budget):
+    """The closed-family walk as a plain scan, for ``closed._code_search``.
+
+    Pre-order over base | u_i | u_j | ... with i < j: at each level every
+    later unit ``(words, needs)`` is tested, joins when the set holds all
+    of ``needs``, spends one budget unit when it joins, and the joined
+    set is yielded and extended when ``sardinas_patterson`` calls it a
+    code.  Takes the same arguments as the search it checks.
+    """
+    # imported here so that merely importing this module loads no codekit
+    from codekit.analysis import sardinas_patterson
+    from codekit.automata import Language
+
+    def walk(current, start):
+        for i in range(start, len(units)):
+            words, needs = units[i]
+            if not needs <= current:
+                continue
+            candidate = current.union(words)
+            budget.spend()
+            if sardinas_patterson(Language.finite(candidate, alphabet)).is_code:
+                yield candidate
+                yield from walk(candidate, i + 1)
+
+    return walk(base, 0)

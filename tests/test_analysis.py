@@ -10,6 +10,7 @@ from codekit.analysis import (
     Distribution,
     find_non_factor,
     is_bifix_code,
+    is_code,
     is_complete,
     is_maximal_code,
     is_prefix_code,
@@ -22,13 +23,42 @@ from codekit.analysis import (
 from codekit.automata import Language, compile_expression, union
 from codekit.words import Alphabet
 
-from oracles import double_factorization_witness
+from oracles import count_factorizations, double_factorization_witness
 
 AB = Alphabet("ab")
 
 finite_sets = st.frozensets(
     st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=6
 )
+# the same, where a set may hold the empty word
+sets_with_epsilon = st.frozensets(
+    st.text(alphabet="ab", max_size=4), min_size=1, max_size=6
+)
+
+# starred expressions: code-ness is checked against their members,
+# enumerated up to a length by Python's own regular expressions
+STARRED = [
+    "(ab|ba|a).(ab|ba|a)*",
+    "(aab|abb|ba).(aab|abb|ba)*",
+    "a.b*|b.a*",
+    "(ab)*.b|a",
+    "a.(ba)*|bab",
+    "a.b*.a|bab|b",
+    "(a|b.b).(a.a)*",
+    "(aab)*.b|ab.a*.b",
+    "(ba)*.(a|bb)",
+    "(aa)*|aaa",
+]
+
+
+def members_upto(expr, n):
+    pattern = re.compile(expr.replace(".", ""))
+    return [
+        w
+        for m in range(1, n + 1)
+        for w in map("".join, itertools.product("ab", repeat=m))
+        if pattern.fullmatch(w)
+    ]
 
 
 def fin(words):
@@ -104,28 +134,9 @@ def test_sp_matches_enumeration_oracle(words):
             assert len(verdict.witness.word) > 10
 
 
-@pytest.mark.parametrize(
-    "expr",
-    [
-        "(ab|ba|a).(ab|ba|a)*",
-        "(aab|abb|ba).(aab|abb|ba)*",
-        "a.b*|b.a*",
-        "(ab)*.b|a",
-        "a.(ba)*|bab",
-        "a.b*.a|bab|b",
-        "(a|b.b).(a.a)*",
-        "(aab)*.b|ab.a*.b",
-    ],
-)
+@pytest.mark.parametrize("expr", STARRED[:8])
 def test_sp_regular_matches_enumeration_oracle(expr):
-    # members up to length 9 by Python's own regular expressions
-    pattern = re.compile(expr.replace(".", ""))
-    members = [
-        w
-        for n in range(1, 10)
-        for w in map("".join, itertools.product("ab", repeat=n))
-        if pattern.fullmatch(w)
-    ]
+    members = members_upto(expr, 9)
     brute = double_factorization_witness(members, "ab", 9)
     lang = compile_expression(expr, AB)
     verdict = sardinas_patterson(lang)
@@ -133,6 +144,26 @@ def test_sp_regular_matches_enumeration_oracle(expr):
     if brute is not None:
         assert verify_double_factorization(verdict.witness, lang)
         assert len(verdict.witness.word) == len(brute)
+
+
+@given(sets_with_epsilon)
+@settings(max_examples=150, deadline=None)
+def test_is_code_matches_sardinas_patterson(words):
+    for lang in (fin(words), Language.regular(fin(words).nfa())):
+        verdict = sardinas_patterson(lang)
+        assert is_code(lang) == verdict.is_code
+        if not verdict.is_code and "" not in words:
+            assert count_factorizations(verdict.witness.word, words) >= 2
+
+
+@pytest.mark.parametrize("expr", STARRED)
+def test_is_code_matches_sardinas_patterson_on_regular_sets(expr):
+    lang = compile_expression(expr, AB)
+    verdict = sardinas_patterson(lang)
+    assert is_code(lang) == verdict.is_code
+    if not verdict.is_code and not lang.member(""):
+        word = verdict.witness.word
+        assert count_factorizations(word, members_upto(expr, len(word))) >= 2
 
 
 @given(finite_sets)

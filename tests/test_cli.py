@@ -6,11 +6,16 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codekit import cli
+from codekit.automata import Language
 from codekit.cli import main
+from codekit.words import Alphabet
 
 
 def run(capsys, *argv):
@@ -83,6 +88,25 @@ def test_prefix_suffix_bifix_witnesses(capsys):
     assert "witness_check: verified" in out
     code, out, _ = run(capsys, "bifix", "--alphabet", "ab", "ab|ba")
     assert code == 0
+
+
+@given(st.frozensets(st.text(alphabet="ab", max_size=4), min_size=1, max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_finite_affix_pair_matches_automaton_path(words):
+    # a finite set takes its pair from the words; its automaton form
+    # takes it from quotients of the DFA; both must give the same pair
+    finite = Language.finite(words, Alphabet("ab"))
+    forms = (finite, Language.regular(finite.nfa()))
+    for command in ("prefix", "suffix", "bifix"):
+        args = cli.build_parser().parse_args(
+            [command, "--alphabet", "ab", "a", "--verify-witness"]
+        )
+        handler = cli._HANDLERS[command]
+        results = []
+        for lang in forms:
+            with patch.object(cli, "_load_language", lambda args: lang):
+                results.append(handler(args))
+        assert results[0] == results[1]
 
 
 def test_measure_is_exact(capsys):

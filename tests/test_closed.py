@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codekit import closed
 from codekit.analysis import sardinas_patterson, verify_double_factorization
 from codekit.automata import Language, compile_expression, nfa_from_words, star
 from codekit.closed import (
@@ -27,7 +28,7 @@ from codekit.independence import is_independent
 from codekit.transducers import EditRelationSpec, relation_image_word
 from codekit.words import Alphabet, subsequences, xor_add
 
-from oracles import EditOracle
+from oracles import EditOracle, reference_code_search
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -204,6 +205,88 @@ def test_five_word_code_reachable_by_the_stream_filter():
         current = current | {w}
         assert sardinas_patterson(fin(current)).is_code
     assert current == FIVE_WORD_CODE
+
+
+CODE_SEARCH, BUDGET = closed._code_search, closed._Budget
+
+
+def search_events(monkeypatch, search, run):
+    """What ``run()`` returns, and its closed-family walks as one list of
+    events in order: None for each budget spend, a set for each code
+    the walk yields."""
+    events = []
+
+    class Tally(BUDGET):
+        def spend(self):
+            events.append(None)
+            super().spend()
+
+    def recorded(*args):
+        for code in search(*args):
+            events.append(code)
+            yield code
+
+    monkeypatch.setattr(closed, "_Budget", Tally)
+    monkeypatch.setattr(closed, "_code_search", recorded)
+    return events, run()
+
+
+def embedded(embed, words, k, alphabet=AB):
+    return lambda: [lang.words() for lang in embed(fin(words, alphabet), k)]
+
+
+def enumerated(k, letters, limit=None):
+    return lambda: [
+        lang.words() for lang in enumerate_delta_closed(k, Alphabet(letters), limit=limit)
+    ]
+
+
+@pytest.mark.parametrize(
+    "run, codes, spends",
+    [
+        (enumerated(2, "ab"), 3, 3),
+        (enumerated(3, "ab"), 48, 184),
+        (enumerated(4, "ab"), 1449, 6010),
+        (enumerated(3, "abc", limit=300), 300, 2178),
+        (enumerated(3, "cab", limit=300), 300, 2178),
+        (embedded(embed_delta_closed_complete, {"aa", "ab", "bb"}, 3), None, 58),
+        (embedded(embed_delta_closed_complete, {"a"}, 4), None, 287),
+        (embedded(sigma_complete_embedding, {"aa"}, 2), None, 4),
+        (embedded(sigma_complete_embedding, {"a"}, 3, ABC), None, 392),
+    ],
+    ids=[
+        "ab-delta2", "ab-delta3", "ab-delta4", "abc-delta3-300", "cab-delta3-300",
+        "embed-aa|ab|bb-delta3", "embed-a-delta4", "embed-aa-sigma2",
+        "embed-a-abc-sigma3",
+    ],
+)
+def test_search_stream_matches_linear_scan(monkeypatch, run, codes, spends):
+    # same codes in the same order, and the same budget spends between them
+    ours = search_events(monkeypatch, CODE_SEARCH, run)
+    reference = search_events(monkeypatch, reference_code_search, run)
+    assert ours == reference
+    events = ours[0]
+    if codes is not None:
+        assert sum(e is not None for e in events) == codes
+    if spends is not None:
+        assert events.count(None) == spends
+
+
+@pytest.mark.parametrize(
+    "alphabet, k", [(AB, 1), (AB, 2), (AB, 3), (AB, 4), (ABC, 1), (ABC, 2), (ABC, 3)]
+)
+def test_delta_unit_needs_are_deletion_images(alphabet, k):
+    universe = closed._delta_universe(k, alphabet)
+    for taken in (frozenset(), frozenset(universe[::3])):
+        units = closed._delta_units(k, alphabet, taken)
+        assert [w for (w,), _ in units] == [w for w in universe if w not in taken]
+        for (w,), needs in units:
+            assert needs == subsequences(w, len(w) - k)
+    # one string object per distinct word, shared by units and images
+    units = closed._delta_units(k, alphabet)
+    objects = {w: w for (w,), _ in units}
+    for _, needs in units:
+        assert all(v is objects[v] for v in needs if v in objects)
 
 
 def test_enumeration_budget_guard():
