@@ -11,6 +11,11 @@ visits each pair once, so it ends without an iteration cap.  The one
 search has two readers: ``is_code`` takes the verdict alone, and
 ``sardinas_patterson`` also spells, from the search's parent pointers,
 a shortest word with two factorizations.
+
+Completeness and maximality are one early-exit subset search on the
+automaton for the factors of X*, under the determinization state cap:
+it stops at the first subset holding no accepting state, and that
+subset's word is the length-lex least non-factor.
 """
 
 from __future__ import annotations
@@ -18,16 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import (
-    Language,
-    _live_states,
-    complement,
-    factors,
-    is_universal,
-    reverse,
-    shortest_word,
-    star,
-)
+from .automata import DEFAULT_STATE_CAP, Language, _live_states, factors, reverse, star
+from .errors import BudgetExceededError
 from .words import Alphabet
 
 
@@ -280,7 +277,7 @@ def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fract
 
 def is_complete(x_lang: Language) -> bool:
     """Every word is a factor of some product of codewords."""
-    return is_universal(factors(star(x_lang)))
+    return _least_non_factor(x_lang) is None
 
 
 def _require_code(x_lang: Language) -> None:
@@ -296,11 +293,43 @@ def is_maximal_code(x_lang: Language) -> bool:
 
 def _least_non_factor(x_lang: Language) -> str | None:
     """Length-lex least word outside the factors of the star closure, or
-    None when the set is complete; the closure is determinized once."""
-    fl = factors(star(x_lang))
-    if is_universal(fl):
-        return None
-    return shortest_word(complement(fl))
+    None when the set is complete.
+
+    A breadth-first subset construction on the automaton of those
+    factors, letters in alphabet order, that stops at the first subset
+    holding no accepting state: subsets are entered in the length-lex
+    order of their least words, so that subset's word is the answer.
+    Like ``determinize`` it raises once it would hold more than
+    ``DEFAULT_STATE_CAP`` subsets; a complete set visits every subset.
+    """
+    nfa = factors(star(x_lang)).nfa()
+    # moves[c][q]: q's successors under c, closed under empty moves
+    moves = {c: {} for c in nfa.alphabet}
+    for q, by_label in nfa.arcs.items():
+        for c, targets in by_label.items():
+            if c:
+                moves[c][q] = nfa.eps_closure(targets)
+    start = nfa.eps_closure(nfa.initial)
+    if not start & nfa.accepting:
+        return ""
+    word = {start: ""}  # each subset's length-lex least word
+    queue = [start]
+    for subset in queue:
+        for c in nfa.alphabet:
+            move = moves[c]
+            nxt = frozenset().union(*[move[q] for q in subset if q in move])
+            if nxt in word:
+                continue
+            if len(word) >= DEFAULT_STATE_CAP:
+                raise BudgetExceededError(
+                    f"determinization exceeded {DEFAULT_STATE_CAP} states",
+                    budget=DEFAULT_STATE_CAP,
+                )
+            word[nxt] = word[subset] + c
+            if not nxt & nfa.accepting:
+                return word[nxt]
+            queue.append(nxt)
+    return None
 
 
 def find_non_factor(x_lang: Language) -> str:

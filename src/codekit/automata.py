@@ -9,6 +9,7 @@ which also makes canonical DFAs usable as dictionary keys.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ParseError
@@ -660,33 +661,37 @@ def _dfa_finite_words(dfa: Dfa) -> frozenset[str] | None:
 
 # --- expression parsing -------------------------------------------------
 
+_SPACES = re.compile(r"\s*")
+
+
 class _ExprParser:
     """Recursive descent for:  expr := term ("|" term)*
                                term := factor ("." factor)*
                                factor := atom "*"*
                                atom := word | eps | "(" expr ")"
+
+    ``pos`` always sits past any whitespace, so ``peek`` reads one
+    character; a run of letters is read by one match.
     """
 
     def __init__(self, text: str, alphabet: Alphabet):
         self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
         # `eps` stays a keyword unless every one of e, p, s is a letter
         self.eps_enabled = not all(c in alphabet for c in "eps")
+        self.word = re.compile("[" + "".join(map(re.escape, alphabet)) + "]+")
+        self._advance(0)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def _advance(self, end: int):
+        """Move to ``end``, then past the whitespace after it."""
+        self.pos = _SPACES.match(self.text, end).end()
 
     def peek(self):
-        self._skip_ws()
         if self.pos >= len(self.text):
             return None
         return self.text[self.pos]
 
     def parse(self):
         node = self.expr()
-        self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError(
                 f"unexpected character {self.text[self.pos]!r}", position=self.pos
@@ -696,21 +701,21 @@ class _ExprParser:
     def expr(self):
         parts = [self.term()]
         while self.peek() == "|":
-            self.pos += 1
+            self._advance(self.pos + 1)
             parts.append(self.term())
         return ("union", parts) if len(parts) > 1 else parts[0]
 
     def term(self):
         parts = [self.factor()]
         while self.peek() == ".":
-            self.pos += 1
+            self._advance(self.pos + 1)
             parts.append(self.factor())
         return ("concat", parts) if len(parts) > 1 else parts[0]
 
     def factor(self):
         node = self.atom()
         while self.peek() == "*":
-            self.pos += 1
+            self._advance(self.pos + 1)
             node = ("star", node)
         return node
 
@@ -719,20 +724,19 @@ class _ExprParser:
         if c is None:
             raise ParseError("unexpected end of expression", position=self.pos)
         if c == "(":
-            self.pos += 1
+            self._advance(self.pos + 1)
             node = self.expr()
             if self.peek() != ")":
                 raise ParseError("missing closing parenthesis", position=self.pos)
-            self.pos += 1
+            self._advance(self.pos + 1)
             return node
         if self.eps_enabled and self.text.startswith(EPS_TOKEN, self.pos):
-            self.pos += len(EPS_TOKEN)
+            self._advance(self.pos + len(EPS_TOKEN))
             return ("word", "")
-        if c in self.alphabet:
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] in self.alphabet:
-                self.pos += 1
-            return ("word", self.text[start : self.pos])
+        run = self.word.match(self.text, self.pos)
+        if run:
+            self._advance(run.end())
+            return ("word", run.group())
         raise ParseError(f"unexpected character {c!r}", position=self.pos)
 
 
@@ -749,6 +753,8 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
         if tag == "word":
             return Language.finite((node[1],), alphabet)
         if tag == "union":
+            if all(p[0] == "word" for p in node[1]):
+                return Language.finite([p[1] for p in node[1]], alphabet)
             parts = [eval_node(p) for p in node[1]]
             if all(p.is_finite_repr for p in parts):
                 words = frozenset().union(*(p.words() for p in parts))

@@ -11,6 +11,7 @@ the verdict channel from the error channel: 0 holds or constructed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -98,7 +99,10 @@ def _add_budget(p):
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process; parsing leaves it unchanged."""
     parser = _Parser(prog="codekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .analysis import (
     CodeVerdict,
-    find_non_factor,
+    _least_non_factor,
     is_code,
     is_complete,
     sardinas_patterson,
@@ -27,7 +27,6 @@ from .automata import (
     factors,
     intersect,
     is_empty,
-    is_universal,
     nfa_universal,
     shortest_word,
     star,
@@ -141,8 +140,7 @@ def underline_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVer
 
 def is_maximal_independent(x_lang: Language, spec: EditRelationSpec) -> bool:
     """Within the family of independent codes, maximal iff complete."""
-    verdict = sardinas_patterson(x_lang)
-    if not verdict.is_code:
+    if not is_code(x_lang):
         raise ValueError("precondition failed: input is not a code")
     report = is_independent(x_lang, spec)
     if not report.independent:
@@ -160,17 +158,16 @@ def witness_independent_extension(x_lang: Language, spec: EditRelationSpec) -> s
     unbordered word.  The result is verified before being returned.
     """
     alphabet = x_lang.alphabet
-    verdict = sardinas_patterson(x_lang)
-    if not verdict.is_code:
+    if not is_code(x_lang):
         raise ValueError("precondition failed: input is not a code")
     report = is_independent(x_lang, spec)
     if not report.independent:
         raise ValueError(
             f"precondition failed: input is not independent under {spec.render()}"
         )
-    if is_complete(x_lang):
+    v = _least_non_factor(x_lang)
+    if v is None:
         raise ValueError("precondition failed: input is already complete")
-    v = find_non_factor(x_lang)
     base = v * (spec.k + 1)
     w = base + unbordered_extension(base, alphabet)
     extended = union(x_lang, Language.finite((w,), alphabet))
@@ -196,13 +193,12 @@ def er_complete(x_lang: Language) -> Language:
     X union w(Uw)* is a complete code containing X.
     """
     alphabet = x_lang.alphabet
-    verdict = sardinas_patterson(x_lang)
-    if not verdict.is_code:
+    if not is_code(x_lang):
         raise ValueError("precondition failed: input is not a code")
-    star_factors = factors(star(x_lang))
-    if is_universal(star_factors):
+    v = _least_non_factor(x_lang)
+    if v is None:
         raise ValueError("precondition failed: input is already complete")
-    w = _least_unbordered_non_factor(x_lang, star_factors)
+    w = _least_unbordered_non_factor(v, factors(star(x_lang)))
     universe = Language.regular(nfa_universal(alphabet))
     w_lang = Language.finite((w,), alphabet)
     surrounded = concat(concat(universe, w_lang), universe)
@@ -213,9 +209,10 @@ def er_complete(x_lang: Language) -> Language:
     return y_lang
 
 
-def _least_unbordered_non_factor(x_lang: Language, star_factors: Language) -> str:
-    alphabet = x_lang.alphabet
-    v = shortest_word(complement(star_factors))
+def _least_unbordered_non_factor(v: str, star_factors: Language) -> str:
+    """Length-lex least nonempty unbordered word outside ``star_factors``;
+    v, the least word outside it, bounds the search."""
+    alphabet = star_factors.alphabet
     bound = len(v) + len(unbordered_extension(v, alphabet)) + 1
     for w in alphabet.words_upto(bound):
         if w and is_unbordered(w) and not star_factors.member(w):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codekit import analysis
 from codekit.analysis import (
     CodeVerdict,
     Distribution,
+    _least_non_factor,
     find_non_factor,
     is_bifix_code,
     is_code,
@@ -20,7 +22,17 @@ from codekit.analysis import (
     sardinas_patterson,
     verify_double_factorization,
 )
-from codekit.automata import Language, compile_expression, union
+from codekit.automata import (
+    Language,
+    compile_expression,
+    complement,
+    factors,
+    is_universal,
+    shortest_word,
+    star,
+    union,
+)
+from codekit.cli import main
 from codekit.words import Alphabet
 
 from oracles import count_factorizations, double_factorization_witness
@@ -257,6 +269,58 @@ def test_find_non_factor():
     assert find_non_factor(fin(())) == "a"
     with pytest.raises(ValueError):
         find_non_factor(fin({"a", "b"}))
+
+
+def least_non_factor_by_minimal_dfa(x):
+    """The route the subset search replaced: minimize the factors of X*,
+    then read the least word of the complement."""
+    f = factors(star(x))
+    return None if is_universal(f) else shortest_word(complement(f))
+
+
+@given(
+    st.sampled_from(["ab", "abc"]).flatmap(
+        lambda letters: st.tuples(
+            st.just(letters),
+            st.frozensets(st.text(alphabet=letters, max_size=5), max_size=7),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_least_non_factor_matches_minimal_dfa_route(case):
+    letters, words = case
+    lang = Language.finite(words, Alphabet(letters))
+    assert _least_non_factor(lang) == least_non_factor_by_minimal_dfa(lang)
+
+
+@pytest.mark.parametrize(
+    "expr", STARRED + ["(a.b*.a)|(b.a*.b)", "(a|b)*", "a*|b.b", "a.(a|b)*.a"]
+)
+def test_least_non_factor_matches_minimal_dfa_route_on_regular_sets(expr):
+    lang = compile_expression(expr, AB)
+    assert _least_non_factor(lang) == least_non_factor_by_minimal_dfa(lang)
+
+
+# a 32-word complete prefix code with two words taken out; its least
+# non-factor, abababaababaab, lies in the 400th subset the search enters
+HOLED = (
+    "aab|bab|abbb|baaa|bbaa|bbab|bbbb|aaaaa|aaaab|aaaba|aaabb|abaaa|baaba|"
+    "baabb|bbbaa|ababab|ababba|abbaaa|abbaab|abbaba|abbabb|ababaaa|ababaab|"
+    "bbbabaa|bbbabab|bbbabba|bbbabbb|ababbbaa|ababbbab|ababbbbb"
+)
+
+
+def test_completeness_search_keeps_the_state_cap(capsys, monkeypatch):
+    argv = ["complete", "--alphabet", "ab", HOLED]
+    for cap in (8, 399):
+        monkeypatch.setattr(analysis, "DEFAULT_STATE_CAP", cap)
+        assert main(argv) == 4
+        assert capsys.readouterr().out == (
+            f"verdict: budget-exceeded\ndetail: determinization exceeded {cap} states\n"
+        )
+    monkeypatch.setattr(analysis, "DEFAULT_STATE_CAP", 400)
+    assert main(argv) == 1
+    assert "witness: abababaababaab\n" in capsys.readouterr().out
 
 
 def test_verify_rejects_malformed():

@@ -60,19 +60,38 @@ def test_compile_regular():
         assert not lang.member(w)
 
 
+EPS_LETTERS = Alphabet("eps")
+
+
+# (text, alphabet, message, position), pinned on the character-loop parser
+PARSE_ERRORS = [
+    ("ab@", AB, "unexpected character '@'", 2),
+    ("a b", AB, "unexpected character 'b'", 2),
+    ("ac", AB, "unexpected character 'c'", 1),
+    ("(a|", AB, "unexpected end of expression", 3),
+    ("a)", AB, "unexpected character ')'", 1),
+    ("a||b", AB, "unexpected character '|'", 2),
+    ("(a", AB, "missing closing parenthesis", 2),
+    ("a  |  ", AB, "unexpected end of expression", 6),
+    # eps is one token: the letter after it starts a second atom
+    ("epsa", AB, "unexpected character 'a'", 3),
+    ("eps a", AB, "unexpected character 'a'", 4),
+    # over an alphabet holding e, p and s, eps is a plain word
+    ("eps.x", EPS_LETTERS, "unexpected character 'x'", 4),
+]
+
+
 def test_parse_errors_have_positions():
-    with pytest.raises(ParseError):
-        compile_expression("(a|", AB)
-    with pytest.raises(ParseError):
-        compile_expression("a)", AB)
-    with pytest.raises(ParseError):
-        compile_expression("a||b", AB)
-    with pytest.raises(ParseError):
-        compile_expression("ac", AB)
-    try:
-        compile_expression("ab@", AB)
-    except ParseError as e:
-        assert e.position == 2
+    for text, alphabet, message, position in PARSE_ERRORS:
+        with pytest.raises(ParseError) as caught:
+            compile_expression(text, alphabet)
+        assert str(caught.value) == f"{message} (at position {position})", text
+        assert caught.value.position == position, text
+
+
+def test_eps_is_a_word_when_its_letters_are_letters():
+    assert compile_expression("eps|sep", EPS_LETTERS).words() == {"eps", "sep"}
+    assert compile_expression("eps | a", AB).words() == {"", "a"}
 
 
 def test_star_membership():

@@ -438,6 +438,45 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+CODE_ARGV = ["code", "--alphabet", "ab", "a|ab|ba"]
+CODE_TEXT = "property: code\nverdict: fails\nwitness: aba = (a)(ba) = (ab)(a)\n"
+COMPLETE_ARGV = ["complete", "--alphabet", "ab", "aa|ab|bb"]
+COMPLETE_TEXT = (
+    "property: complete\nverdict: fails\nwitness: baaba\n"
+    "detail: no message contains this word as a factor\n"
+)
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    # main builds its parser once per process; every call must still
+    # see only its own arguments
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, *CODE_ARGV, "--format", "json") == (
+        1,
+        '{"property": "code", "verdict": "fails", '
+        '"witness": "aba = (a)(ba) = (ab)(a)"}\n',
+        "",
+    )
+    assert run(capsys, *CODE_ARGV) == (1, CODE_TEXT, "")
+    assert run(capsys, *COMPLETE_ARGV, "--verify-witness") == (
+        1,
+        COMPLETE_TEXT + "witness_check: verified\n",
+        "",
+    )
+    assert run(capsys, *COMPLETE_ARGV) == (1, COMPLETE_TEXT, "")
+    code, out, err = run(capsys, "code", "--alphabet", "ab")
+    assert (code, out) == (3, "")
+    assert err.endswith(
+        "codekit code: error: the following arguments are required: language\n"
+    )
+    assert run(capsys, *CODE_ARGV) == (1, CODE_TEXT, "")
+    code, help_text, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert help_text.startswith("usage: codekit")
+    assert run(capsys, *COMPLETE_ARGV) == (1, COMPLETE_TEXT, "")
+    assert run(capsys, "--help") == (0, help_text, "")
+
+
 # --- internal error channel -------------------------------------------------
 
 def test_failed_witness_replay_exits_five(capsys, monkeypatch):
