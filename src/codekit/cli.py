@@ -5,7 +5,9 @@ one decision procedure or construction, and reports the verdict with a
 replayable witness when the answer is negative.  Exit codes separate
 the verdict channel from the error channel: 0 holds or constructed,
 1 fails, 2 undecidable here, 3 bad usage or input, 4 budget exhausted,
-5 internal error (a failed self-check such as a witness replay).
+5 internal error (a failed self-check such as a witness replay), and
+141 (128 + SIGPIPE, as shells report it) when stdout closes before the
+report is written, as when it is piped into ``head``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -638,21 +641,36 @@ def main(argv=None) -> int:
         print(f"codekit: parse error: {e}", file=sys.stderr)
         return 3
     except UnsupportedError as e:
-        _emit(
-            {"verdict": "unsupported", "question": e.question, "detail": str(e)}, fmt
-        )
-        return 2
+        code = 2
+        payload = {"verdict": "unsupported", "question": e.question, "detail": str(e)}
     except BudgetExceededError as e:
-        _emit({"verdict": "budget-exceeded", "detail": str(e)}, fmt)
-        return 4
+        code = 4
+        payload = {"verdict": "budget-exceeded", "detail": str(e)}
     except ValueError as e:
         print(f"codekit: error: {e}", file=sys.stderr)
         return 3
     except (RuntimeError, AssertionError) as e:
         print(f"codekit: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 5
-    _emit(payload, fmt)
+    try:
+        _emit(payload, fmt)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+        return 141
     return code
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device, once its reader has gone, so
+    that flushing what is left at shutdown raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -167,20 +167,16 @@ def _delta_universe(k: int, alphabet: Alphabet) -> list[str]:
     return [w for n in lengths for w in alphabet.words_of_length(n)]
 
 
-def _delta_units(
-    k: int, alphabet: Alphabet, taken: frozenset[str] = frozenset()
-) -> list[tuple[tuple[str], frozenset[str]]]:
-    """Search units for the deletion searches: each universe word not
-    taken, with its k-deletion image, which a closed set must hold
-    before the word may join it.
+def _deletions(universe: list[str]):
+    """The memoized deletion images of words: ``deletions(u, j)`` is
+    the set of words left after deleting exactly j letters of u.
 
     The images come from one recursion on suffixes, D(cu, j) =
     c.D(u, j) | D(u, j - 1) with D(u, 0) = {u}, so words sharing a
     suffix share its work.  Every distinct word is one string object,
-    whichever image or unit holds it; the table of suffixes lives for
-    this call only.
+    the universe's own where it has one; the table of suffixes lives as
+    long as the returned function.
     """
-    universe = _delta_universe(k, alphabet)
     word = {w: w for w in universe}  # one string object per distinct word
     table: dict[tuple[str, int], frozenset[str]] = {}
 
@@ -200,15 +196,86 @@ def _delta_units(
             table[u, j] = out
         return out
 
-    return [
-        ((w,), deletions(w, k) if len(w) > k else frozenset())
-        for w in universe
-        if w not in taken
-    ]
+    return deletions
 
 
-def _is_code(words: frozenset[str], alphabet: Alphabet) -> bool:
-    return is_code(Language.finite(words, alphabet))
+def _delta_units(
+    k: int, alphabet: Alphabet, taken: frozenset[str] = frozenset()
+) -> list[tuple[tuple[str], frozenset[str]]]:
+    """Search units for the deletion searches: each universe word not
+    taken, with its k-deletion image, which a closed set must hold
+    before the word may join it."""
+    universe = _delta_universe(k, alphabet)
+    deletions = _deletions(universe)
+    return [((w,), deletions(w, k)) for w in universe if w not in taken]
+
+
+def _delta_closures(k: int, universe: list[str]):
+    """The memoized deletion closure of one word: closure(y) is {y}
+    with the closures of y's k-deletions, the least set holding y that
+    deleting k letters never leaves."""
+    deletions = _deletions(universe)
+    table: dict[str, frozenset[str]] = {}
+
+    def closure(y: str) -> frozenset[str]:
+        out = table.get(y)
+        if out is None:
+            out = frozenset((y,)).union(*map(closure, deletions(y, k)))
+            table[y] = out
+        return out
+
+    return closure
+
+
+def _grow_dangling(
+    words: frozenset[str], dangling: frozenset[str], added
+) -> frozenset[str] | None:
+    """The dangling suffixes of ``words``, grown from those of a code in it.
+
+    ``words`` is that code with the words ``added`` joined to it, and
+    ``dangling`` is the code's set D: the least set that holds y[|x|:]
+    for distinct codewords where x is a proper prefix of y, and the
+    leftover u whenever a codeword x and a member d of D satisfy
+    x = d.u or d = x.u.  A set is a code exactly when the empty word
+    never enters D (Sardinas & Patterson 1953).  D only grows as words
+    are added, so this takes the quotients of the added words by the
+    words and by the old D, and closes them against the words.  Returns
+    the D of ``words``, or None as soon as a quotient is empty or a
+    codeword, whose quotient by itself is empty.  The D of a set is
+    this function applied to the set, with the empty set as its code.
+    """
+    grown: set[str] = set()
+    for n in added:
+        if not n or n in dangling:
+            return None
+        fresh = []
+        for v in chain(words, dangling):
+            if v.startswith(n):
+                u = v[len(n) :]
+            elif n.startswith(v):
+                u = n[len(v) :]
+            else:
+                continue
+            if u in words:
+                return None
+            if u:  # empty only when v is n itself
+                fresh.append(u)
+        while fresh:
+            d = fresh.pop()
+            if d in grown or d in dangling:
+                continue
+            grown.add(d)
+            for x in words:
+                if x.startswith(d):
+                    u = x[len(d) :]
+                elif d.startswith(x):
+                    u = d[len(x) :]
+                else:
+                    continue
+                if u in words:
+                    return None
+                fresh.append(u)
+    return dangling.union(grown) if grown else dangling
 
 
 def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budget):
@@ -216,13 +283,21 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
 
     A unit ``(words, needs)`` may join a set that already holds all of
     ``needs``.  Each joined set spends one budget unit; only the codes
-    among them are yielded and extended.
+    among them are yielded and extended.  ``base`` must be a code.
 
-    Each level carries ``ready``: the sorted indices of the units after
-    the last one joined whose needs the set already holds.  A child
-    keeps the rest of its parent's list and merges in the units that
-    its joined unit wakes: those whose latest needed unit it is, and
-    whose other needs the set holds.  Units with no needs outside
+    Each level carries the dangling suffixes of its code (see
+    ``_grow_dangling``), and a joined set is tested by growing its
+    parent's: only the quotients that involve the joined unit's words
+    are taken, and the set is a code unless one of them is empty.  No
+    language is built and no word is checked against the alphabet.  The
+    walk does not read ``alphabet``: it keeps the arguments of the plain
+    scan it is tested against (``tests/oracles.py``).
+
+    Each level also carries ``ready``: the sorted indices of the units
+    after the last one joined whose needs the set already holds.  A
+    child keeps the rest of its parent's list and merges in the units
+    that its joined unit wakes: those whose latest needed unit it is,
+    and whose other needs the set holds.  Units with no needs outside
     ``base`` are ready from the start; a unit needing a word that no
     earlier unit holds can never join.  So the walk visits the same
     sets in the same order as a scan of every later unit would, without
@@ -239,17 +314,21 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
         elif last < j:
             wakes[last].append(j)
 
-    def walk(current: frozenset[str], ready: list[int]):
+    def walk(current: frozenset[str], dangling: frozenset[str], ready: list[int]):
         for pos, i in enumerate(ready):
-            candidate = current.union(units[i][0])
+            words = units[i][0]
+            candidate = current.union(words)
             budget.spend()
-            if _is_code(candidate, alphabet):
+            grown = _grow_dangling(candidate, dangling, words)
+            if grown is not None:
                 yield candidate
                 rest = ready[pos + 1 :]
                 woken = [j for j in wakes[i] if units[j][1] <= candidate]
-                yield from walk(candidate, sorted(rest + woken) if woken else rest)
+                yield from walk(
+                    candidate, grown, sorted(rest + woken) if woken else rest
+                )
 
-    return walk(base, ready)
+    return walk(base, _grow_dangling(base, frozenset(), base), ready)
 
 
 def _complete_extensions(
@@ -306,19 +385,20 @@ def is_maximal_delta_closed(
     """No single extra word can grow the code within the closed family.
 
     Adding any word drags its whole deletion closure along, so it is
-    enough to test one-word extensions closed off by closure_star.
+    enough to test one-word extensions closed off, in universe order.
+    Each is tested by growing the code's dangling suffixes.
     """
     words = _require_delta_closed_code(x_lang, k)
-    alphabet = x_lang.alphabet
-    spec = EditRelationSpec("delta", k)
+    universe = _delta_universe(k, x_lang.alphabet)
+    closure = _delta_closures(k, universe)
+    dangling = _grow_dangling(words, frozenset(), words)
     budget = _Budget(candidate_budget, "testing one-word closed extensions")
-    for y in _delta_universe(k, alphabet):
+    for y in universe:
         if y in words:
             continue
-        closure = closure_star(Language.finite((y,), alphabet), spec)
-        candidate = words | closure.words()
+        added = closure(y) - words
         budget.spend()
-        if _is_code(candidate, alphabet):
+        if _grow_dangling(words | added, dangling, added) is not None:
             return MaximalityReport(False, y)
     return MaximalityReport(True, None)
 
@@ -542,7 +622,7 @@ def _short_embedding_search(
     forced = frozenset().union(*forced_units) if forced_units else frozenset()
     budget = _Budget(candidate_budget, "searching short closed embeddings")
     budget.spend()
-    if not _is_code(forced, alphabet):
+    if _grow_dangling(forced, frozenset(), forced) is None:
         return []
     free = [(unit, frozenset()) for unit in units if not unit & words]
     return _complete_extensions(forced, free, alphabet, budget)

@@ -194,6 +194,28 @@ def count_factorizations(w, codewords):
     return count(w)
 
 
+def dangling_suffixes(codewords):
+    """Sardinas & Patterson's dangling suffixes, by their rounds.
+
+    The first round holds y[|x|:] for distinct codewords with x a prefix
+    of y; each next round holds the leftovers u of x = d.u and d = x.u
+    for codewords x and members d of the last round.  Returns the union
+    of the rounds, which holds the empty word exactly when the set is
+    not a code.
+    """
+    words = set(codewords)
+
+    def quotients(shorter, longer):
+        return {y[len(x) :] for x in shorter for y in longer if y.startswith(x)}
+
+    rounds = {y[len(x) :] for x in words for y in words if x != y and y.startswith(x)}
+    seen = set()
+    while not rounds <= seen:
+        seen |= rounds
+        rounds = quotients(words, rounds) | quotients(rounds, words)
+    return seen
+
+
 def double_factorization_witness(codewords, letters, max_len):
     """Shortest word admitting two factorizations, scanning all words."""
     for n in range(1, max_len + 1):

@@ -518,6 +518,33 @@ def test_budget_exhaustion_exits_four(capsys):
     assert "budget-exceeded" in out
 
 
+# --- closed stdout ----------------------------------------------------------
+
+class _ClosedPipe:
+    """A stdout whose reader has gone, with no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum-delta-closed", "--alphabet", "ab", "--k", "3"],
+        ["enum-delta-closed", "--alphabet", "ab", "--k", "3", "--format", "json"],
+        ["enum-delta-closed", "--alphabet", "ab", "--k", "3", "--budget", "5"],
+    ],
+    ids=["report", "json-report", "budget-payload"],
+)
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 141
+    assert capsys.readouterr().err == ""
+
+
 # --- language files ---------------------------------------------------------
 
 def test_language_file_round_trip(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codekit import closed
-from codekit.analysis import sardinas_patterson, verify_double_factorization
+from codekit.analysis import is_code, sardinas_patterson, verify_double_factorization
 from codekit.automata import Language, compile_expression, nfa_from_words, star
 from codekit.closed import (
     Classification,
@@ -28,7 +28,12 @@ from codekit.independence import is_independent
 from codekit.transducers import EditRelationSpec, relation_image_word
 from codekit.words import Alphabet, subsequences, xor_add
 
-from oracles import EditOracle, reference_code_search
+from oracles import (
+    EditOracle,
+    dangling_suffixes,
+    double_factorization_witness,
+    reference_code_search,
+)
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -287,6 +292,97 @@ def test_delta_unit_needs_are_deletion_images(alphabet, k):
     objects = {w: w for (w,), _ in units}
     for _, needs in units:
         assert all(v is objects[v] for v in needs if v in objects)
+
+
+@st.composite
+def code_and_added_words(draw):
+    """A code over ab or abc, grown greedily from drawn words, and one to
+    three more words outside it."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    alphabet = Alphabet(tuple(letters))
+    word = st.text(letters, min_size=1, max_size=4)
+    code = frozenset()
+    for w in draw(st.lists(word, max_size=8)):
+        if w not in code and is_code(fin(code | {w}, alphabet)):
+            code |= {w}
+    added = draw(
+        st.lists(word.filter(lambda w: w not in code), min_size=1, max_size=3, unique=True)
+    )
+    return alphabet, code, added
+
+
+GROW = closed._grow_dangling
+NOTHING = frozenset()
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_and_added_words())
+def test_grown_dangling_suffixes_decide_code_ness(case):
+    alphabet, code, added = case
+    union = code | set(added)
+    grown = GROW(union, GROW(code, NOTHING, code), added)
+    assert (grown is not None) == is_code(fin(union, alphabet))
+    # the returned set is the rounds' union, which holds eps for non-codes
+    rounds = dangling_suffixes(union)
+    assert grown is None if "" in rounds else grown == rounds
+    witness = double_factorization_witness(union, alphabet.letters, 6)
+    if grown is not None:
+        assert witness is None
+    elif witness is None:
+        assert len(sardinas_patterson(fin(union, alphabet)).witness.word) > 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_and_added_words(), st.data())
+def test_grown_dangling_suffixes_do_not_depend_on_order(case, data):
+    alphabet, code, added = case
+    union = code | set(added)
+    start = GROW(code, NOTHING, code)
+    want = GROW(union, NOTHING, union)
+    assert GROW(union, start, added) == want
+    assert GROW(union, start, data.draw(st.permutations(added))) == want
+    words, dangling = NOTHING, NOTHING
+    for w in data.draw(st.permutations(sorted(union))):
+        words = words | {w}
+        dangling = GROW(words, dangling, (w,))
+        if dangling is None:
+            break
+    assert dangling == want
+
+
+def maximality_by_closure_star(words, k, alphabet):
+    """``is_maximal_delta_closed``'s verdict, witness and budget spends,
+    with each one-word extension closed off by ``closure_star`` and
+    tested by ``sardinas_patterson``."""
+    spends = 0
+    for y in closed._delta_universe(k, alphabet):
+        if y in words:
+            continue
+        closure = closure_star(fin({y}, alphabet), EditRelationSpec("delta", k))
+        spends += 1
+        if sardinas_patterson(fin(words | closure.words(), alphabet)).is_code:
+            return (False, y), spends
+    return (True, None), spends
+
+
+def test_maximality_matches_closure_star_route(monkeypatch):
+    codes = list(enumerate_delta_closed(3, AB))
+    assert len(codes) == 48
+    for lang in codes:
+        want, spends = maximality_by_closure_star(lang.words(), 3, AB)
+        events, report = search_events(
+            monkeypatch, CODE_SEARCH, lambda: is_maximal_delta_closed(lang, 3)
+        )
+        assert (report.maximal, report.witness) == want
+        assert events.count(None) == spends
+
+
+@pytest.mark.parametrize("k, step", [(2, 1), (3, 1), (4, 50)])
+def test_delta_closures_match_closure_star(k, step):
+    universe = closed._delta_universe(k, AB)
+    closure = closed._delta_closures(k, universe)
+    for y in universe[::step]:
+        assert closure(y) == closure_star(fin({y}), EditRelationSpec("delta", k)).words()
 
 
 def test_enumeration_budget_guard():
