@@ -12,10 +12,10 @@ search has two readers: ``is_code`` takes the verdict alone, and
 ``sardinas_patterson`` also spells, from the search's parent pointers,
 a shortest word with two factorizations.
 
-Completeness and maximality are one early-exit subset search on the
-automaton for the factors of X*, under the determinization state cap:
-it stops at the first subset holding no accepting state, and that
-subset's word is the length-lex least non-factor.
+Completeness and maximality are decided by the subset construction of
+``automata.determinize`` on the automaton for the factors of X*, under
+the same state cap, stopped early: the first subset holding no
+accepting state is entered by the length-lex least non-factor.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import DEFAULT_STATE_CAP, Language, _live_states, factors, reverse, star
-from .errors import BudgetExceededError
+from .automata import DEFAULT_STATE_CAP, Language, _subsets, factors, reverse, star
 from .words import Alphabet
 
 
@@ -92,7 +91,7 @@ def _automaton(x_lang: Language):
             finals.add(q)
         return rows, finals
     dfa = x_lang.dfa()
-    live = _live_states(dfa)
+    live = dfa.to_nfa().core_states()
     rows = [[r if r in live else -1 for r in row] for row in dfa.rows]
     return rows, dfa.accepting & live
 
@@ -295,40 +294,21 @@ def _least_non_factor(x_lang: Language) -> str | None:
     """Length-lex least word outside the factors of the star closure, or
     None when the set is complete.
 
-    A breadth-first subset construction on the automaton of those
-    factors, letters in alphabet order, that stops at the first subset
-    holding no accepting state: subsets are entered in the length-lex
-    order of their least words, so that subset's word is the answer.
-    Like ``determinize`` it raises once it would hold more than
-    ``DEFAULT_STATE_CAP`` subsets; a complete set visits every subset.
+    The subset construction of ``determinize`` on the automaton of those
+    factors, stopped at the first subset holding no accepting state:
+    subsets are entered in the length-lex order of their least words, so
+    that subset's word is the answer.  Like ``determinize`` it raises
+    once it would hold more than ``DEFAULT_STATE_CAP`` subsets; a
+    complete set visits every subset.
     """
     nfa = factors(star(x_lang)).nfa()
-    # moves[c][q]: q's successors under c, closed under empty moves
-    moves = {c: {} for c in nfa.alphabet}
-    for q, by_label in nfa.arcs.items():
-        for c, targets in by_label.items():
-            if c:
-                moves[c][q] = nfa.eps_closure(targets)
-    start = nfa.eps_closure(nfa.initial)
-    if not start & nfa.accepting:
-        return ""
-    word = {start: ""}  # each subset's length-lex least word
-    queue = [start]
-    for subset in queue:
-        for c in nfa.alphabet:
-            move = moves[c]
-            nxt = frozenset().union(*[move[q] for q in subset if q in move])
-            if nxt in word:
-                continue
-            if len(word) >= DEFAULT_STATE_CAP:
-                raise BudgetExceededError(
-                    f"determinization exceeded {DEFAULT_STATE_CAP} states",
-                    budget=DEFAULT_STATE_CAP,
-                )
-            word[nxt] = word[subset] + c
-            if not nxt & nfa.accepting:
-                return word[nxt]
-            queue.append(nxt)
+    letters = nfa.alphabet.letters
+    words: list[str] = []  # each entered subset's least word
+    for subset, parent, letter in _subsets(nfa, DEFAULT_STATE_CAP, []):
+        word = words[parent] + letters[letter] if parent >= 0 else ""
+        if not subset & nfa.accepting:
+            return word
+        words.append(word)
     return None
 
 

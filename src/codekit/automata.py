@@ -220,31 +220,48 @@ class Dfa:
         return Nfa(self.alphabet, self.n, frozenset((0,)), self.accepting, arcs)
 
 
-def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Subset construction; raises when the cap on DFA states is hit."""
-    letters = tuple(nfa.alphabet)
+def _subsets(nfa: Nfa, state_cap: int, rows: list):
+    """Breadth-first subset construction, letters in alphabet order.
+
+    Yields each subset, closed under empty moves, when it is first
+    entered, with the number of the subset and the letter number it was
+    entered from (-1, -1 for the start); so each subset's first word is
+    length-lex least.  Appends each subset's row of successor numbers to
+    ``rows`` and raises when it would enter more than state_cap subsets.
+    """
+    letters = nfa.alphabet.letters
+    # moves[i][q]: q's successors under letter i, closed under empty moves
+    moves: list[dict[int, frozenset]] = [{} for _ in letters]
+    for li, c in enumerate(letters):
+        for q, by_label in nfa.arcs.items():
+            if c in by_label:
+                moves[li][q] = nfa.eps_closure(by_label[c])
     start = nfa.eps_closure(nfa.initial)
-    index = {start: 0}
+    number = {start: 0}
     order = [start]
-    rows = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
+    yield start, -1, -1
+    for i, subset in enumerate(order):
         row = []
-        for c in letters:
-            nxt = nfa.step(subset, c)
-            j = index.get(nxt)
+        for li, move in enumerate(moves):
+            nxt = frozenset().union(*[move[q] for q in subset if q in move])
+            j = number.get(nxt)
             if j is None:
                 j = len(order)
                 if j >= state_cap:
                     raise BudgetExceededError(
                         f"determinization exceeded {state_cap} states", budget=state_cap
                     )
-                index[nxt] = j
+                number[nxt] = j
                 order.append(nxt)
+                yield nxt, i, li
             row.append(j)
         rows.append(tuple(row))
-        i += 1
+
+
+def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """Subset construction; raises when the cap on DFA states is hit."""
+    rows: list[tuple[int, ...]] = []
+    order = [subset for subset, _, _ in _subsets(nfa, state_cap, rows)]
     accepting = frozenset(i for i, s in enumerate(order) if s & nfa.accepting)
     return Dfa(nfa.alphabet, tuple(rows), accepting)
 
@@ -393,9 +410,8 @@ def star(a: Language) -> Language:
     return Language.regular(nfa_star(a.nfa()))
 
 
-def complement(a: Language, state_cap: int = DEFAULT_STATE_CAP) -> Language:
-    dfa = a._dfa if a._dfa is not None else minimize(determinize(a.nfa(), state_cap))
-    a._dfa = dfa
+def complement(a: Language) -> Language:
+    dfa = a.dfa()
     flipped = Dfa(dfa.alphabet, dfa.rows, frozenset(range(dfa.n)) - dfa.accepting)
     return Language.from_dfa(flipped)
 
@@ -515,11 +531,6 @@ def is_empty(lang: Language) -> bool:
     return not (nfa.eps_closure(nfa.initial) and nfa.core_states())
 
 
-def is_universal(lang: Language) -> bool:
-    dfa = lang.dfa()
-    return all(q in dfa.accepting for q in range(dfa.n))
-
-
 def shortest_word(lang: Language) -> str | None:
     """Length-lex least member, or None when the language is empty."""
     if lang.is_finite_repr:
@@ -559,7 +570,7 @@ def words_upto(lang: Language, max_len: int) -> frozenset[str]:
     if lang.is_finite_repr:
         return frozenset(w for w in lang.words() if len(w) <= max_len)
     dfa = lang.dfa()
-    live = _live_states(dfa)
+    live = dfa.to_nfa().core_states()
     out = set()
     frontier = {0: {""}} if 0 in live else {}
     for length in range(max_len + 1):
@@ -597,35 +608,9 @@ def reverse(lang: Language) -> Language:
     )
 
 
-def _live_states(dfa: Dfa) -> frozenset[int]:
-    """States on some path from the initial state to an accepting one."""
-    # co-reachable: states from which acceptance is reachable
-    back: dict[int, set[int]] = {}
-    for q in range(dfa.n):
-        for r in dfa.rows[q]:
-            back.setdefault(r, set()).add(q)
-    stack = list(dfa.accepting)
-    co = set(dfa.accepting)
-    while stack:
-        q = stack.pop()
-        for r in back.get(q, ()):
-            if r not in co:
-                co.add(r)
-                stack.append(r)
-    reach = {0}
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for r in dfa.rows[q]:
-            if r not in reach:
-                reach.add(r)
-                stack.append(r)
-    return frozenset(reach & co)
-
-
 def _dfa_finite_words(dfa: Dfa) -> frozenset[str] | None:
     """Enumerate the language of a DFA, or None when it is infinite."""
-    live = _live_states(dfa)
+    live = dfa.to_nfa().core_states()
     # Kahn's topological order of the live part: states on a cycle never
     # enter it, and a cycle of live states means infinitely many words
     indeg = {q: 0 for q in live}

@@ -117,7 +117,7 @@ class ExperimentReport:
 
 
 def _codewords(x_lang: Language) -> list[str]:
-    fin = x_lang if x_lang.is_finite_repr else x_lang.to_finite()
+    fin = x_lang.to_finite()
     if fin is None:
         raise ValueError(
             "an infinite code cannot drive the simulator; truncate it first"

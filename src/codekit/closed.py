@@ -140,7 +140,7 @@ def closure_star(x_lang: Language, spec: EditRelationSpec) -> Language:
         raise ValueError(
             f"closure under {spec.render()} is infinite on nonempty sets"
         )
-    fin = x_lang if x_lang.is_finite_repr else x_lang.to_finite()
+    fin = x_lang.to_finite()
     if fin is None:
         raise ValueError("closure iteration needs a finite set")
     alphabet = fin.alphabet
@@ -336,7 +336,7 @@ def _complete_extensions(
 ) -> list[Language]:
     """The complete codes among the nonempty ones of base and its search."""
     codes = chain((base,), _code_search(base, units, alphabet, budget))
-    found = (Language.finite(c, alphabet) for c in codes if c)
+    found = (Language(alphabet, words=c) for c in codes if c)
     return [lang for lang in found if is_complete(lang)]
 
 
@@ -361,11 +361,11 @@ def enumerate_delta_closed(
     )
     codes = _code_search(frozenset(), units, alphabet, budget)
     for code in islice(codes, limit):
-        yield Language.finite(code, alphabet)
+        yield Language(alphabet, words=code)
 
 
 def _require_delta_closed_code(x_lang: Language, k: int) -> frozenset[str]:
-    fin = x_lang if x_lang.is_finite_repr else x_lang.to_finite()
+    fin = x_lang.to_finite()
     if fin is None:
         raise ValueError("deletion-closed analysis needs a finite set")
     spec = EditRelationSpec("delta", k)
@@ -431,7 +431,7 @@ def assert_empty_family(
         raise ValueError(
             f"{spec.render()} admits closed codes; no emptiness argument applies"
         )
-    fin = x_lang if x_lang.is_finite_repr else x_lang.to_finite()
+    fin = x_lang.to_finite()
     if fin is None or not fin.words():
         raise ValueError("a nonempty finite candidate code is required")
     alphabet = x_lang.alphabet
@@ -498,7 +498,7 @@ def sigma_star(w: str, k: int, alphabet: Alphabet) -> SigmaOrbit:
 
 def _uniform_length(x_lang: Language) -> int | None:
     """The common codeword length, when one exists."""
-    fin = x_lang if x_lang.is_finite_repr else x_lang.to_finite()
+    fin = x_lang.to_finite()
     if fin is not None:
         lengths = {len(w) for w in fin.words()}
         return lengths.pop() if len(lengths) == 1 else None
@@ -552,7 +552,7 @@ def classify_sigma_closed(
 
 
 def _class_words(x_lang: Language, n: int) -> frozenset[str]:
-    fin = x_lang if x_lang.is_finite_repr else x_lang.to_finite()
+    fin = x_lang.to_finite()
     if fin is not None:
         return fin.words()
     return frozenset(words_upto(x_lang, n))
@@ -592,7 +592,7 @@ def sigma_complete_embedding(
         raise ValueError("precondition failed: input is not a code")
     if is_complete(x_lang):
         raise ValueError("precondition failed: input is already complete")
-    fin = x_lang if x_lang.is_finite_repr else x_lang.to_finite()
+    fin = x_lang.to_finite()
     short = Language.finite(alphabet.words_upto(k), alphabet)
     if is_empty(difference(x_lang, short)):
         if fin is None:

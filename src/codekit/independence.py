@@ -56,19 +56,13 @@ class ErrorCorrectionReport:
     witness: tuple[str, str, str] | None  # (x, y, common corrupted word)
 
 
-def _finite_or_none(x_lang: Language) -> Language | None:
-    if x_lang.is_finite_repr:
-        return x_lang
-    return x_lang.to_finite()
-
-
 def is_independent(x_lang: Language, spec: EditRelationSpec) -> IndependenceReport:
     """Decide whether the antireflexive relation maps no member to
     another member."""
     alphabet = x_lang.alphabet
     bar = spec.with_closure("antireflexive")
     if not spec.is_antireflexive_already:
-        fin = _finite_or_none(x_lang)
+        fin = x_lang.to_finite()
         if fin is None:
             raise UnsupportedError(
                 "Q1",
@@ -98,7 +92,7 @@ def is_error_correcting(
 
     Checked pairwise on image overlap.
     """
-    fin = _finite_or_none(x_lang)
+    fin = x_lang.to_finite()
     if fin is None:
         raise UnsupportedError(
             "Q2", f"error correction of an infinite regular set under {spec.render()}"
@@ -127,7 +121,7 @@ def hat_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:
 def underline_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:
     """Code-ness of the antireflexive image."""
     if not spec.is_antireflexive_already:
-        fin = _finite_or_none(x_lang)
+        fin = x_lang.to_finite()
         if fin is None:
             raise UnsupportedError(
                 "Q3",

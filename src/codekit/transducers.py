@@ -1,12 +1,18 @@
 """Transducers realizing the edit relations.
 
 Machines are in normal form: each arc reads a letter or epsilon and
-writes a letter or epsilon, never epsilon on both sides.  A relation
-with k defects is a chain of k + 1 states with identity loops, joined
-by deletion (a:eps), insertion (eps:a) or substitution (a:b) arcs; the
-cumulative families accept after any positive number of defects.
-Machines realize the plain relation only: the reflexive and
-antireflexive closures are applied to the images they produce.
+writes a letter or epsilon, never epsilon on both sides, and an arc
+reading epsilon moves to a higher state.  A relation with k defects is
+a chain of k + 1 states with identity loops, joined by deletion
+(a:eps), insertion (eps:a) or substitution (a:b) arcs; the cumulative
+families accept after any positive number of defects.  Machines realize
+the plain relation only: the reflexive and antireflexive closures are
+applied to the images they produce.
+
+``image`` runs a machine on a language through the product automaton.
+``image_word`` runs it on one word by a single pass over the grid of
+positions in the word times machine states; the normal form leaves
+that grid without a cycle, so every word has a finite image.
 """
 
 from __future__ import annotations
@@ -94,6 +100,8 @@ class Transducer:
         for src, x, y, dst in self.arcs:
             if x == EPS and y == EPS:
                 raise ValueError("normal form forbids eps:eps arcs")
+            if x == EPS and dst <= src:
+                raise ValueError("an arc reading epsilon must move to a higher state")
 
     def arcs_by_state(self) -> dict[int, list[tuple[str, str, int]]]:
         out: dict[int, list[tuple[str, str, int]]] = {}
@@ -208,80 +216,29 @@ def image(t: Transducer, lang: Language) -> Language:
 
 
 def image_word(t: Transducer, w: str) -> frozenset[str]:
-    """Image of a single word; raises if it is not finite.
+    """Image of a single word.
 
-    Runs a topological sweep over the product of the word's positions
-    with the machine; the generic automaton route is the fallback when
-    the product has cycles.
+    One forward pass over the grid of cells (position in w, machine
+    state), each holding the outputs written on the way to it.  An arc
+    reading a letter moves to the next position and one reading epsilon
+    to a higher state (``Transducer`` rejects any other), so the grid has
+    no cycle and (position, state) order is topological: a cell is
+    complete when the pass reaches it.  Only two positions are held.
     """
     t.alphabet.check_word(w)
-    t_by = t.arcs_by_state()
-    n = len(w)
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def node(pq):
-        i = index.get(pq)
-        if i is None:
-            i = len(order)
-            index[pq] = i
-            order.append(pq)
-        return i
-
-    for q in sorted(t.initial):
-        node((0, q))
-    arcs: list[list[tuple[str, int]]] = []
-    i = 0
-    while i < len(order):
-        pos, q = order[i]
-        out = []
-        for x, y, q2 in t_by.get(q, ()):
-            if x == EPS:
-                out.append((y, node((pos, q2))))
-            elif pos < n and w[pos] == x:
-                out.append((y, node((pos + 1, q2))))
-        arcs.append(out)
-        i += 1
-    total = len(order)
-    indeg = [0] * total
-    for out in arcs:
-        for _, j in out:
-            indeg[j] += 1
-    ready = [i for i in range(total) if indeg[i] == 0]
-    topo = []
-    while ready:
-        u = ready.pop()
-        topo.append(u)
-        for _, j in arcs[u]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    if len(topo) != total:
-        # cyclic product: go through the full language machinery
-        lang = image(t, Language.finite((w,), t.alphabet))
-        fin = lang.to_finite()
-        if fin is None:
-            raise ValueError(f"image of {w!r} is infinite")
-        return fin.words()
-    prefixes: list[set[str]] = [set() for _ in range(total)]
-    for q in sorted(t.initial):
-        prefixes[index[(0, q)]].add("")
-    result: set[str] = set()
-    accepting = {
-        i for i, (pos, q) in enumerate(order) if pos == n and q in t.accepting
-    }
-    for u in topo:
-        ws = prefixes[u]
-        if not ws:
-            continue
-        if u in accepting:
-            result.update(ws)
-        for lbl, j in arcs[u]:
-            if lbl == EPS:
-                prefixes[j].update(ws)
-            else:
-                prefixes[j].update(s + lbl for s in ws)
-    return frozenset(result)
+    moves: dict[tuple[int, str], list[tuple[str, int]]] = {}
+    for src, x, y, dst in t.arcs:
+        moves.setdefault((src, x), []).append((y, dst))
+    states = range(t.n)
+    nxt: list[set[str]] = [{""} if q in t.initial else set() for q in states]
+    for c in [*w, None]:
+        cur, nxt = nxt, [set() for _ in states]
+        for q, outs in enumerate(cur):
+            if outs:
+                for x, cells in ((EPS, cur), (c, nxt)):
+                    for y, q2 in moves.get((q, x), ()):
+                        cells[q2].update([s + y for s in outs] if y else outs)
+    return frozenset().union(*[cur[q] for q in t.accepting])
 
 
 def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> frozenset[str]:
@@ -315,7 +272,7 @@ def relation_image(spec: EditRelationSpec, alphabet: Alphabet, lang: Language) -
         return lang_union(lang, image(build(plain, alphabet), lang))
     if spec.is_antireflexive_already:
         return image(build(plain, alphabet), lang)
-    fin = lang if lang.is_finite_repr else lang.to_finite()
+    fin = lang.to_finite()
     if fin is None:
         raise ValueError(
             f"antireflexive image under {spec.render()} needs a finite language"

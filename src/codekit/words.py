@@ -101,66 +101,6 @@ def parse_alphabet(text: str) -> Alphabet:
     return Alphabet(tuple(text))
 
 
-def subsequences(w: str, m: int) -> frozenset[str]:
-    """All scattered subwords of w having length exactly m.
-
-    Built positionally with one set per target length, so duplicated
-    letters collapse instead of multiplying the work.
-    """
-    n = len(w)
-    if m < 0 or m > n:
-        return frozenset()
-    if m == n:
-        return frozenset((w,))
-    # sets[j] holds the length-j subsequences of the prefix scanned so far
-    sets: list[set[str]] = [set() for _ in range(m + 1)]
-    sets[0].add("")
-    for c in w:
-        for j in range(min(m, len(sets)) - 1, -1, -1):
-            if sets[j]:
-                sets[j + 1].update(s + c for s in sets[j])
-    return frozenset(sets[m])
-
-
-def hamming(u: str, v: str) -> int | None:
-    """Positions where u and v differ, or None when lengths differ."""
-    if len(u) != len(v):
-        return None
-    return sum(1 for a, b in zip(u, v) if a != b)
-
-
-def levenshtein(u: str, v: str) -> int:
-    """Minimum number of single-letter insertions, deletions and
-    substitutions turning u into v."""
-    if len(u) < len(v):
-        u, v = v, u
-    prev = list(range(len(v) + 1))
-    for i, a in enumerate(u, start=1):
-        cur = [i]
-        for j, b in enumerate(v, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (a != b)))
-        prev = cur
-    return prev[len(v)]
-
-
-def _lcs_length(u: str, v: str) -> int:
-    if len(u) < len(v):
-        u, v = v, u
-    prev = [0] * (len(v) + 1)
-    for a in u:
-        cur = [0]
-        for j, b in enumerate(v, start=1):
-            cur.append(prev[j - 1] + 1 if a == b else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(v)]
-
-
-def indel_distance(u: str, v: str) -> int:
-    """Minimum number of insertions and deletions only (no substitutions)
-    turning u into v; equals |u| + |v| - 2 * lcs(u, v)."""
-    return len(u) + len(v) - 2 * _lcs_length(u, v)
-
-
 def is_unbordered(w: str) -> bool:
     """True when no proper nonempty prefix of w is also a suffix.
 
@@ -193,19 +133,6 @@ def unbordered_extension(w: str, alphabet: Alphabet) -> str:
 def _require_binary(alphabet: Alphabet):
     if not alphabet.is_binary:
         raise ValueError("operation requires a binary alphabet")
-
-
-def xor_add(u: str, v: str, alphabet: Alphabet) -> str:
-    """Letterwise sum over a binary alphabet read as GF(2)."""
-    _require_binary(alphabet)
-    if len(u) != len(v):
-        raise ValueError("xor_add needs words of equal length")
-    zero, one = alphabet.letters
-    out = []
-    for a, b in zip(u, v):
-        alphabet.index(a), alphabet.index(b)
-        out.append(one if (a != b) else zero)
-    return "".join(out)
 
 
 def complement_word(w: str, alphabet: Alphabet) -> str:

@@ -1,7 +1,9 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here is written from the definitions, by enumeration or
-breadth-first search, deliberately sharing no code with the package.
+Everything here is written from the definitions, by enumeration,
+breadth-first search or textbook dynamic programming, deliberately
+sharing no code with the package.  The automaton references read the
+package's automata, but only through their plain step and table.
 """
 
 from __future__ import annotations
@@ -20,6 +22,78 @@ def brute_subsequences(w, m):
 
 def brute_factors(w):
     return frozenset(w[i:j] for i in range(len(w) + 1) for j in range(i, len(w) + 1))
+
+
+def subsequences(w, m):
+    """All scattered subwords of w having length exactly m.
+
+    Built positionally with one set per target length, so duplicated
+    letters collapse instead of multiplying the work.
+    """
+    n = len(w)
+    if m < 0 or m > n:
+        return frozenset()
+    if m == n:
+        return frozenset((w,))
+    # sets[j] holds the length-j subsequences of the prefix scanned so far
+    sets = [set() for _ in range(m + 1)]
+    sets[0].add("")
+    for c in w:
+        for j in range(m - 1, -1, -1):
+            if sets[j]:
+                sets[j + 1].update(s + c for s in sets[j])
+    return frozenset(sets[m])
+
+
+def hamming(u, v):
+    """Positions where u and v differ, or None when lengths differ."""
+    if len(u) != len(v):
+        return None
+    return sum(1 for a, b in zip(u, v) if a != b)
+
+
+def levenshtein(u, v):
+    """Minimum number of single-letter insertions, deletions and
+    substitutions turning u into v."""
+    if len(u) < len(v):
+        u, v = v, u
+    prev = list(range(len(v) + 1))
+    for i, a in enumerate(u, start=1):
+        cur = [i]
+        for j, b in enumerate(v, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (a != b)))
+        prev = cur
+    return prev[len(v)]
+
+
+def _lcs_length(u, v):
+    if len(u) < len(v):
+        u, v = v, u
+    prev = [0] * (len(v) + 1)
+    for a in u:
+        cur = [0]
+        for j, b in enumerate(v, start=1):
+            cur.append(prev[j - 1] + 1 if a == b else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[len(v)]
+
+
+def indel_distance(u, v):
+    """Minimum number of insertions and deletions only (no substitutions)
+    turning u into v; equals |u| + |v| - 2 * lcs(u, v)."""
+    return len(u) + len(v) - 2 * _lcs_length(u, v)
+
+
+def xor_add(u, v, alphabet):
+    """Letterwise sum over a binary alphabet read as GF(2)."""
+    if len(alphabet.letters) != 2:
+        raise ValueError("operation requires a binary alphabet")
+    if len(u) != len(v):
+        raise ValueError("xor_add needs words of equal length")
+    zero, one = alphabet.letters
+    if not set(u + v) <= {zero, one}:
+        raise ValueError("xor_add needs words over the alphabet")
+    return "".join(one if a != b else zero for a, b in zip(u, v))
 
 
 class EditOracle:
@@ -224,6 +298,41 @@ def double_factorization_witness(codewords, letters, max_len):
             if count_factorizations(w, frozenset(codewords)) >= 2:
                 return w
     return None
+
+
+# --- automata -----------------------------------------------------------------
+
+
+def is_universal(lang):
+    """Every word is a member: no state of the canonical DFA rejects."""
+    dfa = lang.dfa()
+    return all(q in dfa.accepting for q in range(dfa.n))
+
+
+def reference_determinize(nfa):
+    """Subset construction one ``Nfa.step`` at a time, for ``determinize``.
+
+    Breadth-first from the closed start set, letters in alphabet order,
+    subsets numbered as they are first reached; no state cap.
+    """
+    # imported here so that merely importing this module loads no codekit
+    from codekit.automata import Dfa
+
+    start = nfa.eps_closure(nfa.initial)
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for subset in order:
+        row = []
+        for c in nfa.alphabet:
+            nxt = nfa.step(subset, c)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    accepting = frozenset(i for i, s in enumerate(order) if s & nfa.accepting)
+    return Dfa(nfa.alphabet, tuple(rows), accepting)
 
 
 # --- channel ------------------------------------------------------------------

@@ -27,7 +27,6 @@ from codekit.automata import (
     compile_expression,
     complement,
     factors,
-    is_universal,
     shortest_word,
     star,
     union,
@@ -35,7 +34,7 @@ from codekit.automata import (
 from codekit.cli import main
 from codekit.words import Alphabet
 
-from oracles import count_factorizations, double_factorization_witness
+from oracles import count_factorizations, double_factorization_witness, is_universal
 
 AB = Alphabet("ab")
 

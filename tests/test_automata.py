@@ -12,7 +12,6 @@ from codekit.automata import (
     factors,
     intersect,
     is_empty,
-    is_universal,
     left_quotient,
     nfa_from_words,
     shortest_word,
@@ -22,9 +21,10 @@ from codekit.automata import (
     words_upto,
 )
 from codekit.errors import BudgetExceededError, ParseError
+from codekit.transducers import EditRelationSpec, build, image
 from codekit.words import Alphabet
 
-from oracles import brute_factors
+from oracles import brute_factors, is_universal, reference_determinize
 
 AB = Alphabet("ab")
 
@@ -226,3 +226,36 @@ def test_factors_match_enumeration(xs):
         expected |= brute_factors(w)
     got = factors(fin(xs))
     assert got.words() == expected
+
+
+def expressions(letters):
+    words = st.text(alphabet=letters, min_size=1, max_size=3)
+    return st.recursive(
+        words,
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: f"({p[0]})|({p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]}).({p[1]})"),
+            inner.map(lambda e: f"({e})*"),
+        ),
+        max_leaves=5,
+    )
+
+
+@given(
+    st.sampled_from(["ab", "abc"]).flatmap(
+        lambda letters: st.tuples(st.just(letters), expressions(letters))
+    ),
+    st.sampled_from(["delta:1", "iota:1", "sigma:1", "S:2", "Lambda:1"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_determinize_matches_reference_subset_loop(case, relation):
+    letters, expr = case
+    alphabet = Alphabet(letters)
+    lang = compile_expression(expr, alphabet)
+    machine = build(EditRelationSpec.parse(relation), alphabet)
+    for nfa in (
+        lang.nfa(),
+        factors(star(lang)).nfa(),
+        image(machine, star(lang)).nfa(),
+    ):
+        assert determinize(nfa) == reference_determinize(nfa)

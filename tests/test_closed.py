@@ -26,13 +26,15 @@ from codekit.closed import (
 from codekit.errors import BudgetExceededError
 from codekit.independence import is_independent
 from codekit.transducers import EditRelationSpec, relation_image_word
-from codekit.words import Alphabet, subsequences, xor_add
+from codekit.words import Alphabet
 
 from oracles import (
     EditOracle,
     dangling_suffixes,
     double_factorization_witness,
     reference_code_search,
+    subsequences,
+    xor_add,
 )
 
 AB = Alphabet(("a", "b"))
@@ -198,6 +200,19 @@ def test_enumeration_limit_zero_yields_nothing():
 def test_enumeration_negative_limit_rejected():
     with pytest.raises(ValueError):
         list(enumerate_delta_closed(3, AB, limit=-1))
+
+
+def test_enumeration_checks_no_word_it_built(monkeypatch):
+    calls = []
+    check_word = Alphabet.check_word
+
+    def counted(alphabet, w):
+        calls.append(w)
+        return check_word(alphabet, w)
+
+    monkeypatch.setattr(Alphabet, "check_word", counted)
+    assert len(list(enumerate_delta_closed(4, AB))) == 1449
+    assert calls == []
 
 
 def test_five_word_code_reachable_by_the_stream_filter():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +14,9 @@ from codekit.transducers import (
     relation_image,
     relation_image_word,
 )
-from codekit.words import Alphabet, hamming, levenshtein
+from codekit.words import Alphabet
 
-from oracles import EditOracle
+from oracles import EditOracle, hamming, levenshtein
 
 AB = Alphabet("ab")
 BITS = Alphabet("01")
@@ -57,6 +59,10 @@ def test_normal_form_guard():
 
     with pytest.raises(ValueError):
         Transducer(AB, 1, frozenset((0,)), frozenset((0,)), (((0, "", "", 0)),))
+    # an arc reading epsilon must move to a higher state
+    for src, dst in ((0, 0), (1, 0)):
+        with pytest.raises(ValueError):
+            Transducer(AB, 2, frozenset((0,)), frozenset((1,)), ((src, "", "a", dst),))
 
 
 def test_delta_image_paper_set():
@@ -96,6 +102,17 @@ def test_image_of_empty_word():
     assert image_word(build(spec("iota:2"), AB), "") == {"aa", "ab", "ba", "bb"}
     assert image_word(build(spec("delta:1"), AB), "") == frozenset()
     assert "" in image_word(build(spec("S:2"), AB), "")
+
+
+def test_image_of_a_long_word():
+    w = "".join(random.Random(7).choice("ab") for _ in range(2000))
+    positions = range(len(w) + 1)
+    assert image_word(build(spec("delta:1"), AB), w) == {
+        w[:i] + w[i + 1 :] for i in positions[:-1]
+    }
+    assert image_word(build(spec("iota:1"), AB), w) == {
+        w[:i] + c + w[i:] for i in positions for c in "ab"
+    }
 
 
 @pytest.mark.parametrize("kind", ["delta", "iota", "sigma", "Delta", "I", "Sigma", "S", "Lambda"])

@@ -5,19 +5,22 @@ from codekit.words import (
     Alphabet,
     complement_word,
     format_word,
-    hamming,
-    indel_distance,
     is_unbordered,
-    levenshtein,
     parity_ones,
     parse_word,
     sort_words,
-    subsequences,
     unbordered_extension,
-    xor_add,
 )
 
-from oracles import EditOracle, brute_subsequences
+from oracles import (
+    EditOracle,
+    brute_subsequences,
+    hamming,
+    indel_distance,
+    levenshtein,
+    subsequences,
+    xor_add,
+)
 
 AB = Alphabet("ab")
 BITS = Alphabet("01")
