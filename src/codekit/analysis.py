@@ -12,10 +12,11 @@ search has two readers: ``is_code`` takes the verdict alone, and
 ``sardinas_patterson`` also spells, from the search's parent pointers,
 a shortest word with two factorizations.
 
-Completeness and maximality are decided by the subset construction of
-``automata.determinize`` on the automaton for the factors of X*, under
-the same state cap, stopped early: the first subset holding no
-accepting state is entered by the length-lex least non-factor.
+Completeness and maximality are decided by the least-word walk of
+``automata``: the subset construction (``automata._subsets``) on the
+automaton for the factors of X*, under ``DEFAULT_STATE_CAP``, stopped
+at the first subset holding no accepting state, which is entered by the
+length-lex least non-factor.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import DEFAULT_STATE_CAP, Language, _subsets, factors, reverse, star
+from .automata import DEFAULT_STATE_CAP, Language, _least_word, factors, reverse, star
 from .words import Alphabet
 
 
@@ -292,24 +293,9 @@ def is_maximal_code(x_lang: Language) -> bool:
 
 def _least_non_factor(x_lang: Language) -> str | None:
     """Length-lex least word outside the factors of the star closure, or
-    None when the set is complete.
-
-    The subset construction of ``determinize`` on the automaton of those
-    factors, stopped at the first subset holding no accepting state:
-    subsets are entered in the length-lex order of their least words, so
-    that subset's word is the answer.  Like ``determinize`` it raises
-    once it would hold more than ``DEFAULT_STATE_CAP`` subsets; a
-    complete set visits every subset.
-    """
-    nfa = factors(star(x_lang)).nfa()
-    letters = nfa.alphabet.letters
-    words: list[str] = []  # each entered subset's least word
-    for subset, parent, letter in _subsets(nfa, DEFAULT_STATE_CAP, []):
-        word = words[parent] + letters[letter] if parent >= 0 else ""
-        if not subset & nfa.accepting:
-            return word
-        words.append(word)
-    return None
+    None when the set is complete (every subset holds an accepting state,
+    so a complete set visits all of them)."""
+    return _least_word(factors(star(x_lang)).nfa(), False, DEFAULT_STATE_CAP)
 
 
 def find_non_factor(x_lang: Language) -> str:

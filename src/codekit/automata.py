@@ -5,6 +5,15 @@ carried by an NFA.  Every regular language can produce its canonical
 DFA (minimal, states numbered by breadth-first discovery in letter
 order); two languages are equal iff their canonical tables coincide,
 which also makes canonical DFAs usable as dictionary keys.
+
+One subset construction, ``_subsets`` (Rabin & Scott 1959), carries the
+regular-set algebra, and it enters at most ``DEFAULT_STATE_CAP``
+subsets: ``determinize`` reads its table; products are intersection
+and difference by De Morgan, whose union of two total DFAs enters one
+subset per reachable pair of states; ``left_quotient`` reads its start
+states from the subsets of U's automaton beside X's DFA; least words
+(``shortest_word``, the least non-factor) are the word of the first
+subset that holds, or lacks, an accepting state.
 """
 
 from __future__ import annotations
@@ -266,6 +275,25 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return Dfa(nfa.alphabet, tuple(rows), accepting)
 
 
+def _least_word(nfa: Nfa, accepted: bool, state_cap: int) -> str | None:
+    """Length-lex least word whose subset holds an accepting state (with
+    accepted=False: holds none), or None when no subset does.
+
+    The subset construction stopped at the first such subset: subsets
+    are entered in the length-lex order of their least words, so that
+    subset's word is the answer.  It raises like ``determinize`` once it
+    would enter more than state_cap subsets.
+    """
+    letters = nfa.alphabet.letters
+    words: list[str] = []  # each entered subset's least word
+    for subset, parent, letter in _subsets(nfa, state_cap, []):
+        word = words[parent] + letters[letter] if parent >= 0 else ""
+        if bool(subset & nfa.accepting) == accepted:
+            return word
+        words.append(word)
+    return None
+
+
 def minimize(dfa: Dfa) -> Dfa:
     """Minimal DFA with canonical breadth-first state numbering."""
     n = dfa.n
@@ -428,64 +456,35 @@ def intersect(a: Language, b: Language) -> Language:
         return Language.finite(
             {w for w in b.words() if a.member(w)}, a.alphabet
         )
-    da, db = a.dfa(), b.dfa()
-    letters_n = len(da.alphabet.letters)
-    index = {(0, 0): 0}
-    order = [(0, 0)]
-    rows = []
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        row = []
-        for li in range(letters_n):
-            target = (da.rows[p][li], db.rows[q][li])
-            j = index.get(target)
-            if j is None:
-                j = len(order)
-                index[target] = j
-                order.append(target)
-            row.append(j)
-        rows.append(tuple(row))
-        i += 1
-    accepting = frozenset(
-        i for i, (p, q) in enumerate(order) if p in da.accepting and q in db.accepting
-    )
-    return Language.from_dfa(Dfa(da.alphabet, tuple(rows), accepting))
+    return difference(a, complement(b))
 
 
 def difference(a: Language, b: Language) -> Language:
+    """A minus B; for a regular A, the complement of (not A) or B, whose
+    subset construction enters one subset per reachable product pair."""
     if a.is_finite_repr:
         return Language.finite({w for w in a.words() if not b.member(w)}, a.alphabet)
-    return intersect(a, complement(b))
+    return complement(union(complement(a), b))
 
 
 def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = False) -> Language:
     """Words w with uw in X for some u in U.
 
-    With exclude_epsilon, the empty word is removed from the result:
+    The subset construction on U's automaton beside X's canonical DFA
+    reads both on the same words; the X state of each subset holding a
+    final state of U starts a word of the quotient.  With
+    exclude_epsilon, the empty word is removed from the result:
     X^{-1}X minus the empty word holds the tails of proper prefix pairs.
     """
     _check_same_alphabet(u_lang, x_lang)
-    dx = x_lang.dfa()
     nu = u_lang.nfa()
-    # states of X's DFA reachable while U's NFA reads the same word to acceptance
-    start_u = nu.eps_closure(nu.initial)
-    seen = {(start_u, 0)}
-    stack = [(start_u, 0)]
-    starts = set()
-    while stack:
-        su, q = stack.pop()
-        if su & nu.accepting:
-            starts.add(q)
-        for li, c in enumerate(dx.alphabet):
-            su2 = nu.step(su, c)
-            if not su2:
-                continue
-            nxt = (su2, dx.rows[q][li])
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    base = dx.to_nfa()
+    base = x_lang.dfa().to_nfa()
+    # X's states are numbered after U's, and every subset holds exactly one
+    starts = {
+        max(subset) - nu.n
+        for subset, _, _ in _subsets(nfa_union(nu, base), DEFAULT_STATE_CAP, [])
+        if subset & nu.accepting
+    }
     result = Nfa(base.alphabet, base.n, frozenset(starts), base.accepting, base.arcs)
     out = Language.regular(result)
     if exclude_epsilon:
@@ -538,24 +537,7 @@ def shortest_word(lang: Language) -> str | None:
         if not ws:
             return None
         return min(ws, key=lang.alphabet.lex_key)
-    dfa = lang.dfa()
-    if 0 in dfa.accepting:
-        return ""
-    seen = {0}
-    frontier = [(0, "")]
-    while frontier:
-        nxt = []
-        for q, w in frontier:
-            for li, c in enumerate(dfa.alphabet):
-                r = dfa.rows[q][li]
-                if r in seen:
-                    continue
-                if r in dfa.accepting:
-                    return w + c
-                seen.add(r)
-                nxt.append((r, w + c))
-        frontier = nxt
-    return None
+    return _least_word(lang.nfa(), True, DEFAULT_STATE_CAP)
 
 
 def equivalent(a: Language, b: Language) -> bool:
@@ -735,15 +717,16 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
 
     def eval_node(node) -> Language:
         tag = node[0]
+        # the parser matched every word against the alphabet's letters
         if tag == "word":
-            return Language.finite((node[1],), alphabet)
+            return Language(alphabet, words=frozenset((node[1],)))
         if tag == "union":
             if all(p[0] == "word" for p in node[1]):
-                return Language.finite([p[1] for p in node[1]], alphabet)
+                return Language(alphabet, words=frozenset([p[1] for p in node[1]]))
             parts = [eval_node(p) for p in node[1]]
             if all(p.is_finite_repr for p in parts):
                 words = frozenset().union(*(p.words() for p in parts))
-                return Language.finite(words, alphabet)
+                return Language(alphabet, words=words)
             out = parts[0]
             for p in parts[1:]:
                 out = union(out, p)

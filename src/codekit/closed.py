@@ -20,7 +20,6 @@ from .automata import (
     difference,
     is_empty,
     shortest_word,
-    words_upto,
 )
 from .errors import BudgetExceededError
 from .transducers import (
@@ -81,14 +80,8 @@ class SigmaOrbit:
             return frozenset((self.seed,))
         if self.shape == "pair":
             return frozenset((self.seed, complement_word(self.seed, self.alphabet)))
-        if self.shape == "parity":
-            want = parity_ones(self.seed, self.alphabet)
-            return frozenset(
-                w
-                for w in self.alphabet.words_of_length(self.n)
-                if parity_ones(w, self.alphabet) == want
-            )
-        return frozenset(self.alphabet.words_of_length(self.n))
+        parity = parity_ones(self.seed, self.alphabet) if self.shape == "parity" else None
+        return _materialize_class(self.alphabet, self.n, parity)
 
 
 @dataclass(frozen=True)
@@ -496,15 +489,14 @@ def sigma_star(w: str, k: int, alphabet: Alphabet) -> SigmaOrbit:
     return SigmaOrbit("parity", n, alphabet, w)
 
 
-def _uniform_length(x_lang: Language) -> int | None:
-    """The common codeword length, when one exists."""
+def _length_class(x_lang: Language) -> tuple[int, frozenset[str]] | None:
+    """The common codeword length and the codewords, when the set has
+    one length (so it is finite)."""
     fin = x_lang.to_finite()
-    if fin is not None:
-        lengths = {len(w) for w in fin.words()}
-        return lengths.pop() if len(lengths) == 1 else None
-    n = len(shortest_word(x_lang))
-    block = Language.finite(x_lang.alphabet.words_of_length(n), x_lang.alphabet)
-    return n if is_empty(difference(x_lang, block)) else None
+    if fin is None:
+        return None
+    lengths = {len(w) for w in fin.words()}
+    return (lengths.pop(), fin.words()) if len(lengths) == 1 else None
 
 
 def _materialize_class(
@@ -532,16 +524,16 @@ def classify_sigma_closed(
     short = Language.finite(x_lang.alphabet.words_upto(k), alphabet)
     if is_empty(difference(x_lang, short)):
         return Classification("short_subset", n=k)
-    n = _uniform_length(x_lang)
-    if n is None:
+    uniform = _length_class(x_lang)
+    if uniform is None:
         raise RuntimeError("internal: closed code with mixed lengths above the bound")
+    n, members = uniform
     if len(alphabet.letters) ** n > candidate_budget:
         raise BudgetExceededError(
             "length class too large to compare",
             budget=candidate_budget,
             observed=len(alphabet.letters) ** n,
         )
-    members = _class_words(x_lang, n)
     if members == _materialize_class(alphabet, n, None):
         return Classification("full", n=n)
     if alphabet.is_binary:
@@ -549,13 +541,6 @@ def classify_sigma_closed(
             if members == _materialize_class(alphabet, n, name):
                 return Classification(name, n=n)
     raise RuntimeError("internal: closed code matches no known shape")
-
-
-def _class_words(x_lang: Language, n: int) -> frozenset[str]:
-    fin = x_lang.to_finite()
-    if fin is not None:
-        return fin.words()
-    return frozenset(words_upto(x_lang, n))
 
 
 def classify_Sigma_closed(x_lang: Language, k: int) -> Classification:
@@ -569,10 +554,10 @@ def classify_Sigma_closed(x_lang: Language, k: int) -> Classification:
     report = is_closed(x_lang, spec)
     if not report.closed:
         return Classification("not_closed", witness=report.witness)
-    n = _uniform_length(x_lang)
-    if n is None:
+    uniform = _length_class(x_lang)
+    if uniform is None:
         raise RuntimeError("internal: closed code with mixed lengths")
-    members = _class_words(x_lang, n)
+    n, members = uniform
     if members != _materialize_class(x_lang.alphabet, n, None):
         raise RuntimeError("internal: closed code is not a full length class")
     return Classification("uniform", n=n)
@@ -592,16 +577,16 @@ def sigma_complete_embedding(
         raise ValueError("precondition failed: input is not a code")
     if is_complete(x_lang):
         raise ValueError("precondition failed: input is already complete")
-    fin = x_lang.to_finite()
     short = Language.finite(alphabet.words_upto(k), alphabet)
     if is_empty(difference(x_lang, short)):
+        fin = x_lang.to_finite()
         if fin is None:
             raise RuntimeError("internal: short set must be finite")
         return _short_embedding_search(fin.words(), k, alphabet, candidate_budget)
-    n = _uniform_length(x_lang)
-    if n is None:
+    uniform = _length_class(x_lang)
+    if uniform is None:
         return []
-    members = _class_words(x_lang, n)
+    n, members = uniform
     if any(len(w) <= k for w in members):
         return []
     return [Language.finite(alphabet.words_of_length(n), alphabet)]

@@ -9,7 +9,8 @@ families accept after any positive number of defects.  Machines realize
 the plain relation only: the reflexive and antireflexive closures are
 applied to the images they produce.
 
-``image`` runs a machine on a language through the product automaton.
+``image`` runs a machine on a language through the product automaton,
+under the state cap of ``automata.determinize``.
 ``image_word`` runs it on one word by a single pass over the grid of
 positions in the word times machine states; the normal form leaves
 that grid without a cycle, so every word has a finite image.
@@ -20,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automata import EPS, Language, Nfa, union as lang_union
-from .errors import ParseError
+from .automata import DEFAULT_STATE_CAP, EPS, Language, Nfa, union as lang_union
+from .errors import BudgetExceededError, ParseError
 from .words import Alphabet
 
 KINDS = ("delta", "iota", "sigma", "Delta", "I", "Sigma", "S", "Lambda")
@@ -164,8 +165,9 @@ def build(spec: EditRelationSpec, alphabet: Alphabet) -> Transducer:
 def image(t: Transducer, lang: Language) -> Language:
     """Apply the relation to every member of the language.
 
-    The result of a finite input is returned in finite-set form
-    whenever it is finite.
+    The product of the language's automaton and the machine holds at
+    most ``automata.DEFAULT_STATE_CAP`` states.  The result of a finite
+    input is returned in finite-set form whenever it is finite.
     """
     nfa = lang.nfa()
     t_by = t.arcs_by_state()
@@ -176,6 +178,11 @@ def image(t: Transducer, lang: Language) -> Language:
         i = index.get(pq)
         if i is None:
             i = len(order)
+            if i >= DEFAULT_STATE_CAP:
+                raise BudgetExceededError(
+                    f"transducer image exceeded {DEFAULT_STATE_CAP} states",
+                    budget=DEFAULT_STATE_CAP,
+                )
             index[pq] = i
             order.append(pq)
         return i

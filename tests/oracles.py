@@ -3,7 +3,9 @@
 Everything here is written from the definitions, by enumeration,
 breadth-first search or textbook dynamic programming, deliberately
 sharing no code with the package.  The automaton references read the
-package's automata, but only through their plain step and table.
+package's automata, but only through their plain step and table (a
+language's ``dfa()``), and wrap results in its ``Dfa``, ``Nfa`` and
+``Language`` containers.
 """
 
 from __future__ import annotations
@@ -333,6 +335,91 @@ def reference_determinize(nfa):
         rows.append(tuple(row))
     accepting = frozenset(i for i, s in enumerate(order) if s & nfa.accepting)
     return Dfa(nfa.alphabet, tuple(rows), accepting)
+
+
+def reference_product(a, b, keep):
+    """Pair product of the canonical DFAs of two languages, for
+    ``intersect`` and ``difference``.
+
+    Breadth-first from the pair of initial states, letters in alphabet
+    order; a pair accepts when keep(in A, in B).  No state cap.
+    """
+    from codekit.automata import Dfa, Language
+
+    da, db = a.dfa(), b.dfa()
+    index = {(0, 0): 0}
+    order = [(0, 0)]
+    rows = []
+    for p, q in order:
+        row = []
+        for li in range(len(da.alphabet.letters)):
+            pair = (da.rows[p][li], db.rows[q][li])
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+            row.append(index[pair])
+        rows.append(tuple(row))
+    accepting = frozenset(
+        i for i, (p, q) in enumerate(order) if keep(p in da.accepting, q in db.accepting)
+    )
+    return Language.from_dfa(Dfa(da.alphabet, tuple(rows), accepting))
+
+
+def reference_left_quotient(u_lang, x_lang, exclude_epsilon=False):
+    """Words w with uw in X for some u in U, for ``left_quotient``.
+
+    A depth-first search over pairs (subset of U's automaton, state of
+    X's DFA) read on the same words, one ``Nfa.step`` at a time; the X
+    states met beside a final state of U start the quotient.
+    """
+    from codekit.automata import Language, Nfa
+
+    dx = x_lang.dfa()
+    nu = u_lang.nfa()
+    start = (nu.eps_closure(nu.initial), 0)
+    seen = {start}
+    stack = [start]
+    starts = set()
+    while stack:
+        su, q = stack.pop()
+        if su & nu.accepting:
+            starts.add(q)
+        for li, c in enumerate(dx.alphabet):
+            nxt = (nu.step(su, c), dx.rows[q][li])
+            if nxt[0] and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    base = dx.to_nfa()
+    out = Language.regular(
+        Nfa(base.alphabet, base.n, frozenset(starts), base.accepting, base.arcs)
+    )
+    if exclude_epsilon:
+        empty_word = Language.finite({""}, x_lang.alphabet)
+        out = reference_product(out, empty_word, lambda p, q: p and not q)
+    return out
+
+
+def reference_shortest_word(lang):
+    """Length-lex least member by breadth-first search on the canonical
+    DFA, letters in alphabet order; None when the language is empty."""
+    dfa = lang.dfa()
+    if 0 in dfa.accepting:
+        return ""
+    seen = {0}
+    frontier = [(0, "")]
+    while frontier:
+        nxt = []
+        for q, w in frontier:
+            for li, c in enumerate(dfa.alphabet):
+                r = dfa.rows[q][li]
+                if r in seen:
+                    continue
+                if r in dfa.accepting:
+                    return w + c
+                seen.add(r)
+                nxt.append((r, w + c))
+        frontier = nxt
+    return None
 
 
 # --- channel ------------------------------------------------------------------

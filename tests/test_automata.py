@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codekit.analysis import find_non_factor
 from codekit.automata import (
+    DEFAULT_STATE_CAP,
     Language,
     compile_expression,
     complement,
@@ -22,9 +24,16 @@ from codekit.automata import (
 )
 from codekit.errors import BudgetExceededError, ParseError
 from codekit.transducers import EditRelationSpec, build, image
-from codekit.words import Alphabet
+from codekit.words import Alphabet, sort_words
 
-from oracles import brute_factors, is_universal, reference_determinize
+from oracles import (
+    brute_factors,
+    is_universal,
+    reference_determinize,
+    reference_left_quotient,
+    reference_product,
+    reference_shortest_word,
+)
 
 AB = Alphabet("ab")
 
@@ -169,6 +178,27 @@ def test_determinize_cap():
         determinize(nfa, state_cap=2)
 
 
+def test_compiling_a_flat_union_checks_no_letters(monkeypatch):
+    # the parser matches every word against the alphabet's letters already
+    words = sort_words(AB.words_upto(8), AB)[1:301]
+    checked = []
+    check_word = Alphabet.check_word
+    monkeypatch.setattr(
+        Alphabet, "check_word", lambda self, w: checked.append(w) or check_word(self, w)
+    )
+    assert compile_expression("|".join(words), AB).words() == frozenset(words)
+    assert checked == []
+
+
+def test_regular_intersection_keeps_the_state_cap():
+    # the two cycles meet again only after 257 * 256 pairs of states
+    assert 257 * 256 > DEFAULT_STATE_CAP
+    a = compile_expression(f"({'a' * 257})*", AB)
+    b = compile_expression(f"({'a' * 256})*", AB)
+    with pytest.raises(BudgetExceededError):
+        intersect(a, b)
+
+
 def test_alphabet_mismatch():
     with pytest.raises(ValueError):
         union(fin({"a"}), Language.finite({"0"}, Alphabet("01")))
@@ -259,3 +289,41 @@ def test_determinize_matches_reference_subset_loop(case, relation):
         image(machine, star(lang)).nfa(),
     ):
         assert determinize(nfa) == reference_determinize(nfa)
+
+
+def both_forms(lang):
+    """The language as compiled, and carried by its automaton."""
+    return (lang, Language.regular(lang.nfa()))
+
+
+@given(
+    st.sampled_from(["ab", "abc"]).flatmap(
+        lambda letters: st.tuples(
+            st.just(letters), expressions(letters), expressions(letters)
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_set_algebra_matches_reference_searches(case):
+    letters, expr_x, expr_y = case
+    alphabet = Alphabet(letters)
+    x = compile_expression(expr_x, alphabet)
+    y = compile_expression(expr_y, alphabet)
+    for a in both_forms(x):
+        for b in both_forms(y):
+            meet = intersect(a, b)
+            assert equivalent(meet, reference_product(a, b, lambda p, q: p and q))
+            rest = difference(a, b)
+            assert equivalent(rest, reference_product(a, b, lambda p, q: p and not q))
+            for exclude in (False, True):
+                assert equivalent(
+                    left_quotient(a, b, exclude), reference_left_quotient(a, b, exclude)
+                )
+            for lang in (meet, rest, b):
+                assert shortest_word(lang) == reference_shortest_word(lang)
+    least = shortest_word(complement(factors(star(x))))
+    if least is None:
+        with pytest.raises(ValueError):
+            find_non_factor(x)
+    else:
+        assert find_non_factor(x) == least

@@ -518,6 +518,17 @@ def test_budget_exhaustion_exits_four(capsys):
     assert "budget-exceeded" in out
 
 
+def test_image_product_past_the_state_cap_exits_four(capsys):
+    # (2^14 - 1 trie states + 1) * (4 + 1) machine states > 65536
+    words = [format(i, "013b").translate(str.maketrans("01", "ab")) for i in range(1 << 13)]
+    argv = ["closed", "--alphabet", "ab", f"({'|'.join(words)})*", "--rel", "delta:4"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 4
+    assert out == (
+        "verdict: budget-exceeded\ndetail: transducer image exceeded 65536 states\n"
+    )
+
+
 # --- closed stdout ----------------------------------------------------------
 
 class _ClosedPipe:

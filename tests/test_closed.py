@@ -637,6 +637,12 @@ def test_mixed_lengths_have_no_embedding():
     assert sigma_complete_embedding(fin({"b", "aaa"}), 2) == []
 
 
+def test_infinite_input_has_no_embedding():
+    # an infinite code has no common length, so no length class holds it
+    x = compile_expression("(aa|bb)*.ab", AB)
+    assert sigma_complete_embedding(x, 1) == []
+
+
 def test_embedding_rejects_complete_input():
     with pytest.raises(ValueError):
         sigma_complete_embedding(fin({"a", "b"}), 1)
