@@ -1,9 +1,10 @@
 """Code-ness, completeness and measure of finite and regular sets.
 
 Code-ness is decided by Sardinas & Patterson's test read one letter at
-a time: a breadth-first search over pairs of states of a trim
-deterministic automaton for X (its trie when X is finite, the live part
-of its canonical DFA otherwise).  Two runs read the same word and each
+a time: a breadth-first search over pairs of states of the trim
+deterministic automaton ``Language.trim()`` (the trie of a finite X, the
+live part of the canonical DFA otherwise), built once per language and
+shared with the prefix test.  Two runs read the same word and each
 may restart at the initial state right after reaching a final state;
 X is not a code exactly when the runs can part, one restarting while
 the other continues, and later reach final states together.  The search
@@ -67,34 +68,6 @@ def _epsilon_member_witness(x_lang: Language) -> DoubleFactorization:
         x = min(words, key=x_lang.alphabet.lex_key)
         return DoubleFactorization(x, (x,), ("", x))
     return DoubleFactorization("", ("",), ("", ""))
-
-
-def _automaton(x_lang: Language):
-    """Trim deterministic automaton for X with initial state 0.
-
-    Returns (rows, finals): rows[q][i] is the successor of q under
-    letter number i, or -1 where no member of X continues.
-    """
-    alphabet = x_lang.alphabet
-    if x_lang.is_finite_repr:
-        width = len(alphabet.letters)
-        index = {c: i for i, c in enumerate(alphabet.letters)}
-        rows = [[-1] * width]
-        finals = set()
-        for w in x_lang.words():
-            q = 0
-            for c in w:
-                row, i = rows[q], index[c]
-                q = row[i]
-                if q < 0:
-                    q = row[i] = len(rows)
-                    rows.append([-1] * width)
-            finals.add(q)
-        return rows, finals
-    dfa = x_lang.dfa()
-    live = dfa.to_nfa().core_states()
-    rows = [[r if r in live else -1 for r in row] for row in dfa.rows]
-    return rows, dfa.accepting & live
 
 
 def _double_factorization(rows, finals) -> tuple[dict[int, int], int, int] | None:
@@ -181,7 +154,7 @@ def _replay(x_lang: Language, rows, finals, parent, node, last) -> DoubleFactori
 
 def sardinas_patterson(x_lang: Language) -> CodeVerdict:
     """Decide code-ness; failing verdicts carry a replayable witness."""
-    rows, finals = _automaton(x_lang)
+    rows, finals = x_lang.trim()
     if 0 in finals:
         return CodeVerdict(False, _epsilon_member_witness(x_lang))
     meeting = _double_factorization(rows, finals)
@@ -192,14 +165,14 @@ def sardinas_patterson(x_lang: Language) -> CodeVerdict:
 
 def is_code(x_lang: Language) -> bool:
     """The verdict of ``sardinas_patterson`` without spelling a witness."""
-    rows, finals = _automaton(x_lang)
+    rows, finals = x_lang.trim()
     return 0 not in finals and _double_factorization(rows, finals) is None
 
 
 def is_prefix_code(x_lang: Language) -> bool:
     """No member is a proper prefix of another member: in a trim
     deterministic automaton for X, no final state has an outgoing arc."""
-    rows, finals = _automaton(x_lang)
+    rows, finals = x_lang.trim()
     return all(r < 0 for q in finals for r in rows[q])
 
 
@@ -248,8 +221,11 @@ def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fract
     """Measure of the members of length at most max_len.
 
     Regular languages are handled by weighted dynamic programming over
-    the canonical automaton, so nothing is enumerated.
+    the canonical automaton, so nothing is enumerated.  A negative
+    max_len raises ValueError.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be at least 0, got {max_len}")
     if x_lang.is_finite_repr:
         return sum(
             (dist.word_measure(w) for w in x_lang.words() if len(w) <= max_len),

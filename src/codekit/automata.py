@@ -14,6 +14,12 @@ subset per reachable pair of states; ``left_quotient`` reads its start
 states from the subsets of U's automaton beside X's DFA; least words
 (``shortest_word``, the least non-factor) are the word of the first
 subset that holds, or lacks, an accepting state.
+
+Every deterministic walk reads one table, ``Language.trim()``, built
+once per language: the trie of a finite set, else the live part of the
+canonical DFA.  A finite set's automaton, ``words_upto`` and
+``to_finite`` read it, as do the code-ness and prefix tests of
+``analysis``.
 """
 
 from __future__ import annotations
@@ -100,47 +106,32 @@ class Nfa:
         return frozenset(fwd & bwd)
 
 
-class _NfaBuilder:
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.n = 0
-        self.initial = set()
-        self.accepting = set()
-        self.arcs: dict[int, dict[str, set[int]]] = {}
-
-    def state(self) -> int:
-        s = self.n
-        self.n += 1
-        return s
-
-    def arc(self, src: int, label: str, dst: int):
-        self.arcs.setdefault(src, {}).setdefault(label, set()).add(dst)
-
-    def build(self) -> Nfa:
-        frozen = {
-            s: {lbl: frozenset(d) for lbl, d in by.items()} for s, by in self.arcs.items()
-        }
-        return Nfa(self.alphabet, self.n, self.initial, self.accepting, frozen)
-
-
-def nfa_from_words(words, alphabet: Alphabet) -> Nfa:
-    """Trie-shaped NFA for a finite set of words."""
-    b = _NfaBuilder(alphabet)
-    root = b.state()
-    b.initial.add(root)
-    nodes = {"": root}
+def _trie(words, alphabet: Alphabet):
+    """The trie of a finite set as (rows, finals); see ``Language.trim``."""
+    width = len(alphabet.letters)
+    index = {c: i for i, c in enumerate(alphabet.letters)}
+    rows = [[-1] * width]
+    finals = set()
     for w in words:
-        cur = root
-        for i, c in enumerate(w):
-            prefix = w[: i + 1]
-            nxt = nodes.get(prefix)
-            if nxt is None:
-                nxt = b.state()
-                nodes[prefix] = nxt
-                b.arc(cur, c, nxt)
-            cur = nxt
-        b.accepting.add(cur)
-    return b.build()
+        q = 0
+        for c in w:
+            row, i = rows[q], index[c]
+            q = row[i]
+            if q < 0:
+                q = row[i] = len(rows)
+                rows.append([-1] * width)
+        finals.add(q)
+    return rows, finals
+
+
+def _rows_nfa(alphabet: Alphabet, rows, initial, accepting) -> Nfa:
+    """The automaton of a deterministic table; entries below 0 are no arc."""
+    letters = alphabet.letters
+    arcs = {
+        q: {c: frozenset((r,)) for c, r in zip(letters, row) if r >= 0}
+        for q, row in enumerate(rows)
+    }
+    return Nfa(alphabet, len(rows), initial, accepting, arcs)
 
 
 def _shift(arcs, offset):
@@ -222,11 +213,7 @@ class Dfa:
         return (self.rows, tuple(sorted(self.accepting)))
 
     def to_nfa(self) -> Nfa:
-        arcs = {
-            q: {c: frozenset((self.rows[q][i],)) for i, c in enumerate(self.alphabet)}
-            for q in range(self.n)
-        }
-        return Nfa(self.alphabet, self.n, frozenset((0,)), self.accepting, arcs)
+        return _rows_nfa(self.alphabet, self.rows, (0,), self.accepting)
 
 
 def _subsets(nfa: Nfa, state_cap: int, rows: list):
@@ -337,13 +324,14 @@ def minimize(dfa: Dfa) -> Dfa:
 class Language:
     """A finite or regular set of words over a fixed alphabet."""
 
-    __slots__ = ("alphabet", "_words", "_nfa", "_dfa")
+    __slots__ = ("alphabet", "_words", "_nfa", "_dfa", "_trim")
 
     def __init__(self, alphabet, words=None, nfa=None):
         self.alphabet = alphabet
         self._words = words
         self._nfa = nfa
         self._dfa = None
+        self._trim = None
 
     @staticmethod
     def finite(words, alphabet: Alphabet) -> "Language":
@@ -373,13 +361,31 @@ class Language:
 
     def nfa(self) -> Nfa:
         if self._nfa is None:
-            self._nfa = nfa_from_words(self._words, self.alphabet)
+            rows, finals = self.trim()
+            self._nfa = _rows_nfa(self.alphabet, rows, (0,), finals)
         return self._nfa
 
     def dfa(self) -> Dfa:
         if self._dfa is None:
             self._dfa = minimize(determinize(self.nfa()))
         return self._dfa
+
+    def trim(self):
+        """Trim deterministic automaton (rows, finals) with initial state 0,
+        built on first use: the trie of a finite set, else the live part of
+        the canonical DFA.  rows[q][i] is the successor of q under letter
+        number i, or -1 where no member continues.  The table is shared
+        by every reader: read it, never change it.
+        """
+        if self._trim is None:
+            if self._words is not None:
+                self._trim = _trie(self._words, self.alphabet)
+            else:
+                dfa = self.dfa()
+                live = dfa.to_nfa().core_states()
+                rows = [[r if r in live else -1 for r in row] for row in dfa.rows]
+                self._trim = rows, dfa.accepting & live
+        return self._trim
 
     def canonical_key(self):
         """Representation-independent identity (canonical DFA table)."""
@@ -396,10 +402,25 @@ class Language:
         """Finite-set form, or None when the language is infinite."""
         if self._words is not None:
             return self
-        ws = _dfa_finite_words(self.dfa())
-        if ws is None:
+        rows = self.trim()[0]
+        # Kahn's topological order: a cycle never enters it, and a cycle
+        # of the trim table means infinitely many words
+        indeg = [0] * len(rows)
+        for row in rows:
+            for r in row:
+                if r >= 0:
+                    indeg[r] += 1
+        order = [q for q, d in enumerate(indeg) if d == 0]
+        for q in order:
+            for r in rows[q]:
+                if r >= 0:
+                    indeg[r] -= 1
+                    if indeg[r] == 0:
+                        order.append(r)
+        if len(order) < len(rows):
             return None
-        return Language.finite(ws, self.alphabet)
+        # an acyclic table has no word as long as its number of states
+        return Language.finite(words_upto(self, len(rows)), self.alphabet)
 
     def __repr__(self):
         if self._words is not None:
@@ -439,9 +460,13 @@ def star(a: Language) -> Language:
 
 
 def complement(a: Language) -> Language:
+    """Flipping the accepting states of a canonical DFA gives the
+    complement's canonical DFA: states stay reachable and distinct."""
     dfa = a.dfa()
     flipped = Dfa(dfa.alphabet, dfa.rows, frozenset(range(dfa.n)) - dfa.accepting)
-    return Language.from_dfa(flipped)
+    out = Language.regular(flipped.to_nfa())
+    out._dfa = flipped
+    return out
 
 
 def intersect(a: Language, b: Language) -> Language:
@@ -494,14 +519,7 @@ def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = Fa
 
 
 def right_quotient_word(lang: Language, v: str) -> Language:
-    """Words u with uv in the language."""
-    if lang.is_finite_repr:
-        n = len(v)
-        if n == 0:
-            return lang
-        return Language.finite(
-            {w[:-n] for w in lang.words() if w.endswith(v)}, lang.alphabet
-        )
+    """Words u with uv in the language, as an automaton."""
     dfa = lang.dfa()
     accepting = frozenset(q for q in range(dfa.n) if dfa.run(q, v) in dfa.accepting)
     return Language.from_dfa(Dfa(dfa.alphabet, dfa.rows, accepting))
@@ -548,24 +566,22 @@ def equivalent(a: Language, b: Language) -> bool:
 
 
 def words_upto(lang: Language, max_len: int) -> frozenset[str]:
-    """Members of length at most max_len."""
-    if lang.is_finite_repr:
-        return frozenset(w for w in lang.words() if len(w) <= max_len)
-    dfa = lang.dfa()
-    live = dfa.to_nfa().core_states()
+    """Members of length at most max_len, read off the trim table one
+    length at a time."""
+    rows, finals = lang.trim()
+    letters = lang.alphabet.letters
     out = set()
-    frontier = {0: {""}} if 0 in live else {}
+    frontier = {0: {""}}
     for length in range(max_len + 1):
         if length:
             nxt: dict[int, set[str]] = {}
             for q, ws in frontier.items():
-                for li, c in enumerate(dfa.alphabet):
-                    r = dfa.rows[q][li]
-                    if r in live:
+                for c, r in zip(letters, rows[q]):
+                    if r >= 0:
                         nxt.setdefault(r, set()).update(w + c for w in ws)
             frontier = nxt
         for q, ws in frontier.items():
-            if q in dfa.accepting:
+            if q in finals:
                 out.update(ws)
     return frozenset(out)
 
@@ -588,42 +604,6 @@ def reverse(lang: Language) -> Language:
     return Language.regular(
         Nfa(nfa.alphabet, nfa.n, nfa.accepting, nfa.initial, frozen)
     )
-
-
-def _dfa_finite_words(dfa: Dfa) -> frozenset[str] | None:
-    """Enumerate the language of a DFA, or None when it is infinite."""
-    live = dfa.to_nfa().core_states()
-    # Kahn's topological order of the live part: states on a cycle never
-    # enter it, and a cycle of live states means infinitely many words
-    indeg = {q: 0 for q in live}
-    for q in live:
-        for r in dfa.rows[q]:
-            if r in live:
-                indeg[r] += 1
-    order = [q for q in live if indeg[q] == 0]
-    for q in order:
-        for r in dfa.rows[q]:
-            if r in live:
-                indeg[r] -= 1
-                if indeg[r] == 0:
-                    order.append(r)
-    if len(order) < len(live):
-        return None
-    prefixes: dict[int, set[str]] = {q: set() for q in live}
-    if 0 in live:
-        prefixes[0].add("")
-    out = set()
-    for q in order:
-        ws = prefixes[q]
-        if not ws:
-            continue
-        if q in dfa.accepting:
-            out.update(ws)
-        for li, c in enumerate(dfa.alphabet):
-            r = dfa.rows[q][li]
-            if r in live:
-                prefixes[r].update(w + c for w in ws)
-    return frozenset(out)
 
 
 # --- expression parsing -------------------------------------------------

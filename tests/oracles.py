@@ -311,6 +311,94 @@ def is_universal(lang):
     return all(q in dfa.accepting for q in range(dfa.n))
 
 
+def _live_states(dfa):
+    """States of a DFA reached from state 0 that reach an accepting state."""
+    reached = {0}
+    stack = [0]
+    while stack:
+        for r in dfa.rows[stack.pop()]:
+            if r not in reached:
+                reached.add(r)
+                stack.append(r)
+    live = set(dfa.accepting)
+    grew = True
+    while grew:
+        grew = False
+        for q, row in enumerate(dfa.rows):
+            if q not in live and any(r in live for r in row):
+                live.add(q)
+                grew = True
+    return live & reached
+
+
+def reference_trim(x_lang):
+    """Trim deterministic automaton for X with initial state 0, for
+    ``Language.trim``: the trie of a finite set, built word by word,
+    else the canonical DFA with every arc into a dead state cut.
+
+    Returns (rows, finals): rows[q][i] is the successor of q under
+    letter number i, or -1 where no member of X continues.
+    """
+    alphabet = x_lang.alphabet
+    if x_lang.is_finite_repr:
+        width = len(alphabet.letters)
+        index = {c: i for i, c in enumerate(alphabet.letters)}
+        rows = [[-1] * width]
+        finals = set()
+        for w in x_lang.words():
+            q = 0
+            for c in w:
+                row, i = rows[q], index[c]
+                q = row[i]
+                if q < 0:
+                    q = row[i] = len(rows)
+                    rows.append([-1] * width)
+            finals.add(q)
+        return rows, finals
+    dfa = x_lang.dfa()
+    live = _live_states(dfa)
+    rows = [[r if r in live else -1 for r in row] for row in dfa.rows]
+    return rows, dfa.accepting & live
+
+
+def reference_finite_words(dfa):
+    """Every word a DFA accepts, or None when there are infinitely many,
+    for ``Language.to_finite``.
+
+    Kahn's topological order of the live states: states on a cycle
+    never enter it, and a cycle of live states means infinitely many
+    words.  Prefixes are then pushed along the order.
+    """
+    live = _live_states(dfa)
+    indeg = {q: 0 for q in live}
+    for q in live:
+        for r in dfa.rows[q]:
+            if r in live:
+                indeg[r] += 1
+    order = [q for q in live if indeg[q] == 0]
+    for q in order:
+        for r in dfa.rows[q]:
+            if r in live:
+                indeg[r] -= 1
+                if indeg[r] == 0:
+                    order.append(r)
+    if len(order) < len(live):
+        return None
+    prefixes = {q: set() for q in live}
+    if 0 in live:
+        prefixes[0].add("")
+    out = set()
+    for q in order:
+        ws = prefixes[q]
+        if q in dfa.accepting:
+            out.update(ws)
+        for li, c in enumerate(dfa.alphabet):
+            r = dfa.rows[q][li]
+            if r in live:
+                prefixes[r].update(w + c for w in ws)
+    return frozenset(out)
+
+
 def reference_determinize(nfa):
     """Subset construction one ``Nfa.step`` at a time, for ``determinize``.
 

@@ -223,6 +223,15 @@ def test_measure_partial_regular():
     assert measure_partial(fin({"a", "bbb"}), uniform, 2) == Fraction(1, 2)
 
 
+def test_measure_partial_rejects_a_negative_length():
+    uniform = Distribution.uniform(AB)
+    words = fin({"", "a"})
+    for lang in (words, Language.regular(words.nfa())):
+        with pytest.raises(ValueError, match="max_len must be at least 0, got -1"):
+            measure_partial(lang, uniform, -1)
+        assert measure_partial(lang, uniform, 0) == 1
+
+
 @given(finite_sets)
 @settings(max_examples=100, deadline=None)
 def test_kraft_inequality_on_codes(words):

@@ -1,7 +1,16 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codekit.analysis import find_non_factor
+from codekit import analysis, automata
+from codekit.analysis import (
+    CodeVerdict,
+    find_non_factor,
+    is_code,
+    is_prefix_code,
+    sardinas_patterson,
+)
 from codekit.automata import (
     DEFAULT_STATE_CAP,
     Language,
@@ -15,7 +24,6 @@ from codekit.automata import (
     intersect,
     is_empty,
     left_quotient,
-    nfa_from_words,
     shortest_word,
     star,
     truncate,
@@ -30,9 +38,11 @@ from oracles import (
     brute_factors,
     is_universal,
     reference_determinize,
+    reference_finite_words,
     reference_left_quotient,
     reference_product,
     reference_shortest_word,
+    reference_trim,
 )
 
 AB = Alphabet("ab")
@@ -173,7 +183,7 @@ def test_to_finite():
 
 
 def test_determinize_cap():
-    nfa = nfa_from_words({"ab", "ba", "abab"}, AB)
+    nfa = fin({"ab", "ba", "abab"}).nfa()
     with pytest.raises(BudgetExceededError):
         determinize(nfa, state_cap=2)
 
@@ -227,7 +237,7 @@ def test_complement_roundtrip(xs):
 @settings(max_examples=40)
 def test_canonical_key_is_representation_independent(xs):
     as_set = fin(xs)
-    as_nfa = Language.regular(nfa_from_words(xs, AB))
+    as_nfa = Language.regular(fin(xs).nfa())
     assert as_set.canonical_key() == as_nfa.canonical_key()
     assert equivalent(as_set, as_nfa)
 
@@ -236,7 +246,7 @@ def test_canonical_key_is_representation_independent(xs):
 @settings(max_examples=60)
 def test_membership_consistency(xs, w):
     lang = fin(xs)
-    regular = Language.regular(nfa_from_words(xs, AB))
+    regular = Language.regular(fin(xs).nfa())
     assert lang.member(w) == regular.member(w) == regular.dfa().accepts(w)
 
 
@@ -327,3 +337,67 @@ def test_set_algebra_matches_reference_searches(case):
             find_non_factor(x)
     else:
         assert find_non_factor(x) == least
+
+
+def one_expression():
+    return st.sampled_from(["ab", "abc"]).flatmap(
+        lambda letters: st.tuples(st.just(letters), expressions(letters))
+    )
+
+
+def compiled_forms(case):
+    letters, expr = case
+    return both_forms(compile_expression(expr, Alphabet(letters)))
+
+
+@given(one_expression())
+@settings(max_examples=60, deadline=None)
+def test_complement_keeps_the_canonical_table(case):
+    for x in compiled_forms(case):
+        x.dfa()
+        with patch.object(automata, "minimize", wraps=automata.minimize) as calls:
+            out = complement(x)
+        assert calls.call_count == 0
+        assert out.dfa() == Language.regular(out.nfa()).dfa()
+
+
+@given(one_expression())
+@settings(max_examples=80, deadline=None)
+def test_to_finite_matches_reference(case):
+    for lang in compiled_forms(case):
+        got = lang.to_finite()
+        expected = reference_finite_words(lang.dfa())
+        if expected is None:
+            assert got is None
+        else:
+            assert got.words() == expected
+
+
+@given(finite_sets)
+@settings(max_examples=60)
+def test_trie_and_live_dfa_give_the_same_words(xs):
+    words = fin(xs)
+    regular = Language.regular(words.nfa())
+    for lang in (words, regular):
+        assert lang.trim() == reference_trim(lang)
+    longest = max(map(len, xs), default=0)
+    assert words_upto(words, longest) == words_upto(regular, longest) == xs
+
+
+@given(one_expression())
+@settings(max_examples=80, deadline=None)
+def test_code_tests_match_the_pair_search_on_the_reference_table(case):
+    for x in compiled_forms(case):
+        rows, finals = reference_trim(x)
+        verdict = sardinas_patterson(x)
+        if 0 in finals:
+            assert not verdict.is_code
+        else:
+            meeting = analysis._double_factorization(rows, finals)
+            if meeting is None:
+                assert verdict == CodeVerdict(True, None)
+            else:
+                witness = analysis._replay(x, rows, finals, *meeting)
+                assert verdict == CodeVerdict(False, witness)
+        assert is_code(x) == verdict.is_code
+        assert is_prefix_code(x) == all(r < 0 for q in finals for r in rows[q])

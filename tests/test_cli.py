@@ -133,6 +133,17 @@ def test_measure_custom_weights(capsys):
     assert "measure: 7/9" in out
 
 
+def test_measure_rejects_a_negative_length_in_both_forms(capsys):
+    # {eps, a} once measured 0 as words and 1 as an automaton at -1
+    for expr in ("eps|a", "a*"):
+        code, out, err = run(
+            capsys, "measure", "--alphabet", "ab", expr, "--max-len", "-1"
+        )
+        assert code == 3, expr
+        assert out == ""
+        assert "max_len must be at least 0, got -1" in err
+
+
 def test_complete_and_maximal_failures_share_a_non_factor(capsys):
     code, out, _ = run(
         capsys, "complete", "--alphabet", "ab", "aa|bb", "--verify-witness"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from codekit import closed
 from codekit.analysis import is_code, sardinas_patterson, verify_double_factorization
-from codekit.automata import Language, compile_expression, nfa_from_words, star
+from codekit.automata import Language, compile_expression, star
 from codekit.closed import (
     Classification,
     assert_empty_family,
@@ -90,7 +90,7 @@ def test_insertion_never_closed_on_nonempty_code():
 
 
 def test_closedness_on_regular_set():
-    lang = star(Language.regular(nfa_from_words(["ab"], AB)))
+    lang = star(Language.regular(Language.finite(["ab"], AB).nfa()))
     report = is_closed(lang, spec("sigma:2"))
     assert not report.closed
     member, escaped = report.witness
@@ -585,7 +585,7 @@ def test_classify_reports_escapes():
 
 
 def test_classify_on_regular_representation():
-    x = Language.regular(nfa_from_words(sorted(even_class(4)), AB))
+    x = Language.regular(Language.finite(even_class(4), AB).nfa())
     assert not x.is_finite_repr
     assert classify_sigma_closed(x, 2) == Classification("even", n=4)
 
