@@ -4,14 +4,14 @@ Code-ness is decided by Sardinas & Patterson's test read one letter at
 a time: a breadth-first search over pairs of states of the trim
 deterministic automaton ``Language.trim()`` (the trie of a finite X, the
 live part of the canonical DFA otherwise), built once per language and
-shared with the prefix test.  Two runs read the same word and each
-may restart at the initial state right after reaching a final state;
-X is not a code exactly when the runs can part, one restarting while
-the other continues, and later reach final states together.  The search
-visits each pair once, so it ends without an iteration cap.  The one
-search has two readers: ``is_code`` takes the verdict alone, and
-``sardinas_patterson`` also spells, from the search's parent pointers,
-a shortest word with two factorizations.
+shared with the prefix test and its witness.  Two runs read the same
+word and each may restart at the initial state right after reaching a
+final state; X is not a code exactly when the runs can part, one
+restarting while the other continues, and later reach final states
+together.  The search visits each pair once, so it ends without an
+iteration cap.  The one search has two readers: ``is_code`` takes the
+verdict alone, and ``sardinas_patterson`` also spells, from the
+search's parent pointers, a shortest word with two factorizations.
 
 Completeness and maximality are decided by the least-word walk of
 ``automata``: the subset construction (``automata._subsets``) on the
@@ -176,6 +176,45 @@ def is_prefix_code(x_lang: Language) -> bool:
     return all(r < 0 for q in finals for r in rows[q])
 
 
+def _least_tail(rows, sources, targets) -> list[int] | None:
+    """Letter numbers of the length-lex least nonempty word leading from
+    a state in ``sources`` to one in ``targets``, or None.  Breadth-first
+    over groups of states: a group holds the states first reached by its
+    word, and groups are entered in length-lex order of their words."""
+    seen = {-1, *sources}  # -1: no arc
+    queue = [([], list(sources))]
+    for word, group in queue:
+        for i in range(len(rows[0])):
+            fresh = []
+            for q in group:
+                r = rows[q][i]
+                if r in targets:
+                    return word + [i]
+                if r not in seen:
+                    seen.add(r)
+                    fresh.append(r)
+            if fresh:
+                queue.append((word + [i], fresh))
+    return None
+
+
+def _prefix_pair(x_lang: Language) -> tuple[str, str]:
+    """A codeword x and a longer codeword xu of a set that is not a
+    prefix code, read off the trim table: u is the least nonempty word
+    leading from a final state to a final state, and x the least word
+    reaching a final state from which u leads to a final state."""
+    rows, finals = x_lang.trim()
+    letters = x_lang.alphabet.letters
+    tail = _least_tail(rows, finals, finals)
+    ends = {p: p for p in finals}  # where each final state's run of u is
+    for i in tail:
+        ends = {p: r for p, q in ends.items() if (r := rows[q][i]) >= 0}
+    holders = {p for p, q in ends.items() if q in finals}
+    head = [] if 0 in holders else _least_tail(rows, {0}, holders)
+    x = "".join([letters[i] for i in head])
+    return x, x + "".join([letters[i] for i in tail])
+
+
 def is_suffix_code(x_lang: Language) -> bool:
     return is_prefix_code(reverse(x_lang))
 
@@ -271,7 +310,8 @@ def _least_non_factor(x_lang: Language) -> str | None:
     """Length-lex least word outside the factors of the star closure, or
     None when the set is complete (every subset holds an accepting state,
     so a complete set visits all of them)."""
-    return _least_word(factors(star(x_lang)).nfa(), False, DEFAULT_STATE_CAP)
+    nfa = factors(star(x_lang)).nfa()
+    return _least_word(nfa, lambda subset: not subset & nfa.accepting, DEFAULT_STATE_CAP)
 
 
 def find_non_factor(x_lang: Language) -> str:

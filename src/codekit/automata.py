@@ -8,12 +8,14 @@ which also makes canonical DFAs usable as dictionary keys.
 
 One subset construction, ``_subsets`` (Rabin & Scott 1959), carries the
 regular-set algebra, and it enters at most ``DEFAULT_STATE_CAP``
-subsets: ``determinize`` reads its table; products are intersection
-and difference by De Morgan, whose union of two total DFAs enters one
-subset per reachable pair of states; ``left_quotient`` reads its start
-states from the subsets of U's automaton beside X's DFA; least words
-(``shortest_word``, the least non-factor) are the word of the first
-subset that holds, or lacks, an accepting state.
+subsets: ``determinize`` reads its table; ``left_quotient`` reads its
+start states from the subsets of U's automaton beside X's DFA; least
+words are the word of the first subset that passes a test.  Emptiness
+questions on two sets are least words too: ``least_member`` runs the
+construction on both automata side by side, so each subset holds the
+states of both after one word, and it stops at the first member of A
+that B holds, or lacks.  ``shortest_word`` and the least non-factor
+are the one-automaton cases.
 
 Every deterministic walk reads one table, ``Language.trim()``, built
 once per language: the trie of a finite set, else the live part of the
@@ -199,12 +201,6 @@ class Dfa:
             q = self.rows[q][idx(c)]
         return q in self.accepting
 
-    def run(self, q: int, w: str) -> int:
-        idx = self.alphabet.index
-        for c in w:
-            q = self.rows[q][idx(c)]
-        return q
-
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -262,9 +258,9 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return Dfa(nfa.alphabet, tuple(rows), accepting)
 
 
-def _least_word(nfa: Nfa, accepted: bool, state_cap: int) -> str | None:
-    """Length-lex least word whose subset holds an accepting state (with
-    accepted=False: holds none), or None when no subset does.
+def _least_word(nfa: Nfa, test, state_cap: int) -> str | None:
+    """Length-lex least word whose subset passes ``test``, or None when
+    no subset does.
 
     The subset construction stopped at the first such subset: subsets
     are entered in the length-lex order of their least words, so that
@@ -275,7 +271,7 @@ def _least_word(nfa: Nfa, accepted: bool, state_cap: int) -> str | None:
     words: list[str] = []  # each entered subset's least word
     for subset, parent, letter in _subsets(nfa, state_cap, []):
         word = words[parent] + letters[letter] if parent >= 0 else ""
-        if bool(subset & nfa.accepting) == accepted:
+        if test(subset):
             return word
         words.append(word)
     return None
@@ -343,12 +339,6 @@ class Language:
     @staticmethod
     def regular(nfa: Nfa) -> "Language":
         return Language(nfa.alphabet, nfa=nfa)
-
-    @staticmethod
-    def from_dfa(dfa: Dfa) -> "Language":
-        lang = Language(dfa.alphabet, nfa=dfa.to_nfa())
-        lang._dfa = minimize(dfa)
-        return lang
 
     @property
     def is_finite_repr(self) -> bool:
@@ -469,37 +459,15 @@ def complement(a: Language) -> Language:
     return out
 
 
-def intersect(a: Language, b: Language) -> Language:
-    _check_same_alphabet(a, b)
-    if a.is_finite_repr and b.is_finite_repr:
-        return Language.finite(a.words() & b.words(), a.alphabet)
-    if a.is_finite_repr:
-        return Language.finite(
-            {w for w in a.words() if b.member(w)}, a.alphabet
-        )
-    if b.is_finite_repr:
-        return Language.finite(
-            {w for w in b.words() if a.member(w)}, a.alphabet
-        )
-    return difference(a, complement(b))
-
-
-def difference(a: Language, b: Language) -> Language:
-    """A minus B; for a regular A, the complement of (not A) or B, whose
-    subset construction enters one subset per reachable product pair."""
-    if a.is_finite_repr:
-        return Language.finite({w for w in a.words() if not b.member(w)}, a.alphabet)
-    return complement(union(complement(a), b))
-
-
 def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = False) -> Language:
     """Words w with uw in X for some u in U.
 
     The subset construction on U's automaton beside X's canonical DFA
     reads both on the same words; the X state of each subset holding a
     final state of U starts a word of the quotient.  With
-    exclude_epsilon, the empty word is removed from the result:
-    X^{-1}X minus the empty word holds the tails of proper prefix pairs.
+    exclude_epsilon, the quotient starts from one fresh state that is
+    not accepting, which removes the empty word: X^{-1}X minus the
+    empty word holds the tails of proper prefix pairs.
     """
     _check_same_alphabet(u_lang, x_lang)
     nu = u_lang.nfa()
@@ -510,19 +478,14 @@ def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = Fa
         for subset, _, _ in _subsets(nfa_union(nu, base), DEFAULT_STATE_CAP, [])
         if subset & nu.accepting
     }
-    result = Nfa(base.alphabet, base.n, frozenset(starts), base.accepting, base.arcs)
-    out = Language.regular(result)
+    n, initial, arcs = base.n, starts, base.arcs
     if exclude_epsilon:
-        out = difference(out, Language.finite({""}, x_lang.alphabet))
+        # start at a fresh state, not accepting, that moves as all starts do
+        arcs = {**arcs, n: {c: base.step(starts, c) for c in base.alphabet}}
+        n, initial = n + 1, (n,)
+    out = Language.regular(Nfa(base.alphabet, n, initial, base.accepting, arcs))
     fin = out.to_finite()
     return fin if fin is not None else out
-
-
-def right_quotient_word(lang: Language, v: str) -> Language:
-    """Words u with uv in the language, as an automaton."""
-    dfa = lang.dfa()
-    accepting = frozenset(q for q in range(dfa.n) if dfa.run(q, v) in dfa.accepting)
-    return Language.from_dfa(Dfa(dfa.alphabet, dfa.rows, accepting))
 
 
 def factors(lang: Language) -> Language:
@@ -551,11 +514,31 @@ def is_empty(lang: Language) -> bool:
 def shortest_word(lang: Language) -> str | None:
     """Length-lex least member, or None when the language is empty."""
     if lang.is_finite_repr:
-        ws = lang.words()
-        if not ws:
-            return None
-        return min(ws, key=lang.alphabet.lex_key)
-    return _least_word(lang.nfa(), True, DEFAULT_STATE_CAP)
+        return min(lang.words(), key=lang.alphabet.lex_key, default=None)
+    nfa = lang.nfa()
+    return _least_word(nfa, lambda subset: subset & nfa.accepting, DEFAULT_STATE_CAP)
+
+
+def least_member(a: Language, b: Language, in_b: bool) -> str | None:
+    """Length-lex least member of A that B holds (in_b=True) or lacks,
+    or None when there is none.
+
+    A finite A is filtered word by word.  Otherwise the subset
+    construction runs on both automata side by side and stops at the
+    first subset holding a final state of A, and one of B or none.
+    """
+    _check_same_alphabet(a, b)
+    if a.is_finite_repr:
+        hits = [w for w in a.words() if b.member(w) == in_b]
+        return min(hits, key=a.alphabet.lex_key, default=None)
+    na = a.nfa()
+    both = nfa_union(na, b.nfa())
+    b_final = both.accepting - na.accepting
+
+    def test(subset):
+        return bool(subset & na.accepting) and bool(subset & b_final) == in_b
+
+    return _least_word(both, test, DEFAULT_STATE_CAP)
 
 
 def equivalent(a: Language, b: Language) -> bool:
@@ -663,7 +646,8 @@ class _ExprParser:
         node = self.atom()
         while self.peek() == "*":
             self._advance(self.pos + 1)
-            node = ("star", node)
+            if node[0] != "star":  # the star of a star is the star itself
+                node = ("star", node)
         return node
 
     def atom(self):
@@ -691,9 +675,9 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
     """Compile an expression to a Language.
 
     Star-free expressions come back in finite-set form; anything under a
-    star is carried as an automaton.
+    star is carried as an automaton.  Nesting too deep for Python's
+    recursion limit is a ParseError.
     """
-    tree = _ExprParser(text, alphabet).parse()
 
     def eval_node(node) -> Language:
         tag = node[0]
@@ -721,4 +705,7 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
             return star(eval_node(node[1]))
         raise AssertionError(node)
 
-    return eval_node(tree)
+    try:
+        return eval_node(_ExprParser(text, alphabet).parse())
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

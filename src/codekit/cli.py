@@ -26,6 +26,7 @@ from .analysis import (
     Distribution,
     DoubleFactorization,
     _least_non_factor,
+    _prefix_pair,
     _require_code,
     is_code,
     is_prefix_code,
@@ -37,13 +38,9 @@ from .analysis import (
 from .automata import (
     Language,
     compile_expression,
-    difference,
     factors,
-    intersect,
-    left_quotient,
+    least_member,
     reverse,
-    right_quotient_word,
-    shortest_word,
     star,
     truncate,
     union,
@@ -274,23 +271,6 @@ def _emit(payload: dict, fmt: str) -> None:
 
 # --- witnesses --------------------------------------------------------------
 
-def _prefix_pair(lang: Language):
-    """A codeword x and a longer codeword xu: u is the length-lex least
-    nonempty tail, x the least codeword that u extends into X."""
-    if lang.is_finite_repr:
-        words, key = lang.words(), lang.alphabet.lex_key
-        u = min(
-            (y[i:] for y in words for i in range(len(y)) if y[:i] in words), key=key
-        )
-        x = min((x for x in words if x + u in words), key=key)
-        return x, x + u
-    tails = left_quotient(lang, lang, exclude_epsilon=True)
-    u = shortest_word(tails)
-    holders = intersect(lang, right_quotient_word(lang, u))
-    x = shortest_word(holders)
-    return x, x + u
-
-
 def _suffix_pair(lang: Language):
     rx, ry = _prefix_pair(reverse(lang))
     return rx[::-1], ry[::-1]
@@ -484,7 +464,7 @@ def _cmd_extend(args):
 def _cmd_er_complete(args):
     lang = _load_language(args)
     completed = indep_mod.er_complete(lang)
-    added = shortest_word(difference(completed, lang))
+    added = least_member(completed, lang, False)
     sample = [
         format_word(w)
         for w in sorted(words_upto(completed, args.sample_len), key=lang.alphabet.lex_key)
@@ -649,7 +629,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"codekit: error: {e}", file=sys.stderr)
         return 3
-    except (RuntimeError, AssertionError) as e:
+    except Exception as e:
         print(f"codekit: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 5
     try:

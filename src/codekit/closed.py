@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 from .analysis import DoubleFactorization, is_code, is_complete, sardinas_patterson
-from .automata import (
-    Language,
-    difference,
-    is_empty,
-    shortest_word,
-)
+from .automata import Language, is_empty, least_member
 from .errors import BudgetExceededError
 from .transducers import (
     EditRelationSpec,
@@ -116,10 +111,9 @@ def is_closed(x_lang: Language, spec: EditRelationSpec) -> ClosednessReport:
     alphabet = x_lang.alphabet
     machine = build(spec.with_closure("plain"), alphabet)
     img = image(machine, x_lang)
-    escaped = difference(img, x_lang)
-    if is_empty(escaped):
+    y = least_member(img, x_lang, False)
+    if y is None:
         return ClosednessReport(True, None)
-    y = shortest_word(escaped)
     return ClosednessReport(False, (_least_source(spec, x_lang, y), y))
 
 
@@ -522,7 +516,7 @@ def classify_sigma_closed(
     if not report.closed:
         return Classification("not_closed", witness=report.witness)
     short = Language.finite(x_lang.alphabet.words_upto(k), alphabet)
-    if is_empty(difference(x_lang, short)):
+    if least_member(x_lang, short, False) is None:
         return Classification("short_subset", n=k)
     uniform = _length_class(x_lang)
     if uniform is None:
@@ -578,7 +572,7 @@ def sigma_complete_embedding(
     if is_complete(x_lang):
         raise ValueError("precondition failed: input is already complete")
     short = Language.finite(alphabet.words_upto(k), alphabet)
-    if is_empty(difference(x_lang, short)):
+    if least_member(x_lang, short, False) is None:
         fin = x_lang.to_finite()
         if fin is None:
             raise RuntimeError("internal: short set must be finite")

@@ -25,10 +25,8 @@ from .automata import (
     complement,
     concat,
     factors,
-    intersect,
-    is_empty,
+    least_member,
     nfa_universal,
-    shortest_word,
     star,
     union,
 )
@@ -78,10 +76,9 @@ def is_independent(x_lang: Language, spec: EditRelationSpec) -> IndependenceRepo
                 return IndependenceReport(False, (x, y))
         return IndependenceReport(True, None)
     machine = build(spec.with_closure("plain"), alphabet)
-    overlap = intersect(x_lang, image(machine, x_lang))
-    if is_empty(overlap):
+    y = least_member(image(machine, x_lang), x_lang, True)
+    if y is None:
         return IndependenceReport(True, None)
-    y = shortest_word(overlap)
     return IndependenceReport(False, (_least_source(spec, x_lang, y), y))
 
 

@@ -427,7 +427,7 @@ def reference_determinize(nfa):
 
 def reference_product(a, b, keep):
     """Pair product of the canonical DFAs of two languages, for
-    ``intersect`` and ``difference``.
+    ``least_member``.
 
     Breadth-first from the pair of initial states, letters in alphabet
     order; a pair accepts when keep(in A, in B).  No state cap.
@@ -450,7 +450,7 @@ def reference_product(a, b, keep):
     accepting = frozenset(
         i for i, (p, q) in enumerate(order) if keep(p in da.accepting, q in db.accepting)
     )
-    return Language.from_dfa(Dfa(da.alphabet, tuple(rows), accepting))
+    return Language.regular(Dfa(da.alphabet, tuple(rows), accepting).to_nfa())
 
 
 def reference_left_quotient(u_lang, x_lang, exclude_epsilon=False):
@@ -508,6 +508,17 @@ def reference_shortest_word(lang):
                 nxt.append((r, w + c))
         frontier = nxt
     return None
+
+
+def reference_prefix_pair(words, letters):
+    """A codeword x and a longer codeword xu, by enumeration, for
+    ``analysis._prefix_pair``: u is the length-lex least nonempty tail
+    y[i:] of a codeword y whose prefix y[:i] is a codeword, and x the
+    least codeword that u extends into the set."""
+    key = _lenlex(letters)
+    u = min((y[i:] for y in words for i in range(len(y)) if y[:i] in words), key=key)
+    x = min((x for x in words if x + u in words), key=key)
+    return x, x + u
 
 
 # --- channel ------------------------------------------------------------------

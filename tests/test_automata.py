@@ -18,11 +18,10 @@ from codekit.automata import (
     complement,
     concat,
     determinize,
-    difference,
     equivalent,
     factors,
-    intersect,
     is_empty,
+    least_member,
     left_quotient,
     shortest_word,
     star,
@@ -30,7 +29,10 @@ from codekit.automata import (
     union,
     words_upto,
 )
+from codekit.cli import main
+from codekit.closed import is_closed
 from codekit.errors import BudgetExceededError, ParseError
+from codekit.independence import is_independent
 from codekit.transducers import EditRelationSpec, build, image
 from codekit.words import Alphabet, sort_words
 
@@ -40,6 +42,7 @@ from oracles import (
     reference_determinize,
     reference_finite_words,
     reference_left_quotient,
+    reference_prefix_pair,
     reference_product,
     reference_shortest_word,
     reference_trim,
@@ -201,12 +204,12 @@ def test_compiling_a_flat_union_checks_no_letters(monkeypatch):
 
 
 def test_regular_intersection_keeps_the_state_cap():
-    # the two cycles meet again only after 257 * 256 pairs of states
+    # the least word the two sets share has 257 * 256 letters
     assert 257 * 256 > DEFAULT_STATE_CAP
-    a = compile_expression(f"({'a' * 257})*", AB)
-    b = compile_expression(f"({'a' * 256})*", AB)
+    a = compile_expression(f"{'a' * 257}.({'a' * 257})*", AB)
+    b = compile_expression(f"{'a' * 256}.({'a' * 256})*", AB)
     with pytest.raises(BudgetExceededError):
-        intersect(a, b)
+        least_member(a, b, True)
 
 
 def test_alphabet_mismatch():
@@ -219,8 +222,10 @@ def test_alphabet_mismatch():
 def test_boolean_ops_match_sets(xs, ys):
     lx, ly = fin(xs), fin(ys)
     assert union(lx, ly).words() == xs | ys
-    assert intersect(lx, ly).words() == xs & ys
-    assert difference(lx, ly).words() == xs - ys
+    for a in both_forms(lx):
+        for b in both_forms(ly):
+            assert least_member(a, b, True) == min(xs & ys, key=AB.lex_key, default=None)
+            assert least_member(a, b, False) == min(xs - ys, key=AB.lex_key, default=None)
     assert concat(lx, ly).words() == {u + v for u in xs for v in ys}
 
 
@@ -230,7 +235,8 @@ def test_complement_roundtrip(xs):
     lang = fin(xs)
     cc = complement(complement(lang))
     assert equivalent(cc, lang)
-    assert is_empty(intersect(lang, complement(lang)))
+    assert least_member(lang, complement(lang), True) is None
+    assert least_member(complement(lang), lang, True) is None
 
 
 @given(finite_sets)
@@ -321,16 +327,15 @@ def test_set_algebra_matches_reference_searches(case):
     y = compile_expression(expr_y, alphabet)
     for a in both_forms(x):
         for b in both_forms(y):
-            meet = intersect(a, b)
-            assert equivalent(meet, reference_product(a, b, lambda p, q: p and q))
-            rest = difference(a, b)
-            assert equivalent(rest, reference_product(a, b, lambda p, q: p and not q))
+            for in_b in (True, False):
+                product = reference_product(a, b, lambda p, q: p and q == in_b)
+                least = reference_shortest_word(product)
+                assert least_member(a, b, in_b) == shortest_word(product) == least
             for exclude in (False, True):
                 assert equivalent(
                     left_quotient(a, b, exclude), reference_left_quotient(a, b, exclude)
                 )
-            for lang in (meet, rest, b):
-                assert shortest_word(lang) == reference_shortest_word(lang)
+            assert shortest_word(b) == reference_shortest_word(b)
     least = shortest_word(complement(factors(star(x))))
     if least is None:
         with pytest.raises(ValueError):
@@ -401,3 +406,39 @@ def test_code_tests_match_the_pair_search_on_the_reference_table(case):
                 assert verdict == CodeVerdict(False, witness)
         assert is_code(x) == verdict.is_code
         assert is_prefix_code(x) == all(r < 0 for q in finals for r in rows[q])
+
+
+@given(st.frozensets(st.text(alphabet="ab", max_size=5), max_size=8))
+@settings(max_examples=100)
+def test_prefix_pair_matches_reference_on_finite_sets(xs):
+    for x in both_forms(fin(xs)):
+        if not is_prefix_code(x):
+            assert analysis._prefix_pair(x) == reference_prefix_pair(xs, "ab")
+
+
+@given(one_expression())
+@settings(max_examples=80, deadline=None)
+def test_prefix_pair_matches_reference_on_regular_sets(case):
+    for x in compiled_forms(case):
+        if not is_prefix_code(x):
+            # |x| and |u| are each at most the number of trim states
+            words = words_upto(x, 2 * len(x.trim()[0]))
+            expected = reference_prefix_pair(words, x.alphabet.letters)
+            assert analysis._prefix_pair(x) == expected
+
+
+def test_emptiness_questions_build_no_minimal_automaton(capsys):
+    # Moore's loop takes one round per state on a long cycle
+    spec = EditRelationSpec.parse("delta:1")
+    expr = f"b.({'a' * 60})*"
+    counts = []
+    for ask in (
+        lambda: is_closed(compile_expression(expr, AB), spec),
+        lambda: is_independent(compile_expression(expr, AB), spec),
+        lambda: main(["prefix", "--alphabet", "ab", expr]),
+    ):
+        with patch.object(automata, "minimize", wraps=automata.minimize) as spy:
+            ask()
+        counts.append(spy.call_count)
+    assert counts == [0, 0, 1]
+    assert capsys.readouterr().out.endswith(f"witness: b begins or ends b{'a' * 60}\n")

@@ -423,6 +423,18 @@ def test_bad_expression_exits_three(capsys):
     assert "parse error" in err
 
 
+def test_deep_nesting_exits_three(capsys):
+    code, out, err = run(capsys, "code", "--alphabet", "ab", "(" * 1500 + "a" + ")" * 1500)
+    assert (code, out) == (3, "")
+    assert err == "codekit: parse error: expression nested too deeply\n"
+
+
+def test_a_run_of_stars_is_one_star(capsys):
+    assert run(capsys, "code", "--alphabet", "ab", "a" + "*" * 3000) == run(
+        capsys, "code", "--alphabet", "ab", "a*"
+    )
+
+
 def test_missing_alphabet_exits_three(capsys):
     code, _, err = run(capsys, "code", "a|b")
     assert code == 3
@@ -507,7 +519,7 @@ def test_prefix_replay_rejects_a_suffix_pair(capsys, monkeypatch):
     assert err == "codekit: internal error: RuntimeError: internal: witness failed replay\n"
 
 
-@pytest.mark.parametrize("fault", [RuntimeError, AssertionError])
+@pytest.mark.parametrize("fault", [RuntimeError, AssertionError, IndexError, KeyError])
 def test_internal_faults_exit_five(capsys, monkeypatch, fault):
     def handler(args):
         raise fault("inconsistent state")
@@ -516,7 +528,7 @@ def test_internal_faults_exit_five(capsys, monkeypatch, fault):
     code, out, err = run(capsys, "code", "--alphabet", "ab", "a|b", "--format", "json")
     assert code == 5
     assert out == ""
-    assert err == f"codekit: internal error: {fault.__name__}: inconsistent state\n"
+    assert err == f"codekit: internal error: {fault.__name__}: {fault('inconsistent state')}\n"
 
 
 # --- budget channel ---------------------------------------------------------
