@@ -11,7 +11,9 @@ restarting while the other continues, and later reach final states
 together.  The search visits each pair once, so it ends without an
 iteration cap.  The one search has two readers: ``is_code`` takes the
 verdict alone, and ``sardinas_patterson`` also spells, from the
-search's parent pointers, a shortest word with two factorizations.
+search's parent pointers, a shortest word with two factorizations:
+eps = (eps) = (eps)(eps) when the empty word is a member.  The measure
+up to a length is one weighted pass over the same table.
 
 Completeness and maximality are decided by the least-word walk of
 ``automata``: the subset construction (``automata._subsets``) on the
@@ -58,16 +60,6 @@ def verify_double_factorization(witness: DoubleFactorization, x_lang: Language) 
     if "".join(witness.left) != witness.word or "".join(witness.right) != witness.word:
         return False
     return all(x_lang.member(p) for p in witness.left + witness.right)
-
-
-def _epsilon_member_witness(x_lang: Language) -> DoubleFactorization:
-    words = None
-    if x_lang.is_finite_repr:
-        words = [w for w in x_lang.words() if w]
-    if words:
-        x = min(words, key=x_lang.alphabet.lex_key)
-        return DoubleFactorization(x, (x,), ("", x))
-    return DoubleFactorization("", ("",), ("", ""))
 
 
 def _double_factorization(rows, finals) -> tuple[dict[int, int], int, int] | None:
@@ -155,8 +147,8 @@ def _replay(x_lang: Language, rows, finals, parent, node, last) -> DoubleFactori
 def sardinas_patterson(x_lang: Language) -> CodeVerdict:
     """Decide code-ness; failing verdicts carry a replayable witness."""
     rows, finals = x_lang.trim()
-    if 0 in finals:
-        return CodeVerdict(False, _epsilon_member_witness(x_lang))
+    if 0 in finals:  # the empty word is a member: eps = (eps) = (eps)(eps)
+        return CodeVerdict(False, DoubleFactorization("", ("",), ("", "")))
     meeting = _double_factorization(rows, finals)
     if meeting is None:
         return CodeVerdict(True, None)
@@ -198,14 +190,16 @@ def _least_tail(rows, sources, targets) -> list[int] | None:
     return None
 
 
-def _prefix_pair(x_lang: Language) -> tuple[str, str]:
-    """A codeword x and a longer codeword xu of a set that is not a
-    prefix code, read off the trim table: u is the least nonempty word
-    leading from a final state to a final state, and x the least word
-    reaching a final state from which u leads to a final state."""
+def _prefix_pair(x_lang: Language) -> tuple[str, str] | None:
+    """A codeword x and a longer codeword xu, read off the trim table, or
+    None for a prefix code: u is the least nonempty word leading from a
+    final state to a final state, and x the least word reaching a final
+    state from which u leads to a final state."""
     rows, finals = x_lang.trim()
     letters = x_lang.alphabet.letters
     tail = _least_tail(rows, finals, finals)
+    if tail is None:
+        return None
     ends = {p: p for p in finals}  # where each final state's run of u is
     for i in tail:
         ends = {p: r for p, q in ends.items() if (r := rows[q][i]) >= 0}
@@ -259,34 +253,25 @@ def measure_finite(x_lang: Language, dist: Distribution) -> Fraction:
 def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fraction:
     """Measure of the members of length at most max_len.
 
-    Regular languages are handled by weighted dynamic programming over
-    the canonical automaton, so nothing is enumerated.  A negative
-    max_len raises ValueError.
+    One weighted pass over the trim table, a length at a time, for
+    either form of the set, so nothing is enumerated; it stops once no
+    weight is left.  A negative max_len raises ValueError.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be at least 0, got {max_len}")
-    if x_lang.is_finite_repr:
-        return sum(
-            (dist.word_measure(w) for w in x_lang.words() if len(w) <= max_len),
-            Fraction(0),
-        )
-    dfa = x_lang.dfa()
-    weights = [Fraction(0)] * dfa.n
-    weights[0] = Fraction(1)
-    total = Fraction(0)
-    if 0 in dfa.accepting:
-        total += 1
+    rows, finals = x_lang.trim()
+    weights = {0: Fraction(1)}
+    total = Fraction(1 if 0 in finals else 0)
     for _ in range(max_len):
-        nxt = [Fraction(0)] * dfa.n
-        for q, wq in enumerate(weights):
-            if wq == 0:
-                continue
-            row = dfa.rows[q]
-            for li, p in enumerate(dist.probs):
-                nxt[row[li]] += wq * p
+        nxt: dict[int, Fraction] = {}
+        for q, wq in weights.items():
+            for r, p in zip(rows[q], dist.probs):
+                if r >= 0:
+                    nxt[r] = nxt.get(r, 0) + wq * p
+        if not nxt:
+            break
         weights = nxt
-        for q in dfa.accepting:
-            total += weights[q]
+        total += sum((wq for q, wq in weights.items() if q in finals), Fraction(0))
     return total
 
 

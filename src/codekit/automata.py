@@ -144,14 +144,14 @@ def _shift(arcs, offset):
 
 
 def nfa_union(a: Nfa, b: Nfa) -> Nfa:
-    arcs = {s: dict(by) for s, by in a.arcs.items()}
-    arcs.update(_shift(b.arcs, a.n))
+    """The automata side by side: a's states as they are, b's after them,
+    so only b's arcs are renumbered."""
     return Nfa(
         a.alphabet,
         a.n + b.n,
         a.initial | {s + a.n for s in b.initial},
         a.accepting | {s + a.n for s in b.accepting},
-        arcs,
+        {**a.arcs, **_shift(b.arcs, a.n)},
     )
 
 
@@ -222,17 +222,25 @@ def _subsets(nfa: Nfa, state_cap: int, rows: list):
     ``rows`` and raises when it would enter more than state_cap subsets.
     """
     letters = nfa.alphabet.letters
-    # moves[i][q]: q's successors under letter i, closed under empty moves
+    # moves[i][q]: q's successors under letter i, closed under empty
+    # moves, filled when q is first visited: a search that stops early
+    # pays only for the states it reaches
     moves: list[dict[int, frozenset]] = [{} for _ in letters]
-    for li, c in enumerate(letters):
-        for q, by_label in nfa.arcs.items():
-            if c in by_label:
-                moves[li][q] = nfa.eps_closure(by_label[c])
+    visited: set[int] = set()
     start = nfa.eps_closure(nfa.initial)
     number = {start: 0}
     order = [start]
     yield start, -1, -1
     for i, subset in enumerate(order):
+        # most subsets hold visited states only, and this test is cheaper
+        # than the difference
+        if not subset <= visited:
+            for q in subset - visited:
+                visited.add(q)
+                by_label = nfa.arcs.get(q, {})
+                for move, c in zip(moves, letters):
+                    if c in by_label:
+                        move[q] = nfa.eps_closure(by_label[c])
         row = []
         for li, move in enumerate(moves):
             nxt = frozenset().union(*[move[q] for q in subset if q in move])
@@ -531,12 +539,14 @@ def least_member(a: Language, b: Language, in_b: bool) -> str | None:
     if a.is_finite_repr:
         hits = [w for w in a.words() if b.member(w) == in_b]
         return min(hits, key=a.alphabet.lex_key, default=None)
-    na = a.nfa()
-    both = nfa_union(na, b.nfa())
-    b_final = both.accepting - na.accepting
+    # B goes first, so only A's arcs are renumbered: a large B costs only
+    # the states the search reaches
+    nb = b.nfa()
+    both = nfa_union(nb, a.nfa())
+    a_final = both.accepting - nb.accepting
 
     def test(subset):
-        return bool(subset & na.accepting) and bool(subset & b_final) == in_b
+        return bool(subset & a_final) and bool(subset & nb.accepting) == in_b
 
     return _least_word(both, test, DEFAULT_STATE_CAP)
 

@@ -29,8 +29,6 @@ from .analysis import (
     _prefix_pair,
     _require_code,
     is_code,
-    is_prefix_code,
-    is_suffix_code,
     measure_partial,
     sardinas_patterson,
     verify_double_factorization,
@@ -272,8 +270,9 @@ def _emit(payload: dict, fmt: str) -> None:
 # --- witnesses --------------------------------------------------------------
 
 def _suffix_pair(lang: Language):
-    rx, ry = _prefix_pair(reverse(lang))
-    return rx[::-1], ry[::-1]
+    """The prefix pair of the set reversed once, or None for a suffix code."""
+    pair = _prefix_pair(reverse(lang))
+    return pair and (pair[0][::-1], pair[1][::-1])
 
 
 def _render_pair(middle: str):
@@ -340,22 +339,20 @@ def _affix(args, name, lang, pair, relation):
 
 def _cmd_prefix(args):
     lang = _load_language(args)
-    pair = None if is_prefix_code(lang) else _prefix_pair(lang)
-    return _affix(args, "prefix-code", lang, pair, str.startswith)
+    return _affix(args, "prefix-code", lang, _prefix_pair(lang), str.startswith)
 
 
 def _cmd_suffix(args):
     lang = _load_language(args)
-    pair = None if is_suffix_code(lang) else _suffix_pair(lang)
-    return _affix(args, "suffix-code", lang, pair, str.endswith)
+    return _affix(args, "suffix-code", lang, _suffix_pair(lang), str.endswith)
 
 
 def _cmd_bifix(args):
     lang = _load_language(args)
-    if not is_prefix_code(lang):
-        return _affix(args, "bifix-code", lang, _prefix_pair(lang), str.startswith)
-    pair = None if is_suffix_code(lang) else _suffix_pair(lang)
-    return _affix(args, "bifix-code", lang, pair, str.endswith)
+    pair = _prefix_pair(lang)
+    if pair is not None:
+        return _affix(args, "bifix-code", lang, pair, str.startswith)
+    return _affix(args, "bifix-code", lang, _suffix_pair(lang), str.endswith)
 
 
 def _cmd_measure(args):

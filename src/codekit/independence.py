@@ -6,6 +6,9 @@ antireflexive restriction.  Three regimes on infinite regular inputs
 are open problems and surface as UnsupportedError: independence for
 S_k and Lambda_k with k >= 2 (Q1), error correction (Q2), and
 code-ness of the antireflexive image in the same S/Lambda regime (Q3).
+Either form of a dependent set gives one witness: the least member x
+whose image meets X, then x's least hit; a regular set finds x in the
+image of X under the inverse relation.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .automata import (
 from .errors import UnsupportedError
 from .transducers import (
     EditRelationSpec,
-    _least_source,
+    _least_hit,
     build,
-    image,
+    inverse_spec,
     relation_image,
     relation_image_word,
 )
@@ -75,11 +78,11 @@ def is_independent(x_lang: Language, spec: EditRelationSpec) -> IndependenceRepo
                 y = min(hits, key=alphabet.lex_key)
                 return IndependenceReport(False, (x, y))
         return IndependenceReport(True, None)
-    machine = build(spec.with_closure("plain"), alphabet)
-    y = least_member(image(machine, x_lang), x_lang, True)
-    if y is None:
+    x = least_member(relation_image(inverse_spec(bar), alphabet, x_lang), x_lang, True)
+    if x is None:
         return IndependenceReport(True, None)
-    return IndependenceReport(False, (_least_source(spec, x_lang, y), y))
+    y = _least_hit(build(spec.with_closure("plain"), alphabet), x, x_lang)
+    return IndependenceReport(False, (x, y))
 
 
 def is_error_correcting(

@@ -10,18 +10,22 @@ the plain relation only: the reflexive and antireflexive closures are
 applied to the images they produce.
 
 ``image`` runs a machine on a language through the product automaton,
-under the state cap of ``automata.determinize``.
+under the state cap of ``automata.determinize``, and returns that
+automaton, for a finite language too.
 ``image_word`` runs it on one word by a single pass over the grid of
 positions in the word times machine states; the normal form leaves
-that grid without a cycle, so every word has a finite image.
+that grid without a cycle, so every word has a finite image.  Both read
+the arc index each machine builds once.  The least member of a set in
+the image of one word, a least source say, is a least-word search on
+that word's image automaton: the image is never spelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .automata import DEFAULT_STATE_CAP, EPS, Language, Nfa, union as lang_union
+from .automata import DEFAULT_STATE_CAP, EPS, Language, Nfa, least_member, union as lang_union
 from .errors import BudgetExceededError, ParseError
 from .words import Alphabet
 
@@ -104,10 +108,12 @@ class Transducer:
             if x == EPS and dst <= src:
                 raise ValueError("an arc reading epsilon must move to a higher state")
 
-    def arcs_by_state(self) -> dict[int, list[tuple[str, str, int]]]:
-        out: dict[int, list[tuple[str, str, int]]] = {}
+    @cached_property
+    def moves(self) -> dict[tuple[int, str], list[tuple[str, int]]]:
+        """Arc index: (state, letter read or eps) -> [(written, target)]."""
+        out: dict[tuple[int, str], list[tuple[str, int]]] = {}
         for src, x, y, dst in self.arcs:
-            out.setdefault(src, []).append((x, y, dst))
+            out.setdefault((src, x), []).append((y, dst))
         return out
 
 
@@ -166,11 +172,12 @@ def image(t: Transducer, lang: Language) -> Language:
     """Apply the relation to every member of the language.
 
     The product of the language's automaton and the machine holds at
-    most ``automata.DEFAULT_STATE_CAP`` states.  The result of a finite
-    input is returned in finite-set form whenever it is finite.
+    most ``automata.DEFAULT_STATE_CAP`` states.  The result is always
+    held as that automaton; a caller that needs its words calls
+    ``to_finite``.
     """
     nfa = lang.nfa()
-    t_by = t.arcs_by_state()
+    moves = t.moves
     index: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
 
@@ -187,9 +194,9 @@ def image(t: Transducer, lang: Language) -> Language:
             order.append(pq)
         return i
 
-    for p in sorted(nfa.initial):
-        for q in sorted(t.initial):
-            node((p, q))
+    initial = frozenset(
+        [node((p, q)) for p in sorted(nfa.initial) for q in sorted(t.initial)]
+    )
     arcs: dict[int, dict[str, set[int]]] = {}
 
     def arc(src, lbl, dst):
@@ -198,28 +205,19 @@ def image(t: Transducer, lang: Language) -> Language:
     i = 0
     while i < len(order):
         p, q = order[i]
-        for p2 in nfa.successors(p, EPS):
-            arc(i, EPS, node((p2, q)))
-        for x, y, q2 in t_by.get(q, ()):
-            if x == EPS:
-                arc(i, y, node((p, q2)))
-            else:
-                for p2 in nfa.successors(p, x):
+        for y, q2 in moves.get((q, EPS), ()):
+            arc(i, y, node((p, q2)))
+        for x, dsts in nfa.arcs.get(p, {}).items():
+            # the automaton's empty moves leave the machine where it is
+            for y, q2 in moves.get((q, x), ()) if x else [(EPS, q)]:
+                for p2 in dsts:
                     arc(i, y, node((p2, q2)))
         i += 1
     accepting = frozenset(
         i for i, (p, q) in enumerate(order) if p in nfa.accepting and q in t.accepting
     )
-    initial = frozenset(
-        index[(p, q)] for p in nfa.initial for q in t.initial
-    )
     frozen = {s: {lbl: frozenset(d) for lbl, d in by.items()} for s, by in arcs.items()}
-    out = Language.regular(Nfa(nfa.alphabet, len(order), initial, accepting, frozen))
-    if lang.is_finite_repr:
-        fin = out.to_finite()
-        if fin is not None:
-            return fin
-    return out
+    return Language.regular(Nfa(nfa.alphabet, len(order), initial, accepting, frozen))
 
 
 def image_word(t: Transducer, w: str) -> frozenset[str]:
@@ -233,9 +231,7 @@ def image_word(t: Transducer, w: str) -> frozenset[str]:
     complete when the pass reaches it.  Only two positions are held.
     """
     t.alphabet.check_word(w)
-    moves: dict[tuple[int, str], list[tuple[str, int]]] = {}
-    for src, x, y, dst in t.arcs:
-        moves.setdefault((src, x), []).append((y, dst))
+    moves = t.moves
     states = range(t.n)
     nxt: list[set[str]] = [{""} if q in t.initial else set() for q in states]
     for c in [*w, None]:
@@ -259,11 +255,16 @@ def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> f
     return base
 
 
-def _least_source(spec: EditRelationSpec, lang: Language, y: str) -> str:
+def _least_hit(t: Transducer, w: str, lang: Language) -> str | None:
+    """Length-lex least member of the language in the image of one word,
+    or None, read off the word's image automaton."""
+    return least_member(image(t, Language.finite((w,), t.alphabet)), lang, True)
+
+
+def _least_source(spec: EditRelationSpec, lang: Language, y: str) -> str | None:
     """Length-lex least member of the language whose plain image holds y."""
-    back = inverse_spec(spec.with_closure("plain"))
-    hits = [x for x in relation_image_word(back, lang.alphabet, y) if lang.member(x)]
-    return min(hits, key=lang.alphabet.lex_key)
+    back = build(inverse_spec(spec.with_closure("plain")), lang.alphabet)
+    return _least_hit(back, y, lang)
 
 
 def relation_image(spec: EditRelationSpec, alphabet: Alphabet, lang: Language) -> Language:

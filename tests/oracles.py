@@ -521,6 +521,20 @@ def reference_prefix_pair(words, letters):
     return x, x + u
 
 
+_INVERSE_KIND = {"delta": "iota", "iota": "delta", "Delta": "I", "I": "Delta"}
+
+
+def reference_least_source(kind, k, lang, y):
+    """Length-lex least member x of the language whose image under the
+    plain relation kind:k holds y, or None: spell the inverse image of y
+    and test each of its words for membership, as
+    ``transducers._least_source`` did before it searched the image
+    automaton."""
+    back = EditOracle(lang.alphabet.letters).image(y, _INVERSE_KIND.get(kind, kind), k)
+    hits = [x for x in back if lang.member(x)]
+    return min(hits, key=_lenlex(lang.alphabet.letters), default=None)
+
+
 # --- channel ------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Exit codes, witness lines, and report formats of the command line tool."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codekit import cli
+from codekit import automata, cli
 from codekit.automata import Language
 from codekit.cli import main
 from codekit.words import Alphabet
@@ -368,6 +370,63 @@ def test_simulate_is_reproducible(capsys):
     assert "correction_rate: 1" in first
     code, second, _ = run(capsys, *argv)
     assert first == second
+
+
+# --- one answer per set, whatever its form ---------------------------------
+
+VERDICT_ARGVS = [
+    ["code"], ["prefix"], ["suffix"], ["bifix"], ["complete"], ["maximal"],
+    *(["independent", "--rel", rel] for rel in (
+        "delta:1", "iota:1", "sigma:1", "sigma:2", "Delta:2", "S:1", "S:2",
+        "Lambda:1", "Lambda:2",
+    )),
+    *(["errcorrect", "--rel", rel] for rel in ("delta:1", "sigma:1", "Lambda:1")),
+    *(["image-code", "--rel", rel, "--closure", closure]
+      for rel in ("delta:1", "sigma:1") for closure in ("hat", "bar")),
+    *(["closed", "--rel", rel] for rel in ("delta:1", "iota:1", "sigma:1")),
+    *(["classify-closed", "--rel", rel] for rel in ("sigma:1", "Sigma:1")),
+]
+
+
+def run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sets(st.text(alphabet="ab", max_size=4), min_size=1, max_size=5))
+def test_both_forms_print_the_same_report(words):
+    # X is held as words, (X).eps* as an automaton
+    expr = "|".join(w or "eps" for w in words)
+    argvs = [[*argv, "--verify-witness"] for argv in VERDICT_ARGVS]
+    for command, *options in [*argvs, ["measure", "--max-len", "5"]]:
+        for fmt in ("text", "json"):
+            reports = [
+                run_quietly(command, "--alphabet", "ab", form, *options, "--format", fmt)
+                for form in (expr, f"({expr}).eps*")
+            ]
+            assert reports[0] == reports[1], (command, options, fmt)
+
+
+@pytest.mark.parametrize("expr", ["eps|a", "(eps|a).eps*", "a*"])
+def test_empty_word_member_witness_is_the_empty_word(capsys, expr):
+    code, out, _ = run(capsys, "code", "--alphabet", "ab", expr, "--verify-witness")
+    assert code == 1
+    assert "witness: eps = (eps) = (eps)(eps)\n" in out
+    code, out, _ = run(capsys, "image-code", "--alphabet", "ab", expr, "--rel",
+                       "delta:1", "--closure", "hat", "--verify-witness")
+    assert code == 1
+    assert "witness: eps = (eps) = (eps)(eps)\n" in out
+
+
+def test_failing_suffix_reverses_the_set_once(capsys):
+    with patch.object(automata, "minimize", wraps=automata.minimize) as spy:
+        code, out, _ = run(capsys, "suffix", "--alphabet", "ab", "(ba)*.(a|bb)")
+    assert code == 1
+    assert out.endswith("witness: a begins or ends baa\n")
+    assert spy.call_count == 1
 
 
 # --- unsupported channel ----------------------------------------------------

@@ -121,6 +121,25 @@ def test_independence_symmetric_under_inversion(words, rel):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    small_sets(),
+    st.sampled_from(["delta:1", "iota:1", "sigma:1", "sigma:2", "S:1", "Lambda:1"]),
+)
+def test_both_forms_give_one_independence_witness(words, rel):
+    # the least member whose image meets X, then its least hit
+    finite = fin(words)
+    report = is_independent(Language.regular(finite.nfa()), spec(rel))
+    assert report == is_independent(finite, spec(rel))
+
+
+def test_regular_witness_is_the_least_dependent_member():
+    # aba is the least image of ab, but ab is the least member with a hit
+    for expr in ("aba|ab", "(aba|ab).eps*"):
+        report = is_independent(compile_expression(expr, AB), spec("Lambda:1"))
+        assert report.witness == ("ab", "aba"), expr
+
+
 # --- error correction -------------------------------------------------------
 
 def test_repetition_code_corrects_one_substitution():

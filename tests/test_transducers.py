@@ -3,10 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codekit.automata import Language
+from unittest.mock import patch
+
+from codekit.automata import Language, compile_expression, star
 from codekit.errors import ParseError
 from codekit.transducers import (
+    KINDS,
     EditRelationSpec,
+    _least_source,
     build,
     image,
     image_word,
@@ -16,7 +20,7 @@ from codekit.transducers import (
 )
 from codekit.words import Alphabet
 
-from oracles import EditOracle, hamming, levenshtein
+from oracles import EditOracle, hamming, levenshtein, reference_least_source
 
 AB = Alphabet("ab")
 BITS = Alphabet("01")
@@ -68,7 +72,7 @@ def test_normal_form_guard():
 def test_delta_image_paper_set():
     x = Language.finite({"aaaa", "aaab", "abb", "bab"}, AB)
     got = image(build(spec("delta:1"), AB), x)
-    assert got.words() == {"aaa", "aab", "ab", "ba", "bb"}
+    assert got.to_finite().words() == {"aaa", "aab", "ab", "ba", "bb"}
 
 
 def test_sigma_images():
@@ -172,7 +176,7 @@ def test_relation_image_word_closures():
 def test_relation_image_language_closures():
     x = Language.finite({"ab"}, AB)
     hat = relation_image(spec("delta:1:hat"), AB, x)
-    assert hat.words() == {"ab", "a", "b"}
+    assert hat.to_finite().words() == {"ab", "a", "b"}
     bar = relation_image(spec("S:2:bar"), AB, x)
     assert "ab" not in bar.words()
     from codekit.automata import compile_expression
@@ -195,3 +199,27 @@ def test_image_regular_language():
     assert not got.member("")
     assert not got.member("ab")
     assert not equivalent(got, lang)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sets(st.text(alphabet="ab", max_size=3), min_size=1, max_size=4),
+    st.sampled_from(KINDS),
+    st.integers(1, 2),
+    st.text(alphabet="ab", max_size=4),
+)
+def test_least_source_matches_reference(words, kind, k, y):
+    finite = Language.finite(words, AB)
+    for lang in (finite, Language.regular(finite.nfa()), star(finite)):
+        want = reference_least_source(kind, k, lang, y)
+        assert _least_source(EditRelationSpec(kind, k), lang, y) == want
+
+
+def test_least_source_tests_no_member():
+    # the least source of an escaped word of (a^80)* under delta:3 was
+    # found by testing 85401 words of its inverse image one at a time
+    lang = compile_expression(f"({'a' * 80})*", AB)
+    with patch.object(Language, "member", side_effect=AssertionError) as member:
+        source = _least_source(spec("delta:3"), lang, "a" * 77)
+    assert source == "a" * 80
+    assert member.call_count == 0
