@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import DEFAULT_STATE_CAP, Language, _least_word, factors, reverse, star
+from .errors import PreconditionError
 from .words import Alphabet
 
 
@@ -282,7 +283,9 @@ def is_complete(x_lang: Language) -> bool:
 
 def _require_code(x_lang: Language) -> None:
     if not is_code(x_lang):
-        raise ValueError("maximality is only defined for codes; input is not a code")
+        raise PreconditionError(
+            "maximality is only defined for codes; input is not a code"
+        )
 
 
 def is_maximal_code(x_lang: Language) -> bool:

@@ -12,11 +12,12 @@ a parity class, or everything, and closed codes follow suit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 
 from .analysis import DoubleFactorization, is_code, is_complete, sardinas_patterson
 from .automata import Language, is_empty, least_member
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PreconditionError
 from .transducers import (
     EditRelationSpec,
     _least_source,
@@ -186,15 +187,45 @@ def _deletions(universe: list[str]):
     return deletions
 
 
-def _delta_units(
-    k: int, alphabet: Alphabet, taken: frozenset[str] = frozenset()
-) -> list[tuple[tuple[str], frozenset[str]]]:
-    """Search units for the deletion searches: each universe word not
-    taken, with its k-deletion image, which a closed set must hold
-    before the word may join it."""
+def _latest_need(w: str, k: int, rank: dict[str, int]) -> str | None:
+    """The lex-greatest word left after deleting k letters of w, with
+    letters ranked by ``rank``; None when w is shorter than k.
+
+    One greedy stack scan (the "remove k digits" scan): a letter pops
+    each smaller letter before it while deletions are left, and the
+    deletions still left at the end come off the tail.
+    """
+    if len(w) < k:
+        return None
+    kept: list[str] = []
+    for c in w:
+        while k and kept and rank[kept[-1]] < rank[c]:
+            kept.pop()
+            k -= 1
+        kept.append(c)
+    return "".join(kept[: len(kept) - k])
+
+
+def _delta_units(k: int, alphabet: Alphabet, taken: frozenset[str] = frozenset()):
+    """Search units for the deletion searches, one per universe word w
+    not taken: ``((w,), latest, needs)``.
+
+    ``needs()`` builds w's k-deletion image, which a closed set must
+    hold before w may join it.  It is memoized, and the walk calls it
+    only for the units it wakes.  The image's words all have |w| - k
+    letters and the universe is in length-lex order, so the image word
+    that comes last in the universe is its lex-greatest: ``latest``,
+    found by ``_latest_need`` without building the image (None for a
+    word shorter than k, whose image is empty).
+    """
     universe = _delta_universe(k, alphabet)
     deletions = _deletions(universe)
-    return [((w,), deletions(w, k)) for w in universe if w not in taken]
+    rank = {c: i for i, c in enumerate(alphabet.letters)}
+    return [
+        ((w,), _latest_need(w, k, rank), partial(deletions, w, k))
+        for w in universe
+        if w not in taken
+    ]
 
 
 def _delta_closures(k: int, universe: list[str]):
@@ -235,10 +266,15 @@ def _grow_dangling(
     for n in added:
         if not n or n in dangling:
             return None
+        size = len(n)
         fresh = []
-        for v in chain(words, dangling):
-            if v.startswith(n):
-                u = v[len(n) :]
+        # one startswith per word: only a word at least as long as n can
+        # start with it, and only a shorter one can start n
+        for v in words:
+            if len(v) >= size:
+                if not v.startswith(n):
+                    continue
+                u = v[size:]
             elif n.startswith(v):
                 u = n[len(v) :]
             else:
@@ -247,14 +283,29 @@ def _grow_dangling(
                 return None
             if u:  # empty only when v is n itself
                 fresh.append(u)
+        for v in dangling:  # n is not among them, so no quotient is empty
+            if len(v) >= size:
+                if not v.startswith(n):
+                    continue
+                u = v[size:]
+            elif n.startswith(v):
+                u = n[len(v) :]
+            else:
+                continue
+            if u in words:
+                return None
+            fresh.append(u)
         while fresh:
             d = fresh.pop()
             if d in grown or d in dangling:
                 continue
             grown.add(d)
+            size = len(d)
             for x in words:
-                if x.startswith(d):
-                    u = x[len(d) :]
+                if len(x) >= size:
+                    if not x.startswith(d):
+                        continue
+                    u = x[size:]
                 elif d.startswith(x):
                     u = d[len(x) :]
                 else:
@@ -268,9 +319,11 @@ def _grow_dangling(
 def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budget):
     """Pre-order walk over the codes base | u_i | u_j | ... with i < j.
 
-    A unit ``(words, needs)`` may join a set that already holds all of
-    ``needs``.  Each joined set spends one budget unit; only the codes
-    among them are yielded and extended.  ``base`` must be a code.
+    A unit ``(words, latest, needs)`` may join a set that already holds
+    all of ``needs()``, a set of words of one length; ``latest`` is its
+    length-lex greatest word, or None when it is empty.  Each joined set
+    spends one budget unit; only the codes among them are yielded and
+    extended.  ``base`` must be a code.
 
     Each level carries the dangling suffixes of its code (see
     ``_grow_dangling``), and a joined set is tested by growing its
@@ -284,22 +337,35 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
     after the last one joined whose needs the set already holds.  A
     child keeps the rest of its parent's list and merges in the units
     that its joined unit wakes: those whose latest needed unit it is,
-    and whose other needs the set holds.  Units with no needs outside
-    ``base`` are ready from the start; a unit needing a word that no
-    earlier unit holds can never join.  So the walk visits the same
+    and whose other needs the set holds.  Each word sits in one unit,
+    and units come in the length-lex order of their words, so the
+    latest needed unit holds ``latest``, unless ``latest`` is in
+    ``base``; only then are the needs built up front, to take the
+    latest unit among those outside ``base``.  Units with no needs
+    outside ``base`` are ready from the start; a unit needing a word
+    that no unit holds can never join.  The needs of the units a unit
+    wakes are built when it first joins a code, once, so units that no
+    code reaches cost one ``latest`` each.  The walk visits the same
     sets in the same order as a scan of every later unit would, without
-    testing the units that cannot join.  Each word sits in one unit.
+    testing the units that cannot join.
     """
-    unit_of = {w: i for i, (words, _) in enumerate(units) for w in words}
+    unit_of = {w: i for i, (words, _, _) in enumerate(units) for w in words}
     never = len(units)
     ready: list[int] = []
     wakes: list[list[int]] = [[] for _ in units]
-    for j, (_, needs) in enumerate(units):
-        last = max((unit_of.get(w, never) for w in needs - base), default=-1)
+    for j, (_, latest, needs) in enumerate(units):
+        if latest is None:
+            last = -1
+        elif latest in base:
+            last = max((unit_of.get(w, never) for w in needs() - base), default=-1)
+        else:
+            last = unit_of.get(latest, never)
         if last < 0:
             ready.append(j)
         elif last < j:
             wakes[last].append(j)
+    # wakes[i] with each unit's needs, built when unit i first joins a code
+    waking: list[list[tuple[int, frozenset[str]]] | None] = [None] * len(units)
 
     def walk(current: frozenset[str], dangling: frozenset[str], ready: list[int]):
         for pos, i in enumerate(ready):
@@ -310,7 +376,10 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
             if grown is not None:
                 yield candidate
                 rest = ready[pos + 1 :]
-                woken = [j for j in wakes[i] if units[j][1] <= candidate]
+                sleepers = waking[i]
+                if sleepers is None:
+                    sleepers = waking[i] = [(j, units[j][2]()) for j in wakes[i]]
+                woken = [j for j, needs in sleepers if needs <= candidate]
                 yield from walk(
                     candidate, grown, sorted(rest + woken) if woken else rest
                 )
@@ -338,10 +407,19 @@ def enumerate_delta_closed(
     Streams codes in the order induced by adding universe words left to
     right, so prefixes of the stream are reproducible.  Every yielded
     set has been checked closed and uniquely decodable.  A limit stops
-    the stream after that many codes; a negative limit raises ValueError.
+    the stream after that many codes.  A negative limit or a defect
+    count below 1 raises ValueError at the call; the search units are
+    built on the first ``next()``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
+    delta_length_bound(k)  # raises for a defect count below 1
+    return _delta_closed_codes(k, alphabet, limit, candidate_budget)
+
+
+def _delta_closed_codes(
+    k: int, alphabet: Alphabet, limit: int | None, candidate_budget: int
+):
     units = _delta_units(k, alphabet)
     budget = _Budget(
         candidate_budget, f"enumerating over a universe of {len(units)} words"
@@ -357,10 +435,10 @@ def _require_delta_closed_code(x_lang: Language, k: int) -> frozenset[str]:
         raise ValueError("deletion-closed analysis needs a finite set")
     spec = EditRelationSpec("delta", k)
     if not is_code(fin):
-        raise ValueError("precondition failed: input is not a code")
+        raise PreconditionError("precondition failed: input is not a code")
     report = is_closed(fin, spec)
     if not report.closed:
-        raise ValueError(
+        raise PreconditionError(
             f"precondition failed: input is not closed under {spec.render()}"
         )
     return fin.words()
@@ -423,7 +501,7 @@ def assert_empty_family(
         raise ValueError("a nonempty finite candidate code is required")
     alphabet = x_lang.alphabet
     if not is_code(fin):
-        raise ValueError("precondition failed: input is not a code")
+        raise PreconditionError("precondition failed: input is not a code")
     x = min(fin.words(), key=alphabet.lex_key)
     k = spec.k
     if spec.kind in ("iota", "I"):
@@ -568,9 +646,9 @@ def sigma_complete_embedding(
     """
     alphabet = x_lang.alphabet
     if not is_code(x_lang):
-        raise ValueError("precondition failed: input is not a code")
+        raise PreconditionError("precondition failed: input is not a code")
     if is_complete(x_lang):
-        raise ValueError("precondition failed: input is already complete")
+        raise PreconditionError("precondition failed: input is already complete")
     short = Language.finite(alphabet.words_upto(k), alphabet)
     if least_member(x_lang, short, False) is None:
         fin = x_lang.to_finite()
@@ -603,7 +681,8 @@ def _short_embedding_search(
     budget.spend()
     if _grow_dangling(forced, frozenset(), forced) is None:
         return []
-    free = [(unit, frozenset()) for unit in units if not unit & words]
+    # orbit units need nothing: their needs() is frozenset(), the empty set
+    free = [(unit, None, frozenset) for unit in units if not unit & words]
     return _complete_extensions(forced, free, alphabet, budget)
 
 

@@ -40,3 +40,12 @@ class BudgetExceededError(CodekitError):
         self.budget = budget
         self.observed = observed
         super().__init__(message)
+
+
+class PreconditionError(CodekitError, ValueError):
+    """An input outside a routine's domain: not a code, not closed or
+    independent as required, or already complete.
+
+    It is a ValueError too, as those routines documented before it had
+    a type of its own.
+    """

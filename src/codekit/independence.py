@@ -33,7 +33,7 @@ from .automata import (
     star,
     union,
 )
-from .errors import UnsupportedError
+from .errors import PreconditionError, UnsupportedError
 from .transducers import (
     EditRelationSpec,
     _least_hit,
@@ -135,10 +135,10 @@ def underline_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVer
 def is_maximal_independent(x_lang: Language, spec: EditRelationSpec) -> bool:
     """Within the family of independent codes, maximal iff complete."""
     if not is_code(x_lang):
-        raise ValueError("precondition failed: input is not a code")
+        raise PreconditionError("precondition failed: input is not a code")
     report = is_independent(x_lang, spec)
     if not report.independent:
-        raise ValueError(
+        raise PreconditionError(
             f"precondition failed: input is not independent under {spec.render()}"
         )
     return is_complete(x_lang)
@@ -153,15 +153,15 @@ def witness_independent_extension(x_lang: Language, spec: EditRelationSpec) -> s
     """
     alphabet = x_lang.alphabet
     if not is_code(x_lang):
-        raise ValueError("precondition failed: input is not a code")
+        raise PreconditionError("precondition failed: input is not a code")
     report = is_independent(x_lang, spec)
     if not report.independent:
-        raise ValueError(
+        raise PreconditionError(
             f"precondition failed: input is not independent under {spec.render()}"
         )
     v = _least_non_factor(x_lang)
     if v is None:
-        raise ValueError("precondition failed: input is already complete")
+        raise PreconditionError("precondition failed: input is already complete")
     base = v * (spec.k + 1)
     w = base + unbordered_extension(base, alphabet)
     extended = union(x_lang, Language.finite((w,), alphabet))
@@ -188,10 +188,10 @@ def er_complete(x_lang: Language) -> Language:
     """
     alphabet = x_lang.alphabet
     if not is_code(x_lang):
-        raise ValueError("precondition failed: input is not a code")
+        raise PreconditionError("precondition failed: input is not a code")
     v = _least_non_factor(x_lang)
     if v is None:
-        raise ValueError("precondition failed: input is already complete")
+        raise PreconditionError("precondition failed: input is already complete")
     w = _least_unbordered_non_factor(v, factors(star(x_lang)))
     universe = Language.regular(nfa_universal(alphabet))
     w_lang = Language.finite((w,), alphabet)
@@ -238,7 +238,7 @@ def check_constraints(x_lang: Language, spec: EditRelationSpec) -> ChannelCheckR
             return fn()
         except UnsupportedError as e:
             return ConstraintStatus("unsupported", question=e.question)
-        except ValueError as e:
+        except PreconditionError as e:
             return ConstraintStatus("fails", witness=str(e))
 
     def indep():

@@ -634,10 +634,11 @@ def reference_code_search(base, units, alphabet, budget):
     """The closed-family walk as a plain scan, for ``closed._code_search``.
 
     Pre-order over base | u_i | u_j | ... with i < j: at each level every
-    later unit ``(words, needs)`` is tested, joins when the set holds all
-    of ``needs``, spends one budget unit when it joins, and the joined
-    set is yielded and extended when ``sardinas_patterson`` calls it a
-    code.  Takes the same arguments as the search it checks.
+    later unit ``(words, latest, needs)`` is tested, joins when the set
+    holds all of ``needs()`` (``latest`` is not read), spends one budget
+    unit when it joins, and the joined set is yielded and extended when
+    ``sardinas_patterson`` calls it a code.  Takes the same arguments as
+    the search it checks.
     """
     # imported here so that merely importing this module loads no codekit
     from codekit.analysis import sardinas_patterson
@@ -645,8 +646,8 @@ def reference_code_search(base, units, alphabet, budget):
 
     def walk(current, start):
         for i in range(start, len(units)):
-            words, needs = units[i]
-            if not needs <= current:
+            words, _, needs = units[i]
+            if not needs() <= current:
                 continue
             candidate = current.union(words)
             budget.spend()

@@ -23,7 +23,7 @@ from codekit.closed import (
     sigma_complete_embedding,
     sigma_star,
 )
-from codekit.errors import BudgetExceededError
+from codekit.errors import BudgetExceededError, PreconditionError
 from codekit.independence import is_independent
 from codekit.transducers import EditRelationSpec, relation_image_word
 from codekit.words import Alphabet
@@ -202,6 +202,30 @@ def test_enumeration_negative_limit_rejected():
         list(enumerate_delta_closed(3, AB, limit=-1))
 
 
+@pytest.mark.parametrize("k, limit", [(3, -1), (0, None)], ids=["limit-1", "k0"])
+def test_enumeration_checks_its_arguments_at_the_call(monkeypatch, k, limit):
+    built = []
+    monkeypatch.setattr(closed, "_delta_units", lambda *args: built.append(args))
+    with pytest.raises(ValueError):
+        enumerate_delta_closed(k, AB, limit=limit)
+    assert built == []
+
+
+def test_enumeration_builds_its_units_on_the_first_code(monkeypatch):
+    built = []
+    units = closed._delta_units
+
+    def recorded(*args):
+        built.append(args)
+        return units(*args)
+
+    monkeypatch.setattr(closed, "_delta_units", recorded)
+    codes = enumerate_delta_closed(3, AB)
+    assert built == []
+    assert next(codes).words() == {"a"}
+    assert built == [(3, AB)]
+
+
 def test_enumeration_checks_no_word_it_built(monkeypatch):
     calls = []
     check_word = Alphabet.check_word
@@ -299,14 +323,67 @@ def test_delta_unit_needs_are_deletion_images(alphabet, k):
     universe = closed._delta_universe(k, alphabet)
     for taken in (frozenset(), frozenset(universe[::3])):
         units = closed._delta_units(k, alphabet, taken)
-        assert [w for (w,), _ in units] == [w for w in universe if w not in taken]
-        for (w,), needs in units:
-            assert needs == subsequences(w, len(w) - k)
+        assert [w for (w,), _, _ in units] == [w for w in universe if w not in taken]
+        for (w,), latest, needs in units:
+            image = needs()
+            assert image == subsequences(w, len(w) - k)
+            assert latest == max(image, key=alphabet.lex_key, default=None)
     # one string object per distinct word, shared by units and images
     units = closed._delta_units(k, alphabet)
-    objects = {w: w for (w,), _ in units}
-    for _, needs in units:
-        assert all(v is objects[v] for v in needs if v in objects)
+    objects = {w: w for (w,), _, _ in units}
+    for _, _, needs in units:
+        assert all(v is objects[v] for v in needs() if v in objects)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["ab", "abc", "cab"]), st.integers(1, 4), st.data())
+def test_latest_need_is_the_greatest_deletion(letters, k, data):
+    # the universe is in length-lex order, so its greatest index is the
+    # lex_key maximum; words of k letters or fewer are drawn too
+    alphabet = Alphabet(tuple(letters))
+    w = data.draw(st.text(letters, max_size=k + 5))
+    rank = {c: i for i, c in enumerate(letters)}
+    want = max(subsequences(w, len(w) - k), key=alphabet.lex_key, default=None)
+    assert closed._latest_need(w, k, rank) == want
+
+
+def test_enumeration_builds_needs_only_for_the_units_it_wakes(monkeypatch):
+    # of the 4078 ab k=4 units, the walk wakes 691, and builds each
+    # woken unit's need set once, when the unit that wakes it first joins
+    built = []
+    deletions_for = closed._deletions
+
+    def counted(universe):
+        deletions = deletions_for(universe)
+
+        def recorded(u, j):
+            built.append(u)
+            return deletions(u, j)
+
+        return recorded
+
+    monkeypatch.setattr(closed, "_deletions", counted)
+    assert len(closed._delta_units(4, AB)) == 4078
+    assert built == []
+    assert len(list(enumerate_delta_closed(4, AB))) == 1449
+    assert 0 < len(built) <= 700
+    assert len(set(built)) == len(built)
+
+
+DELTA3_CODES = [lang.words() for lang in enumerate_delta_closed(3, AB)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DELTA3_CODES))
+def test_embedding_walk_matches_linear_scan(base):
+    # the walk builds the needs up front only for a unit whose latest
+    # need is in the base; the scan reads every unit's needs
+    run = embedded(embed_delta_closed_complete, base, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        ours = search_events(patch, CODE_SEARCH, run)
+    with pytest.MonkeyPatch.context() as patch:
+        reference = search_events(patch, reference_code_search, run)
+    assert ours == reference
 
 
 @st.composite
@@ -641,6 +718,22 @@ def test_infinite_input_has_no_embedding():
     # an infinite code has no common length, so no length class holds it
     x = compile_expression("(aa|bb)*.ab", AB)
     assert sigma_complete_embedding(x, 1) == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: embed_delta_closed_complete(fin({"a", "ab", "b"}), 3), "not a code"),
+        (lambda: embed_delta_closed_complete(fin({"ab"}), 1), "not closed under delta:1"),
+        (lambda: is_maximal_delta_closed(fin({"a", "ab", "b"}), 3), "not a code"),
+        (lambda: assert_empty_family(spec("iota:1"), fin({"a", "ab", "b"})), "not a code"),
+        (lambda: sigma_complete_embedding(fin({"a", "ab", "b"}), 1), "not a code"),
+        (lambda: sigma_complete_embedding(fin({"a", "b"}), 1), "already complete"),
+    ],
+)
+def test_failed_preconditions_have_their_own_type(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
 
 
 def test_embedding_rejects_complete_input():

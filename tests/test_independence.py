@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codekit import independence
-from codekit.analysis import is_complete, sardinas_patterson, verify_double_factorization
+from codekit.analysis import (
+    is_complete,
+    is_maximal_code,
+    sardinas_patterson,
+    verify_double_factorization,
+)
 from codekit.automata import Language, compile_expression, star, union, words_upto
-from codekit.errors import UnsupportedError
+from codekit.errors import PreconditionError, UnsupportedError
 from codekit.independence import (
     check_constraints,
     er_complete,
@@ -366,6 +371,48 @@ def test_constraint_report_for_finite_correcting_code():
     assert report.error_correcting.status == "holds"
     assert report.underline_image_code.status == "fails"
     assert report.maximal_independent.status == "fails"
+
+
+NOT_A_CODE = {"a", "ab", "b"}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: is_maximal_independent(fin(NOT_A_CODE), spec("sigma:1")), "not a code"),
+        (lambda: is_maximal_independent(fin({"aa", "ab"}), spec("sigma:1")), "not independent"),
+        (lambda: witness_independent_extension(fin(NOT_A_CODE), spec("sigma:1")), "not a code"),
+        (
+            lambda: witness_independent_extension(fin({"aa", "ab"}), spec("sigma:1")),
+            "not independent",
+        ),
+        (
+            lambda: witness_independent_extension(fin({"a", "b"}), spec("delta:2")),
+            "already complete",
+        ),
+        (lambda: er_complete(fin(NOT_A_CODE)), "not a code"),
+        (lambda: er_complete(fin({"a", "b"})), "already complete"),
+        (lambda: is_maximal_code(fin(NOT_A_CODE)), "not a code"),
+    ],
+)
+def test_failed_preconditions_have_their_own_type(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
+
+
+def test_constraint_report_reads_a_failed_precondition_as_fails():
+    report = check_constraints(fin(NOT_A_CODE), spec("sigma:1"))
+    assert report.maximal_independent.status == "fails"
+    assert report.maximal_independent.witness == "precondition failed: input is not a code"
+
+
+def test_constraint_report_lets_an_internal_value_error_through(monkeypatch):
+    def broken(x_lang, spec):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(independence, "is_error_correcting", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        check_constraints(fin({"aabbb", "bbbbaa"}), spec("Delta:2"))
 
 
 def test_constraint_report_surfaces_open_questions():
