@@ -15,20 +15,24 @@ search's parent pointers, a shortest word with two factorizations:
 eps = (eps) = (eps)(eps) when the empty word is a member.  The measure
 up to a length is one weighted pass over the same table.
 
-Completeness and maximality are decided by the least-word walk of
-``automata``: the subset construction (``automata._subsets``) on the
-automaton for the factors of X*, under ``DEFAULT_STATE_CAP``, stopped
-at the first subset holding no accepting state, which is entered by the
-length-lex least non-factor.
+A finite code is complete, and maximal, exactly when its uniform
+Bernoulli measure is 1 (Schutzenberger), so its completeness is read
+off its Kraft sum with exact integers and no search.  The least-word
+walk of ``automata`` runs only for the witness of an incomplete code,
+for non-codes and for regular sets: the subset construction
+(``automata._subsets``) on the automaton for the factors of X*, under
+``DEFAULT_STATE_CAP``, stopped at the first subset holding no accepting
+state, which is entered by the length-lex least non-factor.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import DEFAULT_STATE_CAP, Language, _least_word, factors, reverse, star
-from .errors import PreconditionError
+from .errors import PreconditionError, UsageError
 from .words import Alphabet
 
 
@@ -169,11 +173,12 @@ def is_prefix_code(x_lang: Language) -> bool:
     return all(r < 0 for q in finals for r in rows[q])
 
 
-def _least_tail(rows, sources, targets) -> list[int] | None:
+def _least_tail(rows, sources, targets, within=None) -> list[int] | None:
     """Letter numbers of the length-lex least nonempty word leading from
     a state in ``sources`` to one in ``targets``, or None.  Breadth-first
     over groups of states: a group holds the states first reached by its
-    word, and groups are entered in length-lex order of their words."""
+    word, and groups are entered in length-lex order of their words.
+    Given ``within``, only its states are entered."""
     seen = {-1, *sources}  # -1: no arc
     queue = [([], list(sources))]
     for word, group in queue:
@@ -183,7 +188,7 @@ def _least_tail(rows, sources, targets) -> list[int] | None:
                 r = rows[q][i]
                 if r in targets:
                     return word + [i]
-                if r not in seen:
+                if r not in seen and (within is None or r in within):
                     seen.add(r)
                     fresh.append(r)
             if fresh:
@@ -191,11 +196,30 @@ def _least_tail(rows, sources, targets) -> list[int] | None:
     return None
 
 
+def _ancestors(rows, targets) -> set[int]:
+    """The states from which some word leads into ``targets``, targets
+    included: one backward pass over the table, then a search back."""
+    back: list[list[int]] = [[] for _ in rows]
+    for q, row in enumerate(rows):
+        for r in row:
+            if r >= 0:
+                back[r].append(q)
+    found = set(targets)
+    stack = list(found)
+    while stack:
+        for p in back[stack.pop()]:
+            if p not in found:
+                found.add(p)
+                stack.append(p)
+    return found
+
+
 def _prefix_pair(x_lang: Language) -> tuple[str, str] | None:
     """A codeword x and a longer codeword xu, read off the trim table, or
     None for a prefix code: u is the least nonempty word leading from a
     final state to a final state, and x the least word reaching a final
-    state from which u leads to a final state."""
+    state from which u leads to a final state.  Only the states that
+    lead to such a holder are searched for x."""
     rows, finals = x_lang.trim()
     letters = x_lang.alphabet.letters
     tail = _least_tail(rows, finals, finals)
@@ -205,7 +229,10 @@ def _prefix_pair(x_lang: Language) -> tuple[str, str] | None:
     for i in tail:
         ends = {p: r for p, q in ends.items() if (r := rows[q][i]) >= 0}
     holders = {p for p, q in ends.items() if q in finals}
-    head = [] if 0 in holders else _least_tail(rows, {0}, holders)
+    if 0 in holders:
+        head = []
+    else:
+        head = _least_tail(rows, {0}, holders, _ancestors(rows, holders))
     x = "".join([letters[i] for i in head])
     return x, x + "".join([letters[i] for i in tail])
 
@@ -227,12 +254,12 @@ class Distribution:
 
     def __post_init__(self):
         if len(self.probs) != len(self.alphabet.letters):
-            raise ValueError("one probability per letter required")
+            raise UsageError("one probability per letter required")
         for p in self.probs:
             if not isinstance(p, Fraction) or p <= 0:
-                raise ValueError("letter probabilities must be positive fractions")
+                raise UsageError("letter probabilities must be positive fractions")
         if sum(self.probs) != 1:
-            raise ValueError("letter probabilities must sum to 1")
+            raise UsageError("letter probabilities must sum to 1")
 
     @staticmethod
     def uniform(alphabet: Alphabet) -> "Distribution":
@@ -256,10 +283,10 @@ def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fract
 
     One weighted pass over the trim table, a length at a time, for
     either form of the set, so nothing is enumerated; it stops once no
-    weight is left.  A negative max_len raises ValueError.
+    weight is left.  A negative max_len raises UsageError.
     """
     if max_len < 0:
-        raise ValueError(f"max_len must be at least 0, got {max_len}")
+        raise UsageError(f"max_len must be at least 0, got {max_len}")
     rows, finals = x_lang.trim()
     weights = {0: Fraction(1)}
     total = Fraction(1 if 0 in finals else 0)
@@ -276,9 +303,32 @@ def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fract
     return total
 
 
-def is_complete(x_lang: Language) -> bool:
-    """Every word is a factor of some product of codewords."""
-    return _least_non_factor(x_lang) is None
+def _kraft_excess(x_lang: Language) -> int | None:
+    """The Kraft sum of a finite X, sum of |A|^(L-|x|) over its words,
+    less |A|^L, with L the greatest length: 0 exactly when X's uniform
+    Bernoulli measure is 1, negative when it is less.  None for a set
+    held as an automaton."""
+    if not x_lang.is_finite_repr:
+        return None
+    size = len(x_lang.alphabet.letters)
+    counts = Counter(map(len, x_lang.words()))
+    top = max(counts, default=0)
+    return sum(n * size ** (top - m) for m, n in counts.items()) - size**top
+
+
+def is_complete(x_lang: Language, known_code: bool = False) -> bool:
+    """Every word is a factor of some product of codewords.
+
+    A finite code is settled by its Kraft sum with no search: it is
+    complete exactly when its uniform measure is 1.  Every other set
+    runs the least non-factor search.  ``known_code`` says the caller
+    has already found X to be a code.
+    """
+    excess = _kraft_excess(x_lang)
+    # McMillan: a code's Kraft sum is at most 1
+    if excess is not None and excess <= 0 and (known_code or is_code(x_lang)):
+        return excess == 0
+    return _search_non_factor(x_lang) is None
 
 
 def _require_code(x_lang: Language) -> None:
@@ -291,13 +341,22 @@ def _require_code(x_lang: Language) -> None:
 def is_maximal_code(x_lang: Language) -> bool:
     """For a regular code, maximality coincides with completeness."""
     _require_code(x_lang)
-    return is_complete(x_lang)
+    return is_complete(x_lang, known_code=True)
 
 
-def _least_non_factor(x_lang: Language) -> str | None:
+def _least_non_factor(x_lang: Language, known_code: bool = False) -> str | None:
     """Length-lex least word outside the factors of the star closure, or
-    None when the set is complete (every subset holds an accepting state,
-    so a complete set visits all of them)."""
+    None when the set is complete.  A finite code whose Kraft sum is 1
+    is complete with no search; ``known_code`` as for ``is_complete``."""
+    if _kraft_excess(x_lang) == 0 and (known_code or is_code(x_lang)):
+        return None
+    return _search_non_factor(x_lang)
+
+
+def _search_non_factor(x_lang: Language) -> str | None:
+    """The least non-factor by the subset search on the automaton of the
+    factors of X*, stopped at the first subset holding no accepting
+    state; a complete set visits every subset."""
     nfa = factors(star(x_lang)).nfa()
     return _least_word(nfa, lambda subset: not subset & nfa.accepting, DEFAULT_STATE_CAP)
 

@@ -26,6 +26,7 @@ canonical DFA.  A finite set's automaton, ``words_upto`` and
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -616,8 +617,7 @@ class _ExprParser:
 
     def __init__(self, text: str, alphabet: Alphabet):
         self.text = text
-        # `eps` stays a keyword unless every one of e, p, s is a letter
-        self.eps_enabled = not all(c in alphabet for c in "eps")
+        self.eps_enabled = _eps_is_keyword(alphabet.letters)
         self.word = re.compile("[" + "".join(map(re.escape, alphabet)) + "]+")
         self._advance(0)
 
@@ -681,13 +681,42 @@ class _ExprParser:
         raise ParseError(f"unexpected character {c!r}", position=self.pos)
 
 
+def _eps_is_keyword(letters) -> bool:
+    """`eps` stays a keyword unless every one of e, p, s is a letter."""
+    return not all(c in letters for c in EPS_TOKEN)
+
+
+@functools.cache
+def _word_list(letters: tuple[str, ...]) -> re.Pattern | None:
+    """The pattern of a flat word list over these letters: letter runs,
+    and ``eps`` where it is a keyword, joined by ``|``, with whitespace
+    around each.  None when a letter is whitespace, ``|`` or ``(``, which
+    the parser does not read as a letter alone."""
+    if any(c.isspace() or c in "|(" for c in letters):
+        return None
+    run = "[" + "".join(map(re.escape, letters)) + "]+"
+    if _eps_is_keyword(letters):
+        run = f"(?:{run}|{EPS_TOKEN})"
+    return re.compile(rf"\s*{run}\s*(?:\|\s*{run}\s*)*")
+
+
 def compile_expression(text: str, alphabet: Alphabet) -> Language:
     """Compile an expression to a Language.
 
-    Star-free expressions come back in finite-set form; anything under a
-    star is carried as an automaton.  Nesting too deep for Python's
-    recursion limit is a ParseError.
+    A flat word list is read by one match and one split, straight into
+    finite-set form.  Any other text goes through ``_ExprParser``, which
+    also reports every error with its position: star-free expressions
+    come back in finite-set form, anything under a star is carried as
+    an automaton, and nesting too deep for Python's recursion limit is a
+    ParseError.
     """
+    flat = _word_list(alphabet.letters)
+    if flat is not None and flat.fullmatch(text):
+        words = {w.strip() for w in text.split("|")}
+        if EPS_TOKEN in words and _eps_is_keyword(alphabet.letters):
+            words.remove(EPS_TOKEN)
+            words.add("")
+        return Language(alphabet, words=frozenset(words))
 
     def eval_node(node) -> Language:
         tag = node[0]

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .analysis import is_code
 from .automata import Language
+from .errors import UsageError
 from .independence import is_independent
 from .transducers import EditRelationSpec, relation_image_word
 from .words import sort_words
@@ -68,11 +69,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 0 <= self.p <= 1:
-            raise ValueError("corruption probability must lie in [0, 1]")
+            raise UsageError("corruption probability must lie in [0, 1]")
         if self.message_length < 1:
-            raise ValueError("message length must be positive")
+            raise UsageError("message length must be positive")
         if self.trials < 1:
-            raise ValueError("trial count must be positive")
+            raise UsageError("trial count must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class ExperimentReport:
 def _codewords(x_lang: Language) -> list[str]:
     fin = x_lang.to_finite()
     if fin is None:
-        raise ValueError(
+        raise UsageError(
             "an infinite code cannot drive the simulator; truncate it first"
         )
     return sort_words(fin.words(), x_lang.alphabet)
@@ -246,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     codewords = _codewords(config.code)
     if not codewords:
-        raise ValueError("cannot transmit over an empty code")
+        raise UsageError("cannot transmit over an empty code")
     table = _ChannelTable(codewords, config.spec, config.code.alphabet)
     master = random.Random(config.seed)
     trial_seeds = [master.getrandbits(64) for _ in range(config.trials)]

@@ -44,7 +44,13 @@ from .automata import (
     union,
     words_upto,
 )
-from .errors import BudgetExceededError, ParseError, UnsupportedError
+from .errors import (
+    BudgetExceededError,
+    ParseError,
+    PreconditionError,
+    UnsupportedError,
+    UsageError,
+)
 from .transducers import EditRelationSpec, relation_image, relation_image_word
 from .words import Alphabet, format_word, parse_alphabet, parse_word
 
@@ -382,7 +388,7 @@ def _cmd_complete(args):
 def _cmd_maximal(args):
     lang = _load_language(args)
     _require_code(lang)
-    w = _least_non_factor(lang)
+    w = _least_non_factor(lang, known_code=True)
 
     def replay(w):
         extended = union(lang, Language.finite((w,), lang.alphabet))
@@ -623,7 +629,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         code = 4
         payload = {"verdict": "budget-exceeded", "detail": str(e)}
-    except ValueError as e:
+    except (UsageError, PreconditionError) as e:
         print(f"codekit: error: {e}", file=sys.stderr)
         return 3
     except Exception as e:

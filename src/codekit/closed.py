@@ -17,7 +17,7 @@ from itertools import chain, islice
 
 from .analysis import DoubleFactorization, is_code, is_complete, sardinas_patterson
 from .automata import Language, is_empty, least_member
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, UsageError
 from .transducers import (
     EditRelationSpec,
     _least_source,
@@ -146,7 +146,7 @@ def closure_star(x_lang: Language, spec: EditRelationSpec) -> Language:
 def delta_length_bound(k: int) -> frozenset[int]:
     """Admissible codeword lengths for deletion-closed codes."""
     if k < 1:
-        raise ValueError("defect count must be at least 1")
+        raise UsageError("defect count must be at least 1")
     return frozenset(range(1, k * k - k)) - {k}
 
 
@@ -408,11 +408,11 @@ def enumerate_delta_closed(
     right, so prefixes of the stream are reproducible.  Every yielded
     set has been checked closed and uniquely decodable.  A limit stops
     the stream after that many codes.  A negative limit or a defect
-    count below 1 raises ValueError at the call; the search units are
+    count below 1 raises UsageError at the call; the search units are
     built on the first ``next()``.
     """
     if limit is not None and limit < 0:
-        raise ValueError(f"limit must be at least 0, got {limit}")
+        raise UsageError(f"limit must be at least 0, got {limit}")
     delta_length_bound(k)  # raises for a defect count below 1
     return _delta_closed_codes(k, alphabet, limit, candidate_budget)
 
@@ -432,7 +432,7 @@ def _delta_closed_codes(
 def _require_delta_closed_code(x_lang: Language, k: int) -> frozenset[str]:
     fin = x_lang.to_finite()
     if fin is None:
-        raise ValueError("deletion-closed analysis needs a finite set")
+        raise UsageError("deletion-closed analysis needs a finite set")
     spec = EditRelationSpec("delta", k)
     if not is_code(fin):
         raise PreconditionError("precondition failed: input is not a code")
@@ -547,7 +547,7 @@ def sigma_star(w: str, k: int, alphabet: Alphabet) -> SigmaOrbit:
     sweep the whole length class.
     """
     if k < 1:
-        raise ValueError("defect count must be at least 1")
+        raise UsageError("defect count must be at least 1")
     alphabet.check_word(w)
     n = len(w)
     if n < k:
@@ -619,7 +619,7 @@ def classify_Sigma_closed(x_lang: Language, k: int) -> Classification:
     """A code closed under defects up to k is a full length class."""
     spec = EditRelationSpec("Sigma", k)
     if is_empty(x_lang):
-        raise ValueError("a nonempty set is required")
+        raise UsageError("a nonempty set is required")
     verdict = sardinas_patterson(x_lang)
     if not verdict.is_code:
         return Classification("not_code", witness=verdict.witness)

@@ -42,6 +42,17 @@ class BudgetExceededError(CodekitError):
         super().__init__(message)
 
 
+class UsageError(CodekitError, ValueError):
+    """Input a user gave outside what a routine accepts: an alphabet or
+    a letter, a negative limit or length, a defect count below 1,
+    letter probabilities, channel parameters, or an infinite or empty
+    set where a finite nonempty one is needed.
+
+    It is a ValueError too, as these checks raised one before it had a
+    type of its own.
+    """
+
+
 class PreconditionError(CodekitError, ValueError):
     """An input outside a routine's domain: not a code, not closed or
     independent as required, or already complete.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, ParseError
+from .errors import BudgetExceededError, ParseError, UsageError
 
 EPS_TOKEN = "eps"
 
@@ -30,12 +30,12 @@ class Alphabet:
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
         if len(self.letters) < 2:
-            raise ValueError("alphabet needs at least two letters")
+            raise UsageError("alphabet needs at least two letters")
         if len(set(self.letters)) != len(self.letters):
-            raise ValueError("alphabet letters must be distinct")
+            raise UsageError("alphabet letters must be distinct")
         for c in self.letters:
             if len(c) != 1:
-                raise ValueError(f"letters are single characters, got {c!r}")
+                raise UsageError(f"letters are single characters, got {c!r}")
         object.__setattr__(self, "_rank", {c: i for i, c in enumerate(self.letters)})
 
     def __len__(self):
@@ -51,12 +51,12 @@ class Alphabet:
         try:
             return self.letters.index(c)
         except ValueError:
-            raise ValueError(f"letter {c!r} not in alphabet {''.join(self.letters)}") from None
+            raise UsageError(f"letter {c!r} not in alphabet {''.join(self.letters)}") from None
 
     def check_word(self, w: str) -> str:
         for c in w:
             if c not in self.letters:
-                raise ValueError(f"letter {c!r} not in alphabet {''.join(self.letters)}")
+                raise UsageError(f"letter {c!r} not in alphabet {''.join(self.letters)}")
         return w
 
     def lex_key(self, w: str):
@@ -64,7 +64,7 @@ class Alphabet:
         try:
             return (len(w), tuple(map(self._rank.__getitem__, w)))
         except KeyError as e:
-            raise ValueError(
+            raise UsageError(
                 f"letter {e.args[0]!r} not in alphabet {''.join(self.letters)}"
             ) from None
 

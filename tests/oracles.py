@@ -521,6 +521,48 @@ def reference_prefix_pair(words, letters):
     return x, x + u
 
 
+def forward_prefix_pair(x_lang):
+    """The prefix pair of ``analysis._prefix_pair`` by its earlier
+    forward walk on the reference trim table: u is the least nonempty
+    word from a final state to a final state, and x is found by a
+    breadth-first walk from the initial state over every state, until
+    the first state from which u leads to a final state.  None for a
+    prefix code."""
+    rows, finals = reference_trim(x_lang)
+    letters = x_lang.alphabet.letters
+
+    def least(sources, targets):
+        seen = {-1, *sources}
+        queue = [("", list(sources))]
+        for word, group in queue:
+            for i, c in enumerate(letters):
+                fresh = []
+                for q in group:
+                    r = rows[q][i]
+                    if r in targets:
+                        return word + c
+                    if r not in seen:
+                        seen.add(r)
+                        fresh.append(r)
+                if fresh:
+                    queue.append((word + c, fresh))
+        return None
+
+    def run(q, w):
+        for c in w:
+            q = rows[q][letters.index(c)]
+            if q < 0:
+                return q
+        return q
+
+    tail = least(finals, finals)
+    if tail is None:
+        return None
+    holders = {p for p in finals if run(p, tail) in finals}
+    head = "" if 0 in holders else least({0}, holders)
+    return head, head + tail
+
+
 _INVERSE_KIND = {"delta": "iota", "iota": "delta", "Delta": "I", "I": "Delta"}
 
 

@@ -1,11 +1,12 @@
 import itertools
+import random
 import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codekit import analysis
+from codekit import analysis, automata
 from codekit.analysis import (
     CodeVerdict,
     Distribution,
@@ -23,7 +24,9 @@ from codekit.analysis import (
     verify_double_factorization,
 )
 from codekit.automata import (
+    DEFAULT_STATE_CAP,
     Language,
+    _least_word,
     compile_expression,
     complement,
     factors,
@@ -307,6 +310,77 @@ def test_least_non_factor_matches_minimal_dfa_route(case):
 def test_least_non_factor_matches_minimal_dfa_route_on_regular_sets(expr):
     lang = compile_expression(expr, AB)
     assert _least_non_factor(lang) == least_non_factor_by_minimal_dfa(lang)
+
+
+def searched_non_factor(x):
+    """The least non-factor by the subset search alone."""
+    nfa = factors(star(x)).nfa()
+    return _least_word(nfa, lambda subset: not subset & nfa.accepting, DEFAULT_STATE_CAP)
+
+
+def leaf_split_code(rng, letters, n):
+    """A complete prefix code of at least n words, by random leaf splits;
+    over ab it is ``bench/workloads.random_prefix_code``."""
+    leaves = [""]
+    while len(leaves) < n:
+        w = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [w + c for c in letters]
+    return leaves
+
+
+@st.composite
+def kraft_cases(draw):
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    if draw(st.booleans()):
+        # any set: mostly non-codes and incomplete codes, some holding
+        # the empty word, and the empty set
+        words = draw(st.frozensets(st.text(alphabet=letters, max_size=4), max_size=6))
+        return letters, words
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    words = leaf_split_code(rng, letters, draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        words = [w[::-1] for w in words]  # a complete suffix code
+    for _ in range(draw(st.integers(0, min(2, len(words) - 1)))):
+        words.pop(rng.randrange(len(words)))
+    extra = draw(st.sampled_from([(), ("",), (words[0] + words[-1],)]))
+    return letters, frozenset(words).union(extra)
+
+
+@given(kraft_cases())
+@settings(max_examples=200, deadline=None)
+def test_kraft_sum_matches_the_subset_search(case):
+    letters, words = case
+    x = Language.finite(words, Alphabet(letters))
+    expected = searched_non_factor(x)
+    assert _least_non_factor(x) == expected
+    assert is_complete(x) == (expected is None)
+    if is_code(x):
+        assert _least_non_factor(x, known_code=True) == expected
+        assert is_maximal_code(x) == (expected is None)
+
+
+def test_finite_codes_settle_completeness_without_a_search(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("subset search entered")
+
+    monkeypatch.setattr(automata, "_subsets", no_search)
+    assert is_complete(fin({"a", "ba", "bb"}))
+    assert not is_complete(fin({"aa", "ab", "bb"}))
+    assert is_maximal_code(fin({"a", "ba", "bb"}))
+    abc = Language.finite(leaf_split_code(random.Random(5), "abc", 40), Alphabet("abc"))
+    assert is_complete(abc)
+    assert _least_non_factor(abc) is None
+    words = leaf_split_code(random.Random(1), "ab", 300)
+    assert main(["complete", "--alphabet", "ab", "|".join(words)]) == 0
+    assert capsys.readouterr().out == "property: complete\nverdict: holds\n"
+    # a witness still needs the search, and so does a non-code, even
+    # one whose Kraft sum is 1
+    for ask in (
+        lambda: _least_non_factor(fin({"aa", "ab", "bb"})),
+        lambda: is_complete(fin({"a", "ab", "ba"})),
+    ):
+        with pytest.raises(AssertionError, match="subset search entered"):
+            ask()
 
 
 # a 32-word complete prefix code with two words taken out; its least

@@ -38,6 +38,7 @@ from codekit.words import Alphabet, sort_words
 
 from oracles import (
     brute_factors,
+    forward_prefix_pair,
     is_universal,
     reference_determinize,
     reference_finite_words,
@@ -109,6 +110,56 @@ def test_parse_errors_have_positions():
             compile_expression(text, alphabet)
         assert str(caught.value) == f"{message} (at position {position})", text
         assert caught.value.position == position, text
+
+
+def parsed_word_list(text, alphabet):
+    """The words of a flat word list as the recursive descent reads it."""
+    node = automata._ExprParser(text, alphabet).parse()
+    parts = node[1] if node[0] == "union" else [node]
+    assert all(tag == "word" for tag, _ in parts)
+    return frozenset(word for _, word in parts)
+
+
+SPACES = st.text(alphabet=" \t\n\x0b\x1c\xa0\u2003", max_size=2)
+WORD_LIST_ALPHABETS = [AB, Alphabet("abc"), EPS_LETTERS]
+
+
+@st.composite
+def word_lists(draw):
+    alphabet = draw(st.sampled_from(WORD_LIST_ALPHABETS))
+    letters = "".join(alphabet.letters)
+    atom = st.one_of(st.text(alphabet=letters, min_size=1, max_size=4), st.just("eps"))
+    atoms = draw(st.lists(atom, min_size=1, max_size=8))
+    atoms += draw(st.lists(st.sampled_from(atoms), max_size=3))  # duplicates
+    text = "|".join(draw(SPACES) + a + draw(SPACES) for a in atoms)
+    return alphabet, text
+
+
+@given(word_lists())
+@settings(max_examples=200)
+def test_word_list_reader_matches_the_parser(case):
+    alphabet, text = case
+    lang = compile_expression(text, alphabet)
+    assert lang.is_finite_repr
+    assert lang.words() == parsed_word_list(text, alphabet)
+
+
+@given(
+    st.sampled_from(WORD_LIST_ALPHABETS),
+    st.text(alphabet="abceps |x\t", max_size=12),
+)
+@settings(max_examples=300)
+def test_near_word_lists_read_as_the_parser_reads_them(alphabet, text):
+    # texts of word-list characters and a few strays: a text the reader
+    # takes is one the parser takes, and errors keep message and position
+    try:
+        expected = parsed_word_list(text, alphabet)
+    except ParseError as error:
+        with pytest.raises(ParseError) as caught:
+            compile_expression(text, alphabet)
+        assert (str(caught.value), caught.value.position) == (str(error), error.position)
+    else:
+        assert compile_expression(text, alphabet).words() == expected
 
 
 def test_eps_is_a_word_when_its_letters_are_letters():
@@ -443,6 +494,21 @@ def test_prefix_pair_matches_reference_on_regular_sets(case):
             words = words_upto(x, 2 * len(x.trim()[0]))
             expected = reference_prefix_pair(words, x.alphabet.letters)
             assert analysis._prefix_pair(x) == expected
+
+
+@given(
+    st.one_of(
+        st.frozensets(st.text(alphabet="ab", max_size=9), min_size=1, max_size=40).map(
+            lambda xs: ("ab", "|".join(sorted(w or "eps" for w in xs)))
+        ),
+        one_expression(),
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_prefix_pair_matches_the_forward_walk(case):
+    # x is sought only among the states that lead to a holder
+    for x in compiled_forms(case):
+        assert analysis._prefix_pair(x) == forward_prefix_pair(x)
 
 
 def test_emptiness_questions_build_no_minimal_automaton(capsys):

@@ -590,6 +590,50 @@ def test_internal_faults_exit_five(capsys, monkeypatch, fault):
     assert err == f"codekit: internal error: {fault.__name__}: {fault('inconsistent state')}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["code", "--alphabet", "a", "a"], "alphabet needs at least two letters"),
+        (["code", "--alphabet", "aa", "a"], "alphabet letters must be distinct"),
+        (["sigma-star", "abc", "--alphabet", "ab", "--k", "1"], "letter 'c' not in alphabet ab"),
+        (["sigma-star", "ab", "--alphabet", "ab", "--k", "0"], "defect count must be at least 1"),
+        (["enum-delta-closed", "--alphabet", "ab", "--k", "0"], "defect count must be at least 1"),
+        (["measure", "--alphabet", "ab", "a", "--max-len", "2", "--probs", "a=1/2,b=1/3"],
+         "letter probabilities must sum to 1"),
+        (["measure", "--alphabet", "ab", "a", "--max-len", "2", "--probs", "a=1"],
+         "letter probabilities must be positive fractions"),
+        (["simulate", "--code", "a|b", "--alphabet", "ab", "--rel", "delta:1", "--p", "2",
+          "--len", "3"], "corruption probability must lie in [0, 1]"),
+        (["simulate", "--code", "a|b", "--alphabet", "ab", "--rel", "delta:1", "--p", "0",
+          "--len", "0"], "message length must be positive"),
+        (["simulate", "--code", "a|b", "--alphabet", "ab", "--rel", "delta:1", "--p", "0",
+          "--len", "3", "--trials", "0"], "trial count must be positive"),
+        (["simulate", "--code", "a*", "--alphabet", "ab", "--rel", "delta:1", "--p", "0",
+          "--len", "3"], "an infinite code cannot drive the simulator; truncate it first"),
+        (["simulate", "--code", "aa", "--alphabet", "ab", "--rel", "delta:1", "--p", "0",
+          "--len", "3", "--max-word-len", "1"], "cannot transmit over an empty code"),
+        (["embed-closed", "--alphabet", "ab", "a*", "--rel", "delta:1"],
+         "deletion-closed analysis needs a finite set"),
+        (["classify-closed", "--alphabet", "ab", "aa", "--rel", "Sigma:1", "--max-word-len", "1"],
+         "a nonempty set is required"),
+    ],
+)
+def test_usage_errors_exit_three(capsys, argv, message):
+    assert run(capsys, *argv) == (3, "", f"codekit: error: {message}\n")
+
+
+def test_an_internal_value_error_exits_five(capsys, monkeypatch):
+    # usage and precondition errors have types of their own, so a plain
+    # ValueError is a fault, not bad input
+    def fault(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli.closed_mod, "embed_delta_closed_complete", fault)
+    code, out, err = run(capsys, "embed-closed", "--alphabet", "ab", "a", "--rel", "delta:4")
+    assert (code, out) == (5, "")
+    assert err == "codekit: internal error: ValueError: internal fault\n"
+
+
 # --- budget channel ---------------------------------------------------------
 
 def test_budget_exhaustion_exits_four(capsys):
