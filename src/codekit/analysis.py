@@ -3,11 +3,12 @@
 Code-ness is decided by Sardinas & Patterson's test read one letter at
 a time: a breadth-first search over pairs of states of the trim
 deterministic automaton ``Language.trim()`` (the trie of a finite X, the
-live part of the canonical DFA otherwise), built once per language and
-shared with the prefix test and its witness.  Two runs read the same
-word and each may restart at the initial state right after reaching a
-final state; X is not a code exactly when the runs can part, one
-restarting while the other continues, and later reach final states
+live part of the subset DFA otherwise), built once per language and
+shared with the prefix test and its witness.  Every answer here is a
+property of the set, so the table need not be minimal.  Two runs read
+the same word and each may restart at the initial state right after
+reaching a final state; X is not a code exactly when the runs can part,
+one restarting while the other continues, and later reach final states
 together.  The search visits each pair once, so it ends without an
 iteration cap.  The one search has two readers: ``is_code`` takes the
 verdict alone, and ``sardinas_patterson`` also spells, from the

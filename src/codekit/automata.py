@@ -1,25 +1,27 @@
 """Finite automata and the regular-language toolkit built on them.
 
 A :class:`Language` is either a finite set of words or a regular set
-carried by an NFA.  Every regular language can produce its canonical
-DFA (minimal, states numbered by breadth-first discovery in letter
-order); two languages are equal iff their canonical tables coincide,
-which also makes canonical DFAs usable as dictionary keys.
+carried by an NFA.  Nothing here builds a minimal automaton: every
+verdict of the package is a property of the set, read off any trim
+deterministic automaton for it, and two sets are equal when neither
+holds a word the other lacks.
 
 One subset construction, ``_subsets`` (Rabin & Scott 1959), carries the
 regular-set algebra, and it enters at most ``DEFAULT_STATE_CAP``
-subsets: ``determinize`` reads its table; ``left_quotient`` reads its
-start states from the subsets of U's automaton beside X's DFA; least
+subsets: ``determinize`` reads its table, and ``complement`` flips the
+accepting subsets of that table; ``left_quotient`` reads its start
+states from the subsets of U's automaton beside X's subset DFA; least
 words are the word of the first subset that passes a test.  Emptiness
 questions on two sets are least words too: ``least_member`` runs the
 construction on both automata side by side, so each subset holds the
 states of both after one word, and it stops at the first member of A
-that B holds, or lacks.  ``shortest_word`` and the least non-factor
-are the one-automaton cases.
+that B holds, or lacks.  ``equivalent`` asks it both ways, as Hopcroft
+& Karp's product search does.  ``shortest_word`` and the least
+non-factor are the one-automaton cases.
 
 Every deterministic walk reads one table, ``Language.trim()``, built
 once per language: the trie of a finite set, else the live part of the
-canonical DFA.  A finite set's automaton, ``words_upto`` and
+subset DFA.  A finite set's automaton, ``words_upto`` and
 ``to_finite`` read it, as do the code-ness and prefix tests of
 ``analysis``.
 """
@@ -28,9 +30,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import BudgetExceededError, ParseError
+from .errors import BudgetExceededError, ParseError, UsageError
 from .words import Alphabet, EPS_TOKEN
 
 EPS = ""
@@ -186,28 +188,16 @@ def nfa_universal(alphabet: Alphabet) -> Nfa:
 class Dfa:
     """Total deterministic automaton; state 0 is initial.
 
-    rows[q][i] is the successor of q under letter number i.  Canonical
-    instances (minimal, breadth-first numbering) serve as the identity
-    of the language they accept.
+    rows[q][i] is the successor of q under letter number i.
     """
 
     alphabet: Alphabet
     rows: tuple[tuple[int, ...], ...]
     accepting: frozenset[int]
 
-    def accepts(self, w: str) -> bool:
-        q = 0
-        idx = self.alphabet.index
-        for c in w:
-            q = self.rows[q][idx(c)]
-        return q in self.accepting
-
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def key(self):
-        return (self.rows, tuple(sorted(self.accepting)))
 
     def to_nfa(self) -> Nfa:
         return _rows_nfa(self.alphabet, self.rows, (0,), self.accepting)
@@ -286,56 +276,15 @@ def _least_word(nfa: Nfa, test, state_cap: int) -> str | None:
     return None
 
 
-def minimize(dfa: Dfa) -> Dfa:
-    """Minimal DFA with canonical breadth-first state numbering."""
-    n = dfa.n
-    cls = [1 if q in dfa.accepting else 0 for q in range(n)]
-    while True:
-        sigs = {}
-        new_cls = [0] * n
-        for q in range(n):
-            sig = (cls[q], tuple(cls[r] for r in dfa.rows[q]))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_cls[q] = sigs[sig]
-        if new_cls == cls:
-            break
-        cls = new_cls
-    # breadth-first renumbering from the initial state's class
-    reps = {}
-    for q in range(n):
-        reps.setdefault(cls[q], q)
-    order = [cls[0]]
-    number = {cls[0]: 0}
-    rows = []
-    i = 0
-    letters_range = range(len(dfa.alphabet.letters))
-    while i < len(order):
-        c = order[i]
-        rep = reps[c]
-        row = []
-        for li in letters_range:
-            d = cls[dfa.rows[rep][li]]
-            if d not in number:
-                number[d] = len(order)
-                order.append(d)
-            row.append(number[d])
-        rows.append(tuple(row))
-        i += 1
-    accepting = frozenset(number[c] for c in order if reps[c] in dfa.accepting)
-    return Dfa(dfa.alphabet, tuple(rows), accepting)
-
-
 class Language:
     """A finite or regular set of words over a fixed alphabet."""
 
-    __slots__ = ("alphabet", "_words", "_nfa", "_dfa", "_trim")
+    __slots__ = ("alphabet", "_words", "_nfa", "_trim")
 
     def __init__(self, alphabet, words=None, nfa=None):
         self.alphabet = alphabet
         self._words = words
         self._nfa = nfa
-        self._dfa = None
         self._trim = None
 
     @staticmethod
@@ -364,15 +313,10 @@ class Language:
             self._nfa = _rows_nfa(self.alphabet, rows, (0,), finals)
         return self._nfa
 
-    def dfa(self) -> Dfa:
-        if self._dfa is None:
-            self._dfa = minimize(determinize(self.nfa()))
-        return self._dfa
-
     def trim(self):
         """Trim deterministic automaton (rows, finals) with initial state 0,
         built on first use: the trie of a finite set, else the live part of
-        the canonical DFA.  rows[q][i] is the successor of q under letter
+        the subset DFA.  rows[q][i] is the successor of q under letter
         number i, or -1 where no member continues.  The table is shared
         by every reader: read it, never change it.
         """
@@ -380,21 +324,15 @@ class Language:
             if self._words is not None:
                 self._trim = _trie(self._words, self.alphabet)
             else:
-                dfa = self.dfa()
+                dfa = determinize(self.nfa())
                 live = dfa.to_nfa().core_states()
                 rows = [[r if r in live else -1 for r in row] for row in dfa.rows]
                 self._trim = rows, dfa.accepting & live
         return self._trim
 
-    def canonical_key(self):
-        """Representation-independent identity (canonical DFA table)."""
-        return self.dfa().key()
-
     def member(self, w: str) -> bool:
         if self._words is not None:
             return w in self._words
-        if self._dfa is not None:
-            return self._dfa.accepts(w)
         return self._nfa.accepts(w)
 
     def to_finite(self) -> "Language | None":
@@ -427,7 +365,7 @@ class Language:
 
             shown = ", ".join(format_word(w) for w in sort_words(self._words, self.alphabet))
             return f"Language{{{shown}}}"
-        return f"Language<dfa {self.dfa().n} states>"
+        return f"Language<nfa {self._nfa.n} states>"
 
 
 def _check_same_alphabet(*langs):
@@ -459,19 +397,18 @@ def star(a: Language) -> Language:
 
 
 def complement(a: Language) -> Language:
-    """Flipping the accepting states of a canonical DFA gives the
-    complement's canonical DFA: states stay reachable and distinct."""
-    dfa = a.dfa()
-    flipped = Dfa(dfa.alphabet, dfa.rows, frozenset(range(dfa.n)) - dfa.accepting)
-    out = Language.regular(flipped.to_nfa())
-    out._dfa = flipped
-    return out
+    """The subset DFA with its accepting states flipped: every subset
+    has a successor under every letter, the empty one being the dead
+    state, so the table is total and the flip rejects exactly A."""
+    dfa = determinize(a.nfa())
+    flipped = frozenset(range(dfa.n)) - dfa.accepting
+    return Language.regular(_rows_nfa(dfa.alphabet, dfa.rows, (0,), flipped))
 
 
 def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = False) -> Language:
     """Words w with uw in X for some u in U.
 
-    The subset construction on U's automaton beside X's canonical DFA
+    The subset construction on U's automaton beside X's subset DFA
     reads both on the same words; the X state of each subset holding a
     final state of U starts a word of the quotient.  With
     exclude_epsilon, the quotient starts from one fresh state that is
@@ -480,7 +417,7 @@ def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = Fa
     """
     _check_same_alphabet(u_lang, x_lang)
     nu = u_lang.nfa()
-    base = x_lang.dfa().to_nfa()
+    base = determinize(x_lang.nfa()).to_nfa()
     # X's states are numbered after U's, and every subset holds exactly one
     starts = {
         max(subset) - nu.n
@@ -553,10 +490,8 @@ def least_member(a: Language, b: Language, in_b: bool) -> str | None:
 
 
 def equivalent(a: Language, b: Language) -> bool:
-    _check_same_alphabet(a, b)
-    if a.is_finite_repr and b.is_finite_repr:
-        return a.words() == b.words()
-    return a.canonical_key() == b.canonical_key()
+    """Neither set holds a word the other lacks."""
+    return least_member(a, b, False) is None and least_member(b, a, False) is None
 
 
 def words_upto(lang: Language, max_len: int) -> frozenset[str]:
@@ -581,6 +516,10 @@ def words_upto(lang: Language, max_len: int) -> frozenset[str]:
 
 
 def truncate(lang: Language, max_len: int) -> Language:
+    """Members of length at most max_len; a negative max_len raises
+    UsageError."""
+    if max_len < 0:
+        raise UsageError(f"max_len must be at least 0, got {max_len}")
     return Language.finite(words_upto(lang, max_len), lang.alphabet)
 
 
@@ -724,8 +663,6 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
         if tag == "word":
             return Language(alphabet, words=frozenset((node[1],)))
         if tag == "union":
-            if all(p[0] == "word" for p in node[1]):
-                return Language(alphabet, words=frozenset([p[1] for p in node[1]]))
             parts = [eval_node(p) for p in node[1]]
             if all(p.is_finite_repr for p in parts):
                 words = frozenset().union(*(p.words() for p in parts))

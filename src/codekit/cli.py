@@ -465,6 +465,8 @@ def _cmd_extend(args):
 
 
 def _cmd_er_complete(args):
+    if args.sample_len < 0:
+        raise UsageError(f"sample_len must be at least 0, got {args.sample_len}")
     lang = _load_language(args)
     completed = indep_mod.er_complete(lang)
     added = least_member(completed, lang, False)

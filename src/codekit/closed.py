@@ -390,10 +390,12 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
 def _complete_extensions(
     base: frozenset[str], units, alphabet: Alphabet, budget: _Budget
 ) -> list[Language]:
-    """The complete codes among the nonempty ones of base and its search."""
+    """The complete codes among the nonempty ones of base and its search.
+    Base is a code and the search yields only codes, so completeness is
+    read off the Kraft sum with no second code test."""
     codes = chain((base,), _code_search(base, units, alphabet, budget))
     found = (Language(alphabet, words=c) for c in codes if c)
-    return [lang for lang in found if is_complete(lang)]
+    return [lang for lang in found if is_complete(lang, known_code=True)]
 
 
 def enumerate_delta_closed(

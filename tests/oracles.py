@@ -3,9 +3,12 @@
 Everything here is written from the definitions, by enumeration,
 breadth-first search or textbook dynamic programming, deliberately
 sharing no code with the package.  The automaton references read the
-package's automata, but only through their plain step and table (a
-language's ``dfa()``), and wrap results in its ``Dfa``, ``Nfa`` and
-``Language`` containers.
+package's automata, but only through their plain step and table (the
+subset DFA of ``reference_determinize``), and wrap results in its
+``Dfa``, ``Nfa`` and ``Language`` containers.  Moore's loop,
+``reference_minimize``, builds the minimal table that the package
+never needs, against which its answers on the subset table are
+checked.
 """
 
 from __future__ import annotations
@@ -306,8 +309,8 @@ def double_factorization_witness(codewords, letters, max_len):
 
 
 def is_universal(lang):
-    """Every word is a member: no state of the canonical DFA rejects."""
-    dfa = lang.dfa()
+    """Every word is a member: no state of the subset DFA rejects."""
+    dfa = reference_determinize(lang.nfa())
     return all(q in dfa.accepting for q in range(dfa.n))
 
 
@@ -334,7 +337,7 @@ def _live_states(dfa):
 def reference_trim(x_lang):
     """Trim deterministic automaton for X with initial state 0, for
     ``Language.trim``: the trie of a finite set, built word by word,
-    else the canonical DFA with every arc into a dead state cut.
+    else the subset DFA with every arc into a dead state cut.
 
     Returns (rows, finals): rows[q][i] is the successor of q under
     letter number i, or -1 where no member of X continues.
@@ -355,10 +358,73 @@ def reference_trim(x_lang):
                     rows.append([-1] * width)
             finals.add(q)
         return rows, finals
-    dfa = x_lang.dfa()
+    return _trim_table(reference_determinize(x_lang.nfa()))
+
+
+def _trim_table(dfa):
     live = _live_states(dfa)
     rows = [[r if r in live else -1 for r in row] for row in dfa.rows]
     return rows, dfa.accepting & live
+
+
+def reference_minimize(dfa):
+    """Minimal DFA with canonical breadth-first state numbering, by
+    Moore's refinement: split the classes by (class, successor classes)
+    until no class splits, then number the classes breadth-first from
+    the initial one, letters in alphabet order.  One round per state on
+    a long cycle, so only for small tables."""
+    from codekit.automata import Dfa
+
+    n = dfa.n
+    cls = [1 if q in dfa.accepting else 0 for q in range(n)]
+    while True:
+        sigs = {}
+        new_cls = [0] * n
+        for q in range(n):
+            sig = (cls[q], tuple(cls[r] for r in dfa.rows[q]))
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            new_cls[q] = sigs[sig]
+        if new_cls == cls:
+            break
+        cls = new_cls
+    reps = {}
+    for q in range(n):
+        reps.setdefault(cls[q], q)
+    order = [cls[0]]
+    number = {cls[0]: 0}
+    rows = []
+    for c in order:
+        row = []
+        for r in dfa.rows[reps[c]]:
+            d = cls[r]
+            if d not in number:
+                number[d] = len(order)
+                order.append(d)
+            row.append(number[d])
+        rows.append(tuple(row))
+    accepting = frozenset(number[c] for c in order if reps[c] in dfa.accepting)
+    return Dfa(dfa.alphabet, tuple(rows), accepting)
+
+
+def canonical_dfa(lang):
+    """The minimal DFA of a language, breadth-first numbered, so equal
+    exactly for equal languages: Moore's loop on the table of
+    ``reference_trim`` made total by one dead state."""
+    from codekit.automata import Dfa
+
+    rows, finals = reference_trim(lang)
+    dead = len(rows)
+    total = [tuple(r if r >= 0 else dead for r in row) for row in rows]
+    total.append((dead,) * len(lang.alphabet.letters))
+    return reference_minimize(Dfa(lang.alphabet, tuple(total), frozenset(finals)))
+
+
+def minimal_trim(x_lang):
+    """The trim table of the minimal DFA for X, in the form of
+    ``reference_trim``.  Reads no ``Language.trim``, so it can stand in
+    for it."""
+    return _trim_table(canonical_dfa(x_lang))
 
 
 def reference_finite_words(dfa):
@@ -426,7 +492,7 @@ def reference_determinize(nfa):
 
 
 def reference_product(a, b, keep):
-    """Pair product of the canonical DFAs of two languages, for
+    """Pair product of the subset DFAs of two languages, for
     ``least_member``.
 
     Breadth-first from the pair of initial states, letters in alphabet
@@ -434,7 +500,7 @@ def reference_product(a, b, keep):
     """
     from codekit.automata import Dfa, Language
 
-    da, db = a.dfa(), b.dfa()
+    da, db = reference_determinize(a.nfa()), reference_determinize(b.nfa())
     index = {(0, 0): 0}
     order = [(0, 0)]
     rows = []
@@ -462,7 +528,7 @@ def reference_left_quotient(u_lang, x_lang, exclude_epsilon=False):
     """
     from codekit.automata import Language, Nfa
 
-    dx = x_lang.dfa()
+    dx = reference_determinize(x_lang.nfa())
     nu = u_lang.nfa()
     start = (nu.eps_closure(nu.initial), 0)
     seen = {start}
@@ -488,9 +554,9 @@ def reference_left_quotient(u_lang, x_lang, exclude_epsilon=False):
 
 
 def reference_shortest_word(lang):
-    """Length-lex least member by breadth-first search on the canonical
+    """Length-lex least member by breadth-first search on the subset
     DFA, letters in alphabet order; None when the language is empty."""
-    dfa = lang.dfa()
+    dfa = reference_determinize(lang.nfa())
     if 0 in dfa.accepting:
         return ""
     seen = {0}

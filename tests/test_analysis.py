@@ -25,19 +25,23 @@ from codekit.analysis import (
 )
 from codekit.automata import (
     DEFAULT_STATE_CAP,
+    Dfa,
     Language,
     _least_word,
     compile_expression,
-    complement,
     factors,
-    shortest_word,
     star,
     union,
 )
 from codekit.cli import main
 from codekit.words import Alphabet
 
-from oracles import count_factorizations, double_factorization_witness, is_universal
+from oracles import (
+    canonical_dfa,
+    count_factorizations,
+    double_factorization_witness,
+    reference_shortest_word,
+)
 
 AB = Alphabet("ab")
 
@@ -284,9 +288,10 @@ def test_find_non_factor():
 
 def least_non_factor_by_minimal_dfa(x):
     """The route the subset search replaced: minimize the factors of X*,
-    then read the least word of the complement."""
-    f = factors(star(x))
-    return None if is_universal(f) else shortest_word(complement(f))
+    then read the least word that the minimal DFA rejects."""
+    dfa = canonical_dfa(factors(star(x)))
+    rejecting = Dfa(dfa.alphabet, dfa.rows, frozenset(range(dfa.n)) - dfa.accepting)
+    return reference_shortest_word(Language.regular(rejecting.to_nfa()))
 
 
 @given(

@@ -1,18 +1,22 @@
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codekit import analysis, automata
+from codekit import analysis, automata, cli
 from codekit.analysis import (
     CodeVerdict,
+    Distribution,
     find_non_factor,
     is_code,
     is_prefix_code,
+    measure_partial,
     sardinas_patterson,
 )
 from codekit.automata import (
     DEFAULT_STATE_CAP,
+    Dfa,
     Language,
     compile_expression,
     complement,
@@ -33,13 +37,15 @@ from codekit.cli import main
 from codekit.closed import is_closed
 from codekit.errors import BudgetExceededError, ParseError
 from codekit.independence import is_independent
-from codekit.transducers import EditRelationSpec, build, image
+from codekit.transducers import KINDS, EditRelationSpec, build, image, relation_image
 from codekit.words import Alphabet, sort_words
 
 from oracles import (
     brute_factors,
+    canonical_dfa,
     forward_prefix_pair,
     is_universal,
+    minimal_trim,
     reference_determinize,
     reference_finite_words,
     reference_left_quotient,
@@ -308,13 +314,14 @@ def test_complement_roundtrip(xs):
     assert least_member(complement(lang), lang, True) is None
 
 
-@given(finite_sets)
+@given(finite_sets, finite_sets)
 @settings(max_examples=40)
-def test_canonical_key_is_representation_independent(xs):
-    as_set = fin(xs)
-    as_nfa = Language.regular(fin(xs).nfa())
-    assert as_set.canonical_key() == as_nfa.canonical_key()
-    assert equivalent(as_set, as_nfa)
+def test_equivalent_matches_the_canonical_tables(xs, ys):
+    # the two least-word searches agree with a comparison of minimal tables
+    for a in both_forms(fin(xs)):
+        for b in both_forms(fin(ys)):
+            same = canonical_dfa(a) == canonical_dfa(b)
+            assert equivalent(a, b) == same == (xs == ys)
 
 
 @given(finite_sets, st.text(alphabet="ab", max_size=6))
@@ -322,7 +329,7 @@ def test_canonical_key_is_representation_independent(xs):
 def test_membership_consistency(xs, w):
     lang = fin(xs)
     regular = Language.regular(fin(xs).nfa())
-    assert lang.member(w) == regular.member(w) == regular.dfa().accepts(w)
+    assert lang.member(w) == regular.member(w) == (w in words_upto(regular, len(w)))
 
 
 @given(finite_sets, finite_sets)
@@ -426,13 +433,16 @@ def compiled_forms(case):
 
 @given(one_expression())
 @settings(max_examples=60, deadline=None)
-def test_complement_keeps_the_canonical_table(case):
+def test_complement_flips_the_subset_table(case):
     for x in compiled_forms(case):
-        x.dfa()
-        with patch.object(automata, "minimize", wraps=automata.minimize) as calls:
-            out = complement(x)
-        assert calls.call_count == 0
-        assert out.dfa() == Language.regular(out.nfa()).dfa()
+        out = complement(x)
+        dfa = reference_determinize(x.nfa())
+        flipped = Dfa(dfa.alphabet, dfa.rows, frozenset(range(dfa.n)) - dfa.accepting)
+        # the table is numbered breadth-first, so its own subset
+        # construction gives it back
+        assert reference_determinize(out.nfa()) == flipped
+        assert is_universal(union(x, out))
+        assert least_member(x, out, True) is None
 
 
 @given(one_expression())
@@ -440,7 +450,7 @@ def test_complement_keeps_the_canonical_table(case):
 def test_to_finite_matches_reference(case):
     for lang in compiled_forms(case):
         got = lang.to_finite()
-        expected = reference_finite_words(lang.dfa())
+        expected = reference_finite_words(reference_determinize(lang.nfa()))
         if expected is None:
             assert got is None
         else:
@@ -490,8 +500,8 @@ def test_prefix_pair_matches_reference_on_finite_sets(xs):
 def test_prefix_pair_matches_reference_on_regular_sets(case):
     for x in compiled_forms(case):
         if not is_prefix_code(x):
-            # |x| and |u| are each at most the number of trim states
-            words = words_upto(x, 2 * len(x.trim()[0]))
+            # |x| and |u| are each at most the number of minimal states
+            words = words_upto(x, 2 * len(minimal_trim(x)[0]))
             expected = reference_prefix_pair(words, x.alphabet.letters)
             assert analysis._prefix_pair(x) == expected
 
@@ -512,17 +522,68 @@ def test_prefix_pair_matches_the_forward_walk(case):
 
 
 def test_emptiness_questions_build_no_minimal_automaton(capsys):
-    # Moore's loop takes one round per state on a long cycle
+    # a long cycle: emptiness questions build no table, and the prefix
+    # pair reads the one subset table of X
     spec = EditRelationSpec.parse("delta:1")
-    expr = f"b.({'a' * 60})*"
+    expr = f"b.({'a' * 1000})*"
     counts = []
     for ask in (
         lambda: is_closed(compile_expression(expr, AB), spec),
         lambda: is_independent(compile_expression(expr, AB), spec),
         lambda: main(["prefix", "--alphabet", "ab", expr]),
     ):
-        with patch.object(automata, "minimize", wraps=automata.minimize) as spy:
+        with patch.object(automata, "determinize", wraps=automata.determinize) as spy:
             ask()
         counts.append(spy.call_count)
     assert counts == [0, 0, 1]
-    assert capsys.readouterr().out.endswith(f"witness: b begins or ends b{'a' * 60}\n")
+    assert capsys.readouterr().out.endswith(f"witness: b begins or ends b{'a' * 1000}\n")
+
+
+def table_answers(x):
+    """Everything the package reads off X's trim table."""
+    n = len(x.alphabet.letters)
+    weights = tuple(Fraction(2 * (i + 1), n * (n + 1)) for i in range(n))
+    finite = x.to_finite()
+    return (
+        sardinas_patterson(x),
+        analysis._prefix_pair(x),
+        cli._suffix_pair(x),
+        measure_partial(x, Distribution(x.alphabet, weights), 6),
+        None if finite is None else finite.words(),
+        is_prefix_code(x),
+    )
+
+
+def assert_minimal_table_agrees(lang):
+    """The answers on the table each form builds, the trie or the subset
+    DFA, equal those on the minimal table, for the set and its mirror."""
+    with patch.object(Language, "trim", minimal_trim):
+        want = table_answers(lang)
+    for x in both_forms(lang):
+        assert table_answers(x) == want
+    if not lang.is_finite_repr:
+        assert lang.trim() == reference_trim(lang)
+
+
+@given(one_expression())
+@settings(max_examples=80, deadline=None)
+def test_subset_and_minimal_tables_give_the_same_answers(case):
+    letters, expr = case
+    assert_minimal_table_agrees(compile_expression(expr, Alphabet(letters)))
+
+
+@given(
+    st.one_of(
+        st.frozensets(st.text(alphabet="ab", max_size=3), min_size=1, max_size=4).map(
+            lambda xs: ("ab", "|".join(w or "eps" for w in sorted(xs)))
+        ),
+        one_expression(),
+    ),
+    st.sampled_from(KINDS),
+)
+@settings(max_examples=120, deadline=None)
+def test_subset_and_minimal_tables_agree_on_images(case, kind):
+    letters, expr = case
+    alphabet = Alphabet(letters)
+    lang = compile_expression(expr, alphabet)
+    assert_minimal_table_agrees(relation_image(EditRelationSpec(kind, 1), alphabet, lang))

@@ -422,7 +422,8 @@ def test_empty_word_member_witness_is_the_empty_word(capsys, expr):
 
 
 def test_failing_suffix_reverses_the_set_once(capsys):
-    with patch.object(automata, "minimize", wraps=automata.minimize) as spy:
+    # one table: the reversed set's, read for its prefix pair
+    with patch.object(automata, "determinize", wraps=automata.determinize) as spy:
         code, out, _ = run(capsys, "suffix", "--alphabet", "ab", "(ba)*.(a|bb)")
     assert code == 1
     assert out.endswith("witness: a begins or ends baa\n")
@@ -616,6 +617,10 @@ def test_internal_faults_exit_five(capsys, monkeypatch, fault):
          "deletion-closed analysis needs a finite set"),
         (["classify-closed", "--alphabet", "ab", "aa", "--rel", "Sigma:1", "--max-word-len", "1"],
          "a nonempty set is required"),
+        (["complete", "--alphabet", "ab", "a|b", "--max-word-len", "-1"],
+         "max_len must be at least 0, got -1"),
+        (["er-complete", "--alphabet", "ab", "aa|b", "--sample-len", "-1"],
+         "sample_len must be at least 0, got -1"),
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, message):

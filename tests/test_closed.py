@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import traceback
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codekit import closed
+from codekit import analysis, closed
 from codekit.analysis import is_code, sardinas_patterson, verify_double_factorization
 from codekit.automata import Language, compile_expression, star
 from codekit.closed import (
@@ -530,6 +532,22 @@ def test_embedding_finds_the_uniform_completion():
     assert [lang.words() for lang in results] == [
         frozenset({"aa", "ab", "ba", "bb"})
     ]
+
+
+def test_embedding_tests_code_ness_of_the_input_alone(monkeypatch):
+    # the walk proves every extension a code, so their completeness is
+    # read off the Kraft sum with no second Sardinas-Patterson run
+    callers = []
+    search = analysis._double_factorization
+
+    def spy(rows, finals):
+        callers.append([frame.name for frame in traceback.extract_stack()])
+        return search(rows, finals)
+
+    monkeypatch.setattr(analysis, "_double_factorization", spy)
+    assert embed_delta_closed_complete(Language.finite({"a"}, ABC), 3)
+    assert callers
+    assert all("_require_delta_closed_code" in names for names in callers)
 
 
 # --- families with no closed codes ------------------------------------------
