@@ -2,8 +2,8 @@
 
 Code-ness is decided by Sardinas & Patterson's test read one letter at
 a time: a breadth-first search over pairs of states of the trim
-deterministic automaton ``Language.trim()`` (the trie of a finite X, the
-live part of the subset DFA otherwise), built once per language and
+deterministic automaton ``Language.trim()`` (the trie of a word list,
+the live part of the subset DFA otherwise), built once per language and
 shared with the prefix test and its witness.  Every answer here is a
 property of the set, so the table need not be minimal.  Two runs read
 the same word and each may restart at the initial state right after
@@ -16,14 +16,14 @@ search's parent pointers, a shortest word with two factorizations:
 eps = (eps) = (eps)(eps) when the empty word is a member.  The measure
 up to a length is one weighted pass over the same table.
 
-A finite code is complete, and maximal, exactly when its uniform
-Bernoulli measure is 1 (Schutzenberger), so its completeness is read
-off its Kraft sum with exact integers and no search.  The least-word
-walk of ``automata`` runs only for the witness of an incomplete code,
-for non-codes and for regular sets: the subset construction
-(``automata._subsets``) on the automaton for the factors of X*, under
-``DEFAULT_STATE_CAP``, stopped at the first subset holding no accepting
-state, which is entered by the length-lex least non-factor.
+A finite code, in either form, is complete, and maximal, exactly when
+its uniform Bernoulli measure is 1 (Schutzenberger), so its
+completeness is read off its Kraft sum with exact integers and no
+search.  The least-word walk of ``automata`` runs only for the witness
+of an incomplete code, for non-codes and for infinite sets: the subset
+construction (``automata._subsets``) on the automaton for the factors
+of X*, stopped at the first subset holding no accepting state, which
+is entered by the length-lex least non-factor.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import DEFAULT_STATE_CAP, Language, _least_word, factors, reverse, star
+from .automata import Language, _least_word, factors, reverse, star
 from .errors import PreconditionError, UsageError
 from .words import Alphabet
 
@@ -267,16 +267,14 @@ class Distribution:
         n = len(alphabet.letters)
         return Distribution(alphabet, tuple(Fraction(1, n) for _ in range(n)))
 
-    def word_measure(self, w: str) -> Fraction:
-        out = Fraction(1)
-        for c in w:
-            out *= self.probs[self.alphabet.index(c)]
-        return out
-
 
 def measure_finite(x_lang: Language, dist: Distribution) -> Fraction:
-    """Exact Bernoulli measure of a finite language."""
-    return sum((dist.word_measure(w) for w in x_lang.words()), Fraction(0))
+    """Exact Bernoulli measure of a finite set, in either form; an
+    infinite set raises UsageError."""
+    fin = x_lang.to_finite()
+    if fin is None:
+        raise UsageError("measure_finite needs a finite set; use measure_partial")
+    return measure_partial(x_lang, dist, max(map(len, fin.words()), default=0))
 
 
 def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fraction:
@@ -307,12 +305,13 @@ def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fract
 def _kraft_excess(x_lang: Language) -> int | None:
     """The Kraft sum of a finite X, sum of |A|^(L-|x|) over its words,
     less |A|^L, with L the greatest length: 0 exactly when X's uniform
-    Bernoulli measure is 1, negative when it is less.  None for a set
-    held as an automaton."""
-    if not x_lang.is_finite_repr:
+    Bernoulli measure is 1, negative when it is less.  None for an
+    infinite X."""
+    fin = x_lang.to_finite()
+    if fin is None:
         return None
     size = len(x_lang.alphabet.letters)
-    counts = Counter(map(len, x_lang.words()))
+    counts = Counter(map(len, fin.words()))
     top = max(counts, default=0)
     return sum(n * size ** (top - m) for m, n in counts.items()) - size**top
 
@@ -359,7 +358,7 @@ def _search_non_factor(x_lang: Language) -> str | None:
     factors of X*, stopped at the first subset holding no accepting
     state; a complete set visits every subset."""
     nfa = factors(star(x_lang)).nfa()
-    return _least_word(nfa, lambda subset: not subset & nfa.accepting, DEFAULT_STATE_CAP)
+    return _least_word(nfa, lambda subset: not subset & nfa.accepting)
 
 
 def find_non_factor(x_lang: Language) -> str:

@@ -1,10 +1,10 @@
 """Finite automata and the regular-language toolkit built on them.
 
-A :class:`Language` is either a finite set of words or a regular set
-carried by an NFA.  Nothing here builds a minimal automaton: every
-verdict of the package is a property of the set, read off any trim
-deterministic automaton for it, and two sets are equal when neither
-holds a word the other lacks.
+A :class:`Language` is held as words or as an NFA, but deciders outside
+this module fork only on ``to_finite``: finite or infinite.  Nothing
+here builds a minimal automaton: every verdict of the package is a
+property of the set, read off any trim deterministic automaton for it,
+and two sets are equal when neither holds a word the other lacks.
 
 One subset construction, ``_subsets`` (Rabin & Scott 1959), carries the
 regular-set algebra, and it enters at most ``DEFAULT_STATE_CAP``
@@ -20,16 +20,18 @@ that B holds, or lacks.  ``equivalent`` asks it both ways, as Hopcroft
 non-factor are the one-automaton cases.
 
 Every deterministic walk reads one table, ``Language.trim()``, built
-once per language: the trie of a finite set, else the live part of the
-subset DFA.  A finite set's automaton, ``words_upto`` and
-``to_finite`` read it, as do the code-ness and prefix tests of
-``analysis``.
+once per language: the trie of a word list, else the live part of the
+subset DFA.  A word list's automaton and ``words_upto`` read it, as do
+the code-ness and prefix tests of ``analysis``.  ``to_finite`` reads
+the NFA instead: an infinite set is told by a cycle of letter arcs, so
+it builds no subset table.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ParseError, UsageError
@@ -85,30 +87,27 @@ class Nfa:
         return bool(cur & self.accepting)
 
     def core_states(self) -> frozenset:
-        """States lying on at least one accepting path."""
+        """States on an accepting path: a forward search from the initial
+        states, then a backward one over the arcs it read."""
+        back: dict[int, list[int]] = {}
         fwd = set(self.initial)
         stack = list(fwd)
         while stack:
             q = stack.pop()
-            for label, dsts in self.arcs.get(q, {}).items():
+            for dsts in self.arcs.get(q, {}).values():
                 for r in dsts:
+                    back.setdefault(r, []).append(q)
                     if r not in fwd:
                         fwd.add(r)
                         stack.append(r)
-        back = {}
-        for q, by_label in self.arcs.items():
-            for label, dsts in by_label.items():
-                for r in dsts:
-                    back.setdefault(r, set()).add(q)
-        bwd = set(self.accepting)
-        stack = list(bwd)
+        core = set(self.accepting & fwd)
+        stack = list(core)
         while stack:
-            q = stack.pop()
-            for r in back.get(q, ()):
-                if r not in bwd:
-                    bwd.add(r)
-                    stack.append(r)
-        return frozenset(fwd & bwd)
+            for p in back.get(stack.pop(), ()):
+                if p not in core:
+                    core.add(p)
+                    stack.append(p)
+        return frozenset(core)
 
 
 def _trie(words, alphabet: Alphabet):
@@ -203,14 +202,15 @@ class Dfa:
         return _rows_nfa(self.alphabet, self.rows, (0,), self.accepting)
 
 
-def _subsets(nfa: Nfa, state_cap: int, rows: list):
+def _subsets(nfa: Nfa, rows: list):
     """Breadth-first subset construction, letters in alphabet order.
 
     Yields each subset, closed under empty moves, when it is first
     entered, with the number of the subset and the letter number it was
     entered from (-1, -1 for the start); so each subset's first word is
     length-lex least.  Appends each subset's row of successor numbers to
-    ``rows`` and raises when it would enter more than state_cap subsets.
+    ``rows`` and raises when it would enter more than DEFAULT_STATE_CAP
+    subsets, read at call time.
     """
     letters = nfa.alphabet.letters
     # moves[i][q]: q's successors under letter i, closed under empty
@@ -238,9 +238,10 @@ def _subsets(nfa: Nfa, state_cap: int, rows: list):
             j = number.get(nxt)
             if j is None:
                 j = len(order)
-                if j >= state_cap:
+                if j >= DEFAULT_STATE_CAP:
                     raise BudgetExceededError(
-                        f"determinization exceeded {state_cap} states", budget=state_cap
+                        f"determinization exceeded {DEFAULT_STATE_CAP} states",
+                        budget=DEFAULT_STATE_CAP,
                     )
                 number[nxt] = j
                 order.append(nxt)
@@ -249,26 +250,26 @@ def _subsets(nfa: Nfa, state_cap: int, rows: list):
         rows.append(tuple(row))
 
 
-def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def determinize(nfa: Nfa) -> Dfa:
     """Subset construction; raises when the cap on DFA states is hit."""
     rows: list[tuple[int, ...]] = []
-    order = [subset for subset, _, _ in _subsets(nfa, state_cap, rows)]
+    order = [subset for subset, _, _ in _subsets(nfa, rows)]
     accepting = frozenset(i for i, s in enumerate(order) if s & nfa.accepting)
     return Dfa(nfa.alphabet, tuple(rows), accepting)
 
 
-def _least_word(nfa: Nfa, test, state_cap: int) -> str | None:
+def _least_word(nfa: Nfa, test) -> str | None:
     """Length-lex least word whose subset passes ``test``, or None when
     no subset does.
 
     The subset construction stopped at the first such subset: subsets
     are entered in the length-lex order of their least words, so that
     subset's word is the answer.  It raises like ``determinize`` once it
-    would enter more than state_cap subsets.
+    would enter more than DEFAULT_STATE_CAP subsets.
     """
     letters = nfa.alphabet.letters
     words: list[str] = []  # each entered subset's least word
-    for subset, parent, letter in _subsets(nfa, state_cap, []):
+    for subset, parent, letter in _subsets(nfa, []):
         word = words[parent] + letters[letter] if parent >= 0 else ""
         if test(subset):
             return word
@@ -336,28 +337,34 @@ class Language:
         return self._nfa.accepts(w)
 
     def to_finite(self) -> "Language | None":
-        """Finite-set form, or None when the language is infinite."""
+        """Finite-set form, or None when the language is infinite.
+
+        A set is infinite exactly when a letter arc lies on a cycle of
+        core states, those on accepting paths.  Kahn's sort over the
+        core, where q leads to each core state that one letter arc
+        reaches from q's empty closure, never orders such a cycle, so an
+        infinite set builds no subset table.  A member's letters reach
+        distinct core states, which bounds its length."""
         if self._words is not None:
             return self
-        rows = self.trim()[0]
-        # Kahn's topological order: a cycle never enters it, and a cycle
-        # of the trim table means infinitely many words
-        indeg = [0] * len(rows)
-        for row in rows:
-            for r in row:
-                if r >= 0:
-                    indeg[r] += 1
-        order = [q for q, d in enumerate(indeg) if d == 0]
+        nfa = self.nfa()
+        core = nfa.core_states()
+        succ = {q: set() for q in core}
+        for q in core:
+            for p in nfa.eps_closure((q,)):
+                for c, dsts in nfa.arcs.get(p, {}).items():
+                    if c != EPS:
+                        succ[q] |= dsts & core
+        indeg = Counter(r for rs in succ.values() for r in rs)
+        order = [q for q in core if not indeg[q]]
         for q in order:
-            for r in rows[q]:
-                if r >= 0:
-                    indeg[r] -= 1
-                    if indeg[r] == 0:
-                        order.append(r)
-        if len(order) < len(rows):
+            for r in succ[q]:
+                indeg[r] -= 1
+                if not indeg[r]:
+                    order.append(r)
+        if len(order) < len(core):
             return None
-        # an acyclic table has no word as long as its number of states
-        return Language.finite(words_upto(self, len(rows)), self.alphabet)
+        return Language.finite(words_upto(self, len(core)), self.alphabet)
 
     def __repr__(self):
         if self._words is not None:
@@ -421,7 +428,7 @@ def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = Fa
     # X's states are numbered after U's, and every subset holds exactly one
     starts = {
         max(subset) - nu.n
-        for subset, _, _ in _subsets(nfa_union(nu, base), DEFAULT_STATE_CAP, [])
+        for subset, _, _ in _subsets(nfa_union(nu, base), [])
         if subset & nu.accepting
     }
     n, initial, arcs = base.n, starts, base.arcs
@@ -462,7 +469,7 @@ def shortest_word(lang: Language) -> str | None:
     if lang.is_finite_repr:
         return min(lang.words(), key=lang.alphabet.lex_key, default=None)
     nfa = lang.nfa()
-    return _least_word(nfa, lambda subset: subset & nfa.accepting, DEFAULT_STATE_CAP)
+    return _least_word(nfa, lambda subset: subset & nfa.accepting)
 
 
 def least_member(a: Language, b: Language, in_b: bool) -> str | None:
@@ -486,7 +493,7 @@ def least_member(a: Language, b: Language, in_b: bool) -> str | None:
     def test(subset):
         return bool(subset & a_final) and bool(subset & nb.accepting) == in_b
 
-    return _least_word(both, test, DEFAULT_STATE_CAP)
+    return _least_word(both, test)
 
 
 def equivalent(a: Language, b: Language) -> bool:

@@ -270,31 +270,20 @@ def _grow_dangling(
         fresh = []
         # one startswith per word: only a word at least as long as n can
         # start with it, and only a shorter one can start n
-        for v in words:
-            if len(v) >= size:
-                if not v.startswith(n):
+        for pool in (words, dangling):
+            for v in pool:
+                if len(v) >= size:
+                    if not v.startswith(n):
+                        continue
+                    u = v[size:]
+                elif n.startswith(v):
+                    u = n[len(v) :]
+                else:
                     continue
-                u = v[size:]
-            elif n.startswith(v):
-                u = n[len(v) :]
-            else:
-                continue
-            if u in words:
-                return None
-            if u:  # empty only when v is n itself
-                fresh.append(u)
-        for v in dangling:  # n is not among them, so no quotient is empty
-            if len(v) >= size:
-                if not v.startswith(n):
-                    continue
-                u = v[size:]
-            elif n.startswith(v):
-                u = n[len(v) :]
-            else:
-                continue
-            if u in words:
-                return None
-            fresh.append(u)
+                if u in words:
+                    return None
+                if u:  # empty only when v is n itself, a word and not in D
+                    fresh.append(u)
         while fresh:
             d = fresh.pop()
             if d in grown or d in dangling:
@@ -649,7 +638,7 @@ def sigma_complete_embedding(
     alphabet = x_lang.alphabet
     if not is_code(x_lang):
         raise PreconditionError("precondition failed: input is not a code")
-    if is_complete(x_lang):
+    if is_complete(x_lang, known_code=True):
         raise PreconditionError("precondition failed: input is already complete")
     short = Language.finite(alphabet.words_upto(k), alphabet)
     if least_member(x_lang, short, False) is None:

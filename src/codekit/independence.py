@@ -6,9 +6,10 @@ antireflexive restriction.  Three regimes on infinite regular inputs
 are open problems and surface as UnsupportedError: independence for
 S_k and Lambda_k with k >= 2 (Q1), error correction (Q2), and
 code-ness of the antireflexive image in the same S/Lambda regime (Q3).
-Either form of a dependent set gives one witness: the least member x
-whose image meets X, then x's least hit; a regular set finds x in the
-image of X under the inverse relation.
+A finite set, whatever its form, is read member by member, and a
+dependent set gives one witness: the least member x whose image meets
+X, then x's least hit; an infinite set finds x in the image of X under
+the inverse relation.
 """
 
 from __future__ import annotations
@@ -62,22 +63,19 @@ def is_independent(x_lang: Language, spec: EditRelationSpec) -> IndependenceRepo
     another member."""
     alphabet = x_lang.alphabet
     bar = spec.with_closure("antireflexive")
-    if not spec.is_antireflexive_already:
-        fin = x_lang.to_finite()
-        if fin is None:
-            raise UnsupportedError(
-                "Q1",
-                f"independence of an infinite regular set under {spec.render()}",
-            )
-        x_lang = fin
-    if x_lang.is_finite_repr:
-        members = x_lang.words()
+    fin = x_lang.to_finite()
+    if fin is not None:
+        members = fin.words()
         for x in sort_words(members, alphabet):
             hits = relation_image_word(bar, alphabet, x) & members
             if hits:
                 y = min(hits, key=alphabet.lex_key)
                 return IndependenceReport(False, (x, y))
         return IndependenceReport(True, None)
+    if not spec.is_antireflexive_already:
+        raise UnsupportedError(
+            "Q1", f"independence of an infinite regular set under {spec.render()}"
+        )
     x = least_member(relation_image(inverse_spec(bar), alphabet, x_lang), x_lang, True)
     if x is None:
         return IndependenceReport(True, None)
@@ -132,16 +130,19 @@ def underline_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVer
     return sardinas_patterson(img)
 
 
-def is_maximal_independent(x_lang: Language, spec: EditRelationSpec) -> bool:
-    """Within the family of independent codes, maximal iff complete."""
+def _require_independent_code(x_lang: Language, spec: EditRelationSpec) -> None:
     if not is_code(x_lang):
         raise PreconditionError("precondition failed: input is not a code")
-    report = is_independent(x_lang, spec)
-    if not report.independent:
+    if not is_independent(x_lang, spec).independent:
         raise PreconditionError(
             f"precondition failed: input is not independent under {spec.render()}"
         )
-    return is_complete(x_lang)
+
+
+def is_maximal_independent(x_lang: Language, spec: EditRelationSpec) -> bool:
+    """Within the family of independent codes, maximal iff complete."""
+    _require_independent_code(x_lang, spec)
+    return is_complete(x_lang, known_code=True)
 
 
 def witness_independent_extension(x_lang: Language, spec: EditRelationSpec) -> str:
@@ -152,29 +153,16 @@ def witness_independent_extension(x_lang: Language, spec: EditRelationSpec) -> s
     unbordered word.  The result is verified before being returned.
     """
     alphabet = x_lang.alphabet
-    if not is_code(x_lang):
-        raise PreconditionError("precondition failed: input is not a code")
-    report = is_independent(x_lang, spec)
-    if not report.independent:
-        raise PreconditionError(
-            f"precondition failed: input is not independent under {spec.render()}"
-        )
-    v = _least_non_factor(x_lang)
+    _require_independent_code(x_lang, spec)
+    v = _least_non_factor(x_lang, known_code=True)
     if v is None:
         raise PreconditionError("precondition failed: input is already complete")
     base = v * (spec.k + 1)
     w = base + unbordered_extension(base, alphabet)
     extended = union(x_lang, Language.finite((w,), alphabet))
-    hits = relation_image_word(
-        spec.with_closure("antireflexive"), alphabet, w
-    )
-    ok = (
-        not any(x_lang.member(u) for u in hits)
-        and not x_lang.member(w)
-        and is_independent(extended, spec).independent
-        and is_code(extended)
-    )
-    if not ok:
+    # X lies in the extension, so its independence covers the hits of w
+    ok = is_independent(extended, spec).independent and is_code(extended)
+    if x_lang.member(w) or not ok:
         raise RuntimeError("internal: constructed extension failed verification")
     return w
 
@@ -189,7 +177,7 @@ def er_complete(x_lang: Language) -> Language:
     alphabet = x_lang.alphabet
     if not is_code(x_lang):
         raise PreconditionError("precondition failed: input is not a code")
-    v = _least_non_factor(x_lang)
+    v = _least_non_factor(x_lang, known_code=True)
     if v is None:
         raise PreconditionError("precondition failed: input is already complete")
     w = _least_unbordered_non_factor(v, factors(star(x_lang)))
@@ -198,7 +186,7 @@ def er_complete(x_lang: Language) -> Language:
     surrounded = concat(concat(universe, w_lang), universe)
     u_lang = complement(union(star(x_lang), surrounded))
     y_lang = union(x_lang, concat(w_lang, star(concat(u_lang, w_lang))))
-    if not is_code(y_lang) or not is_complete(y_lang):
+    if not is_code(y_lang) or not is_complete(y_lang, known_code=True):
         raise RuntimeError("internal: completion failed verification")
     return y_lang
 

@@ -427,41 +427,35 @@ def minimal_trim(x_lang):
     return _trim_table(canonical_dfa(x_lang))
 
 
-def reference_finite_words(dfa):
-    """Every word a DFA accepts, or None when there are infinitely many,
-    for ``Language.to_finite``.
-
-    Kahn's topological order of the live states: states on a cycle
-    never enter it, and a cycle of live states means infinitely many
-    words.  Prefixes are then pushed along the order.
-    """
-    live = _live_states(dfa)
-    indeg = {q: 0 for q in live}
-    for q in live:
-        for r in dfa.rows[q]:
-            if r in live:
+def reference_to_finite(x_lang):
+    """The members of X, or None when there are infinitely many, for
+    ``Language.to_finite``: Kahn's topological order of X's trim table
+    (``reference_trim``), which a cycle never enters, then prefixes
+    pushed along the order."""
+    rows, finals = reference_trim(x_lang)
+    indeg = [0] * len(rows)
+    for row in rows:
+        for r in row:
+            if r >= 0:
                 indeg[r] += 1
-    order = [q for q in live if indeg[q] == 0]
+    order = [q for q, d in enumerate(indeg) if d == 0]
     for q in order:
-        for r in dfa.rows[q]:
-            if r in live:
+        for r in rows[q]:
+            if r >= 0:
                 indeg[r] -= 1
                 if indeg[r] == 0:
                     order.append(r)
-    if len(order) < len(live):
+    if len(order) < len(rows):
         return None
-    prefixes = {q: set() for q in live}
-    if 0 in live:
-        prefixes[0].add("")
+    prefixes = [set() for _ in rows]
+    prefixes[0].add("")
     out = set()
     for q in order:
-        ws = prefixes[q]
-        if q in dfa.accepting:
-            out.update(ws)
-        for li, c in enumerate(dfa.alphabet):
-            r = dfa.rows[q][li]
-            if r in live:
-                prefixes[r].update(w + c for w in ws)
+        if q in finals:
+            out |= prefixes[q]
+        for c, r in zip(x_lang.alphabet.letters, rows[q]):
+            if r >= 0:
+                prefixes[r].update(w + c for w in prefixes[q])
     return frozenset(out)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codekit import analysis, automata
+from codekit import automata
 from codekit.analysis import (
     CodeVerdict,
     Distribution,
@@ -24,7 +24,6 @@ from codekit.analysis import (
     verify_double_factorization,
 )
 from codekit.automata import (
-    DEFAULT_STATE_CAP,
     Dfa,
     Language,
     _least_word,
@@ -34,6 +33,7 @@ from codekit.automata import (
     union,
 )
 from codekit.cli import main
+from codekit.errors import UsageError
 from codekit.words import Alphabet
 
 from oracles import (
@@ -221,6 +221,16 @@ def test_measure_values():
     assert measure_finite(fin({"ab"}), skew) == Fraction(2, 9)
 
 
+def test_measure_of_a_finite_set_in_either_form():
+    def measure(expr):
+        return measure_finite(compile_expression(expr, AB), Distribution.uniform(AB))
+
+    assert measure("(a|bb).eps*") == Fraction(3, 4)
+    assert measure("eps*") == 1
+    with pytest.raises(UsageError):
+        measure("(a|bb)*")
+
+
 def test_measure_partial_regular():
     uniform = Distribution.uniform(AB)
     x = compile_expression("(ba)*.(a|bb)", AB)
@@ -320,7 +330,7 @@ def test_least_non_factor_matches_minimal_dfa_route_on_regular_sets(expr):
 def searched_non_factor(x):
     """The least non-factor by the subset search alone."""
     nfa = factors(star(x)).nfa()
-    return _least_word(nfa, lambda subset: not subset & nfa.accepting, DEFAULT_STATE_CAP)
+    return _least_word(nfa, lambda subset: not subset & nfa.accepting)
 
 
 def leaf_split_code(rng, letters, n):
@@ -400,12 +410,12 @@ HOLED = (
 def test_completeness_search_keeps_the_state_cap(capsys, monkeypatch):
     argv = ["complete", "--alphabet", "ab", HOLED]
     for cap in (8, 399):
-        monkeypatch.setattr(analysis, "DEFAULT_STATE_CAP", cap)
+        monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", cap)
         assert main(argv) == 4
         assert capsys.readouterr().out == (
             f"verdict: budget-exceeded\ndetail: determinization exceeded {cap} states\n"
         )
-    monkeypatch.setattr(analysis, "DEFAULT_STATE_CAP", 400)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 400)
     assert main(argv) == 1
     assert "witness: abababaababaab\n" in capsys.readouterr().out
 

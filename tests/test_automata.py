@@ -47,11 +47,11 @@ from oracles import (
     is_universal,
     minimal_trim,
     reference_determinize,
-    reference_finite_words,
     reference_left_quotient,
     reference_prefix_pair,
     reference_product,
     reference_shortest_word,
+    reference_to_finite,
     reference_trim,
 )
 
@@ -242,10 +242,11 @@ def test_to_finite():
     assert got.words() == {"a", "b"}
 
 
-def test_determinize_cap():
+def test_determinize_cap(monkeypatch):
     nfa = fin({"ab", "ba", "abab"}).nfa()
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
     with pytest.raises(BudgetExceededError):
-        determinize(nfa, state_cap=2)
+        determinize(nfa)
 
 
 def test_compiling_a_flat_union_checks_no_letters(monkeypatch):
@@ -350,10 +351,10 @@ def test_factors_match_enumeration(xs):
     assert got.words() == expected
 
 
-def expressions(letters):
+def expressions(letters, leaves=None):
     words = st.text(alphabet=letters, min_size=1, max_size=3)
     return st.recursive(
-        words,
+        words if leaves is None else leaves(words),
         lambda inner: st.one_of(
             st.tuples(inner, inner).map(lambda p: f"({p[0]})|({p[1]})"),
             st.tuples(inner, inner).map(lambda p: f"({p[0]}).({p[1]})"),
@@ -445,16 +446,45 @@ def test_complement_flips_the_subset_table(case):
         assert least_member(x, out, True) is None
 
 
-@given(one_expression())
-@settings(max_examples=80, deadline=None)
-def test_to_finite_matches_reference(case):
-    for lang in compiled_forms(case):
-        got = lang.to_finite()
-        expected = reference_finite_words(reference_determinize(lang.nfa()))
-        if expected is None:
-            assert got is None
-        else:
-            assert got.words() == expected
+def with_empty_moves(letters):
+    """Sets whose automata hold empty-move cycles: a set followed by
+    eps*, and expressions with eps among their leaves, as in (eps|a)*."""
+    return st.one_of(
+        expressions(letters).map(lambda e: f"({e}).eps*"),
+        expressions(letters, lambda words: st.one_of(st.just("eps"), words)),
+    )
+
+
+@given(
+    st.sampled_from(["ab", "abc"]).flatmap(
+        lambda letters: st.tuples(
+            st.just(letters),
+            st.one_of(expressions(letters), with_empty_moves(letters)),
+        )
+    ),
+    st.sampled_from(KINDS),
+)
+@settings(max_examples=150, deadline=None)
+def test_to_finite_matches_reference(case, kind):
+    letters, expr = case
+    alphabet = Alphabet(letters)
+    lang = compile_expression(expr, alphabet)
+    for x in (lang, relation_image(EditRelationSpec(kind, 1), alphabet, lang)):
+        for form in both_forms(x):
+            got = form.to_finite()
+            assert (None if got is None else got.words()) == reference_to_finite(form)
+
+
+def test_to_finite_builds_no_table_for_an_infinite_set():
+    long_tail = "(a|b)*.a." + ".".join(["(a|b)"] * 16)
+    for expr in (f"b.({'a' * 1000})*", long_tail, "(eps|a)*", "a.eps*.b*"):
+        lang = compile_expression(expr, AB)
+        with patch.object(automata, "determinize", wraps=automata.determinize) as spy:
+            assert lang.to_finite() is None
+        assert spy.call_count == 0
+    # a finite set held as an automaton is spelled off its trim table
+    lang = compile_expression("(a|bb).eps*.(eps|a)", AB)
+    assert lang.to_finite().words() == {"a", "aa", "bb", "bba"}
 
 
 @given(finite_sets)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -458,6 +459,41 @@ def test_open_questions_exit_two(capsys):
     )
     assert code == 2
     assert json.loads(out)["question"] == "Q3"
+
+
+def test_open_questions_need_no_subset_table(capsys):
+    # the subset DFA has at least 2^17 states: an infinite set is told
+    # from its automaton alone, so each question exits at once, not at
+    # the state cap
+    expr = "(a|b)*.a." + ".".join(["(a|b)"] * 16)
+    for argv, question in (
+        (["errcorrect", expr, "--rel", "delta:1"], "Q2"),
+        (["independent", expr, "--rel", "Lambda:2"], "Q1"),
+        (["image-code", expr, "--rel", "S:2"], "Q3"),
+    ):
+        with patch.object(automata, "determinize", wraps=automata.determinize) as spy:
+            code, out, _ = run(capsys, *argv, "--alphabet", "ab")
+        assert (code, spy.call_count) == (2, 0)
+        assert f"question: {question}\n" in out
+    argv = ["simulate", "--code", expr, "--alphabet", "ab", "--rel", "delta:1"]
+    code, _, err = run(capsys, *argv, "--p", "0.1", "--len", "5")
+    assert code == 3
+    assert "an infinite code cannot drive the simulator" in err
+
+
+def test_both_forms_of_a_word_list_are_read_member_by_member(capsys, monkeypatch):
+    # the automaton form's trim table fits under this cap; the search of
+    # the set's inverse image beside the set does not
+    rng = random.Random(0)
+    words = sorted({"".join(rng.choice("ab") for _ in range(16)) for _ in range(60)})
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 1000)
+    outs = [
+        run(capsys, "independent", "--alphabet", "ab", expr, "--rel", "Lambda:1")
+        for expr in ("|".join(words), f"({'|'.join(words)}).eps*")
+    ]
+    assert outs[0] == outs[1]
+    holds = "property: independent\nrelation: Lambda:1\nverdict: holds\n"
+    assert outs[0][:2] == (0, holds)
 
 
 def test_truncation_lifts_the_block(capsys):

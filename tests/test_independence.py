@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codekit import independence
+from codekit import analysis, independence
 from codekit.analysis import (
     is_complete,
     is_maximal_code,
@@ -14,6 +16,7 @@ from codekit.analysis import (
     verify_double_factorization,
 )
 from codekit.automata import Language, compile_expression, star, union, words_upto
+from codekit.closed import sigma_complete_embedding
 from codekit.errors import PreconditionError, UnsupportedError
 from codekit.independence import (
     check_constraints,
@@ -398,6 +401,32 @@ NOT_A_CODE = {"a", "ab", "b"}
 def test_failed_preconditions_have_their_own_type(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
+
+
+@pytest.mark.parametrize("words", [{"a", "b"}, {"aa", "bb"}, {"aa"}])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: is_maximal_independent(x, spec("delta:2")),
+        lambda x: witness_independent_extension(x, spec("delta:2")),
+        er_complete,
+        lambda x: sigma_complete_embedding(x, 2),
+    ],
+    ids=["maximal", "extension", "er-complete", "sigma-embedding"],
+)
+def test_each_input_reaches_sardinas_patterson_once(words, call):
+    # the code test of the input comes first, and nothing repeats it
+    # before the result's own check, complete input or not
+    x = fin(words)
+    search = analysis._double_factorization
+    with patch.object(analysis, "_double_factorization", wraps=search) as spy:
+        try:
+            call(x)
+        except PreconditionError as e:
+            assert "already complete" in str(e)
+    tables = [args[0] for args, _ in spy.call_args_list]
+    assert tables[0] is x.trim()[0]
+    assert sum(t is tables[0] for t in tables) == 1
 
 
 def test_constraint_report_reads_a_failed_precondition_as_fails():
