@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import Language, _least_word, factors, reverse, star
+from .automata import Language, _ancestors, _least_word, factors, reverse, star
 from .errors import PreconditionError, UsageError
 from .words import Alphabet
 
@@ -195,24 +195,6 @@ def _least_tail(rows, sources, targets, within=None) -> list[int] | None:
             if fresh:
                 queue.append((word + [i], fresh))
     return None
-
-
-def _ancestors(rows, targets) -> set[int]:
-    """The states from which some word leads into ``targets``, targets
-    included: one backward pass over the table, then a search back."""
-    back: list[list[int]] = [[] for _ in rows]
-    for q, row in enumerate(rows):
-        for r in row:
-            if r >= 0:
-                back[r].append(q)
-    found = set(targets)
-    stack = list(found)
-    while stack:
-        for p in back[stack.pop()]:
-            if p not in found:
-                found.add(p)
-                stack.append(p)
-    return found
 
 
 def _prefix_pair(x_lang: Language) -> tuple[str, str] | None:

@@ -8,23 +8,24 @@ and two sets are equal when neither holds a word the other lacks.
 
 One subset construction, ``_subsets`` (Rabin & Scott 1959), carries the
 regular-set algebra, and it enters at most ``DEFAULT_STATE_CAP``
-subsets: ``determinize`` reads its table, and ``complement`` flips the
-accepting subsets of that table; ``left_quotient`` reads its start
-states from the subsets of U's automaton beside X's subset DFA; least
-words are the word of the first subset that passes a test.  Emptiness
-questions on two sets are least words too: ``least_member`` runs the
-construction on both automata side by side, so each subset holds the
-states of both after one word, and it stops at the first member of A
-that B holds, or lacks.  ``equivalent`` asks it both ways, as Hopcroft
-& Karp's product search does.  ``shortest_word`` and the least
-non-factor are the one-automaton cases.
+subsets.  It fills a table at one place, ``Language.trim()``; every
+other reader walks it and keeps no table.  Least words are the word of
+the first subset that passes a test.  Emptiness questions on two sets
+are least words too: ``least_member`` runs the construction on both
+automata side by side, so each subset holds the states of both after
+one word, and it stops at the first member of A that B holds, or lacks.
+``equivalent`` asks it both ways, as Hopcroft & Karp's product search
+does, and the least non-factor is the one-automaton case.
+``left_quotient`` reads its start states from the subsets of U's
+automaton beside X's trim table.
 
 Every deterministic walk reads one table, ``Language.trim()``, built
 once per language: the trie of a word list, else the live part of the
-subset DFA.  A word list's automaton and ``words_upto`` read it, as do
-the code-ness and prefix tests of ``analysis``.  ``to_finite`` reads
-the NFA instead: an infinite set is told by a cycle of letter arcs, so
-it builds no subset table.
+subset table.  A word list's automaton and ``words_upto`` read it, as
+do ``complement``, which makes it total with one dead state and flips
+it, and the code-ness and prefix tests of ``analysis``.  ``to_finite``
+reads the NFA instead: an infinite set is told by a cycle of letter
+arcs, so it builds no subset table.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError, ParseError, UsageError
 from .words import Alphabet, EPS_TOKEN
@@ -183,34 +183,15 @@ def nfa_universal(alphabet: Alphabet) -> Nfa:
     return Nfa(alphabet, 1, frozenset((0,)), frozenset((0,)), arcs)
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """Total deterministic automaton; state 0 is initial.
-
-    rows[q][i] is the successor of q under letter number i.
-    """
-
-    alphabet: Alphabet
-    rows: tuple[tuple[int, ...], ...]
-    accepting: frozenset[int]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def to_nfa(self) -> Nfa:
-        return _rows_nfa(self.alphabet, self.rows, (0,), self.accepting)
-
-
-def _subsets(nfa: Nfa, rows: list):
+def _subsets(nfa: Nfa, rows: list | None = None):
     """Breadth-first subset construction, letters in alphabet order.
 
     Yields each subset, closed under empty moves, when it is first
     entered, with the number of the subset and the letter number it was
     entered from (-1, -1 for the start); so each subset's first word is
-    length-lex least.  Appends each subset's row of successor numbers to
-    ``rows`` and raises when it would enter more than DEFAULT_STATE_CAP
-    subsets, read at call time.
+    length-lex least.  Given ``rows``, appends each subset's row of
+    successor numbers to it.  Raises when it would enter more than
+    DEFAULT_STATE_CAP subsets, read at call time.
     """
     letters = nfa.alphabet.letters
     # moves[i][q]: q's successors under letter i, closed under empty
@@ -247,15 +228,26 @@ def _subsets(nfa: Nfa, rows: list):
                 order.append(nxt)
                 yield nxt, i, li
             row.append(j)
-        rows.append(tuple(row))
+        if rows is not None:
+            rows.append(tuple(row))
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction; raises when the cap on DFA states is hit."""
-    rows: list[tuple[int, ...]] = []
-    order = [subset for subset, _, _ in _subsets(nfa, rows)]
-    accepting = frozenset(i for i, s in enumerate(order) if s & nfa.accepting)
-    return Dfa(nfa.alphabet, tuple(rows), accepting)
+def _ancestors(rows, targets) -> set[int]:
+    """The states from which some word leads into ``targets``, targets
+    included: one backward pass over the table, then a search back."""
+    back: list[list[int]] = [[] for _ in rows]
+    for q, row in enumerate(rows):
+        for r in row:
+            if r >= 0:
+                back[r].append(q)
+    found = set(targets)
+    stack = list(found)
+    while stack:
+        for p in back[stack.pop()]:
+            if p not in found:
+                found.add(p)
+                stack.append(p)
+    return found
 
 
 def _least_word(nfa: Nfa, test) -> str | None:
@@ -264,12 +256,12 @@ def _least_word(nfa: Nfa, test) -> str | None:
 
     The subset construction stopped at the first such subset: subsets
     are entered in the length-lex order of their least words, so that
-    subset's word is the answer.  It raises like ``determinize`` once it
-    would enter more than DEFAULT_STATE_CAP subsets.
+    subset's word is the answer.  It raises once it would enter more
+    than DEFAULT_STATE_CAP subsets.
     """
     letters = nfa.alphabet.letters
     words: list[str] = []  # each entered subset's least word
-    for subset, parent, letter in _subsets(nfa, []):
+    for subset, parent, letter in _subsets(nfa):
         word = words[parent] + letters[letter] if parent >= 0 else ""
         if test(subset):
             return word
@@ -280,13 +272,14 @@ def _least_word(nfa: Nfa, test) -> str | None:
 class Language:
     """A finite or regular set of words over a fixed alphabet."""
 
-    __slots__ = ("alphabet", "_words", "_nfa", "_trim")
+    __slots__ = ("alphabet", "_words", "_nfa", "_trim", "_finite")
 
     def __init__(self, alphabet, words=None, nfa=None):
         self.alphabet = alphabet
         self._words = words
         self._nfa = nfa
         self._trim = None
+        self._finite = None  # to_finite's answer, False for an infinite set
 
     @staticmethod
     def finite(words, alphabet: Alphabet) -> "Language":
@@ -316,19 +309,27 @@ class Language:
 
     def trim(self):
         """Trim deterministic automaton (rows, finals) with initial state 0,
-        built on first use: the trie of a finite set, else the live part of
-        the subset DFA.  rows[q][i] is the successor of q under letter
-        number i, or -1 where no member continues.  The table is shared
-        by every reader: read it, never change it.
+        built on first use: the trie of a finite set, else the subset
+        table of its automaton with every arc into a dead subset cut.
+        rows[q][i] is the successor of q under letter number i, or -1
+        where no member continues.  Every subset is reached, so one
+        backward pass from the accepting subsets marks the live ones.
+        The table is shared by every reader: read it, never change it.
         """
         if self._trim is None:
             if self._words is not None:
                 self._trim = _trie(self._words, self.alphabet)
             else:
-                dfa = determinize(self.nfa())
-                live = dfa.to_nfa().core_states()
-                rows = [[r if r in live else -1 for r in row] for row in dfa.rows]
-                self._trim = rows, dfa.accepting & live
+                nfa = self.nfa()
+                table: list[tuple[int, ...]] = []
+                finals = {
+                    i
+                    for i, (subset, _, _) in enumerate(_subsets(nfa, table))
+                    if subset & nfa.accepting
+                }
+                live = _ancestors(table, finals)
+                rows = [[r if r in live else -1 for r in row] for row in table]
+                self._trim = rows, finals
         return self._trim
 
     def member(self, w: str) -> bool:
@@ -344,27 +345,32 @@ class Language:
         core, where q leads to each core state that one letter arc
         reaches from q's empty closure, never orders such a cycle, so an
         infinite set builds no subset table.  A member's letters reach
-        distinct core states, which bounds its length."""
+        distinct core states, which bounds its length.  The answer is
+        kept with the set, which keeps its own form."""
         if self._words is not None:
             return self
-        nfa = self.nfa()
-        core = nfa.core_states()
-        succ = {q: set() for q in core}
-        for q in core:
-            for p in nfa.eps_closure((q,)):
-                for c, dsts in nfa.arcs.get(p, {}).items():
-                    if c != EPS:
-                        succ[q] |= dsts & core
-        indeg = Counter(r for rs in succ.values() for r in rs)
-        order = [q for q in core if not indeg[q]]
-        for q in order:
-            for r in succ[q]:
-                indeg[r] -= 1
-                if not indeg[r]:
-                    order.append(r)
-        if len(order) < len(core):
-            return None
-        return Language.finite(words_upto(self, len(core)), self.alphabet)
+        if self._finite is None:
+            nfa = self.nfa()
+            core = nfa.core_states()
+            succ = {q: set() for q in core}
+            for q in core:
+                for p in nfa.eps_closure((q,)):
+                    for c, dsts in nfa.arcs.get(p, {}).items():
+                        if c != EPS:
+                            succ[q] |= dsts & core
+            indeg = Counter(r for rs in succ.values() for r in rs)
+            order = [q for q in core if not indeg[q]]
+            for q in order:
+                for r in succ[q]:
+                    indeg[r] -= 1
+                    if not indeg[r]:
+                        order.append(r)
+            # the words are spelled off the table, so their letters are
+            # the alphabet's
+            self._finite = len(order) == len(core) and Language(
+                self.alphabet, words=words_upto(self, len(core))
+            )
+        return self._finite or None
 
     def __repr__(self):
         if self._words is not None:
@@ -404,32 +410,35 @@ def star(a: Language) -> Language:
 
 
 def complement(a: Language) -> Language:
-    """The subset DFA with its accepting states flipped: every subset
-    has a successor under every letter, the empty one being the dead
-    state, so the table is total and the flip rejects exactly A."""
-    dfa = determinize(a.nfa())
-    flipped = frozenset(range(dfa.n)) - dfa.accepting
-    return Language.regular(_rows_nfa(dfa.alphabet, dfa.rows, (0,), flipped))
+    """A's trim table made total by one dead state, with its final
+    states flipped: the flip rejects exactly A."""
+    rows, finals = a.trim()
+    dead = len(rows)
+    total = [[r if r >= 0 else dead for r in row] for row in rows]
+    total.append([dead] * len(a.alphabet.letters))
+    flipped = set(range(len(total))) - finals
+    return Language.regular(_rows_nfa(a.alphabet, total, (0,), flipped))
 
 
 def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = False) -> Language:
     """Words w with uw in X for some u in U.
 
-    The subset construction on U's automaton beside X's subset DFA
+    The subset construction on U's automaton beside X's trim table
     reads both on the same words; the X state of each subset holding a
-    final state of U starts a word of the quotient.  With
-    exclude_epsilon, the quotient starts from one fresh state that is
-    not accepting, which removes the empty word: X^{-1}X minus the
-    empty word holds the tails of proper prefix pairs.
+    final state of U starts a word of the quotient, unless X has died
+    on that word.  With exclude_epsilon, the quotient starts from one
+    fresh state that is not accepting, which removes the empty word:
+    X^{-1}X minus the empty word holds the tails of proper prefix pairs.
     """
     _check_same_alphabet(u_lang, x_lang)
     nu = u_lang.nfa()
-    base = determinize(x_lang.nfa()).to_nfa()
-    # X's states are numbered after U's, and every subset holds exactly one
+    rows, finals = x_lang.trim()
+    base = _rows_nfa(x_lang.alphabet, rows, (0,), finals)
+    # X's states are numbered after U's, and a subset holds at most one
     starts = {
         max(subset) - nu.n
-        for subset, _, _ in _subsets(nfa_union(nu, base), [])
-        if subset & nu.accepting
+        for subset, _, _ in _subsets(nfa_union(nu, base))
+        if subset & nu.accepting and max(subset) >= nu.n
     }
     n, initial, arcs = base.n, starts, base.arcs
     if exclude_epsilon:
@@ -462,14 +471,6 @@ def is_empty(lang: Language) -> bool:
         return not lang.words()
     nfa = lang.nfa()
     return not (nfa.eps_closure(nfa.initial) and nfa.core_states())
-
-
-def shortest_word(lang: Language) -> str | None:
-    """Length-lex least member, or None when the language is empty."""
-    if lang.is_finite_repr:
-        return min(lang.words(), key=lang.alphabet.lex_key, default=None)
-    nfa = lang.nfa()
-    return _least_word(nfa, lambda subset: subset & nfa.accepting)
 
 
 def least_member(a: Language, b: Language, in_b: bool) -> str | None:

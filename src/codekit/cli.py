@@ -226,6 +226,8 @@ def _parse_probs(alphabet: Alphabet, text: str | None) -> Distribution:
         letter = letter.strip()
         if letter not in alphabet:
             raise ParseError(f"unknown letter {letter!r} in weights")
+        if letter in probs:
+            raise ParseError(f"letter {letter!r} weighted twice")
         try:
             probs[letter] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as e:

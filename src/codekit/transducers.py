@@ -10,8 +10,9 @@ the plain relation only: the reflexive and antireflexive closures are
 applied to the images they produce.
 
 ``image`` runs a machine on a language through the product automaton,
-under the state cap of ``automata.determinize``, and returns that
-automaton, for a finite language too.
+under the subset construction's state cap,
+``automata.DEFAULT_STATE_CAP``, and returns that automaton, for a
+finite language too.
 ``image_word`` runs it on one word by a single pass over the grid of
 positions in the word times machine states; the normal form leaves
 that grid without a cycle, so every word has a finite image.  Both read

@@ -5,7 +5,9 @@ breadth-first search or textbook dynamic programming, deliberately
 sharing no code with the package.  The automaton references read the
 package's automata, but only through their plain step and table (the
 subset DFA of ``reference_determinize``), and wrap results in its
-``Dfa``, ``Nfa`` and ``Language`` containers.  Moore's loop,
+``Nfa`` and ``Language`` containers.  ``Dfa``, the total table the
+references build, is theirs alone: the package keeps one table per
+set, ``Language.trim()``.  Moore's loop,
 ``reference_minimize``, builds the minimal table that the package
 never needs, against which its answers on the subset table are
 checked.
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -308,6 +312,56 @@ def double_factorization_witness(codewords, letters, max_len):
 # --- automata -----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Dfa:
+    """Total deterministic automaton; state 0 is initial.
+
+    rows[q][i] is the successor of q under letter number i.
+    """
+
+    alphabet: object
+    rows: tuple
+    accepting: frozenset
+
+    @property
+    def n(self):
+        return len(self.rows)
+
+    def to_nfa(self):
+        # imported here so that merely importing this module loads no codekit
+        from codekit.automata import Nfa
+
+        arcs = {
+            q: {c: frozenset((r,)) for c, r in zip(self.alphabet.letters, row)}
+            for q, row in enumerate(self.rows)
+        }
+        return Nfa(self.alphabet, self.n, (0,), self.accepting, arcs)
+
+
+@contextmanager
+def subset_table_builds():
+    """Within the block, record each subset table the package fills: a
+    run of ``automata._subsets`` handed a table, which only
+    ``Language.trim`` of a set held as an automaton does.  Yields the
+    list of the automata so determinized."""
+    # imported here: the benchmark's reference checker imports this
+    # module, and unittest.mock is a heavy import
+    from unittest.mock import patch
+
+    from codekit import automata
+
+    builds = []
+    subsets = automata._subsets
+
+    def spy(nfa, rows=None):
+        if rows is not None:
+            builds.append(nfa)
+        return subsets(nfa, rows)
+
+    with patch.object(automata, "_subsets", spy):
+        yield builds
+
+
 def is_universal(lang):
     """Every word is a member: no state of the subset DFA rejects."""
     dfa = reference_determinize(lang.nfa())
@@ -373,8 +427,6 @@ def reference_minimize(dfa):
     until no class splits, then number the classes breadth-first from
     the initial one, letters in alphabet order.  One round per state on
     a long cycle, so only for small tables."""
-    from codekit.automata import Dfa
-
     n = dfa.n
     cls = [1 if q in dfa.accepting else 0 for q in range(n)]
     while True:
@@ -411,8 +463,6 @@ def canonical_dfa(lang):
     """The minimal DFA of a language, breadth-first numbered, so equal
     exactly for equal languages: Moore's loop on the table of
     ``reference_trim`` made total by one dead state."""
-    from codekit.automata import Dfa
-
     rows, finals = reference_trim(lang)
     dead = len(rows)
     total = [tuple(r if r >= 0 else dead for r in row) for row in rows]
@@ -460,14 +510,12 @@ def reference_to_finite(x_lang):
 
 
 def reference_determinize(nfa):
-    """Subset construction one ``Nfa.step`` at a time, for ``determinize``.
+    """Subset construction one ``Nfa.step`` at a time, for the subset
+    table of ``Language.trim``.
 
     Breadth-first from the closed start set, letters in alphabet order,
     subsets numbered as they are first reached; no state cap.
     """
-    # imported here so that merely importing this module loads no codekit
-    from codekit.automata import Dfa
-
     start = nfa.eps_closure(nfa.initial)
     index = {start: 0}
     order = [start]
@@ -492,7 +540,7 @@ def reference_product(a, b, keep):
     Breadth-first from the pair of initial states, letters in alphabet
     order; a pair accepts when keep(in A, in B).  No state cap.
     """
-    from codekit.automata import Dfa, Language
+    from codekit.automata import Language
 
     da, db = reference_determinize(a.nfa()), reference_determinize(b.nfa())
     index = {(0, 0): 0}

@@ -24,7 +24,6 @@ from codekit.analysis import (
     verify_double_factorization,
 )
 from codekit.automata import (
-    Dfa,
     Language,
     _least_word,
     compile_expression,
@@ -37,6 +36,7 @@ from codekit.errors import UsageError
 from codekit.words import Alphabet
 
 from oracles import (
+    Dfa,
     canonical_dfa,
     count_factorizations,
     double_factorization_witness,

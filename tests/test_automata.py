@@ -16,18 +16,16 @@ from codekit.analysis import (
 )
 from codekit.automata import (
     DEFAULT_STATE_CAP,
-    Dfa,
     Language,
     compile_expression,
     complement,
     concat,
-    determinize,
     equivalent,
     factors,
     is_empty,
     least_member,
     left_quotient,
-    shortest_word,
+    nfa_universal,
     star,
     truncate,
     union,
@@ -46,13 +44,13 @@ from oracles import (
     forward_prefix_pair,
     is_universal,
     minimal_trim,
-    reference_determinize,
     reference_left_quotient,
     reference_prefix_pair,
     reference_product,
     reference_shortest_word,
     reference_to_finite,
     reference_trim,
+    subset_table_builds,
 )
 
 AB = Alphabet("ab")
@@ -187,10 +185,11 @@ def test_complement_universal_is_empty():
 
 
 def test_shortest_word():
+    universe = Language.regular(nfa_universal(AB))
     lang = complement(star(fin({"a"})))
-    assert shortest_word(lang) == "b"
-    assert shortest_word(fin(())) is None
-    assert shortest_word(star(fin({"ab"}))) == ""
+    assert least_member(lang, universe, True) == "b"
+    assert least_member(fin(()), universe, True) is None
+    assert least_member(star(fin({"ab"})), universe, True) == ""
 
 
 def test_left_quotient_example():
@@ -242,11 +241,11 @@ def test_to_finite():
     assert got.words() == {"a", "b"}
 
 
-def test_determinize_cap(monkeypatch):
-    nfa = fin({"ab", "ba", "abab"}).nfa()
+def test_trim_state_cap(monkeypatch):
+    lang = Language.regular(fin({"ab", "ba", "abab"}).nfa())
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2)
-    with pytest.raises(BudgetExceededError):
-        determinize(nfa)
+    with pytest.raises(BudgetExceededError, match="^determinization exceeded 2 states$"):
+        lang.trim()
 
 
 def test_compiling_a_flat_union_checks_no_letters(monkeypatch):
@@ -371,17 +370,18 @@ def expressions(letters, leaves=None):
     st.sampled_from(["delta:1", "iota:1", "sigma:1", "S:2", "Lambda:1"]),
 )
 @settings(max_examples=80, deadline=None)
-def test_determinize_matches_reference_subset_loop(case, relation):
+def test_trim_matches_reference_subset_loop(case, relation):
+    # entry for entry, dead rows included
     letters, expr = case
     alphabet = Alphabet(letters)
     lang = compile_expression(expr, alphabet)
     machine = build(EditRelationSpec.parse(relation), alphabet)
-    for nfa in (
-        lang.nfa(),
-        factors(star(lang)).nfa(),
-        image(machine, star(lang)).nfa(),
+    for x in (
+        *both_forms(lang),
+        factors(star(lang)),
+        image(machine, star(lang)),
     ):
-        assert determinize(nfa) == reference_determinize(nfa)
+        assert x.trim() == reference_trim(x)
 
 
 def both_forms(lang):
@@ -402,18 +402,19 @@ def test_set_algebra_matches_reference_searches(case):
     alphabet = Alphabet(letters)
     x = compile_expression(expr_x, alphabet)
     y = compile_expression(expr_y, alphabet)
+    universe = Language.regular(nfa_universal(alphabet))
     for a in both_forms(x):
         for b in both_forms(y):
             for in_b in (True, False):
                 product = reference_product(a, b, lambda p, q: p and q == in_b)
                 least = reference_shortest_word(product)
-                assert least_member(a, b, in_b) == shortest_word(product) == least
+                assert least_member(a, b, in_b) == least
             for exclude in (False, True):
                 assert equivalent(
                     left_quotient(a, b, exclude), reference_left_quotient(a, b, exclude)
                 )
-            assert shortest_word(b) == reference_shortest_word(b)
-    least = shortest_word(complement(factors(star(x))))
+            assert least_member(b, universe, True) == reference_shortest_word(b)
+    least = reference_shortest_word(complement(factors(star(x))))
     if least is None:
         with pytest.raises(ValueError):
             find_non_factor(x)
@@ -437,11 +438,6 @@ def compiled_forms(case):
 def test_complement_flips_the_subset_table(case):
     for x in compiled_forms(case):
         out = complement(x)
-        dfa = reference_determinize(x.nfa())
-        flipped = Dfa(dfa.alphabet, dfa.rows, frozenset(range(dfa.n)) - dfa.accepting)
-        # the table is numbered breadth-first, so its own subset
-        # construction gives it back
-        assert reference_determinize(out.nfa()) == flipped
         assert is_universal(union(x, out))
         assert least_member(x, out, True) is None
 
@@ -479,9 +475,9 @@ def test_to_finite_builds_no_table_for_an_infinite_set():
     long_tail = "(a|b)*.a." + ".".join(["(a|b)"] * 16)
     for expr in (f"b.({'a' * 1000})*", long_tail, "(eps|a)*", "a.eps*.b*"):
         lang = compile_expression(expr, AB)
-        with patch.object(automata, "determinize", wraps=automata.determinize) as spy:
+        with subset_table_builds() as builds:
             assert lang.to_finite() is None
-        assert spy.call_count == 0
+        assert builds == []
     # a finite set held as an automaton is spelled off its trim table
     lang = compile_expression("(a|bb).eps*.(eps|a)", AB)
     assert lang.to_finite().words() == {"a", "aa", "bb", "bba"}
@@ -562,9 +558,9 @@ def test_emptiness_questions_build_no_minimal_automaton(capsys):
         lambda: is_independent(compile_expression(expr, AB), spec),
         lambda: main(["prefix", "--alphabet", "ab", expr]),
     ):
-        with patch.object(automata, "determinize", wraps=automata.determinize) as spy:
+        with subset_table_builds() as builds:
             ask()
-        counts.append(spy.call_count)
+        counts.append(len(builds))
     assert counts == [0, 0, 1]
     assert capsys.readouterr().out.endswith(f"witness: b begins or ends b{'a' * 1000}\n")
 

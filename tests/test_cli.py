@@ -20,6 +20,8 @@ from codekit.automata import Language
 from codekit.cli import main
 from codekit.words import Alphabet
 
+from oracles import subset_table_builds
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -424,11 +426,11 @@ def test_empty_word_member_witness_is_the_empty_word(capsys, expr):
 
 def test_failing_suffix_reverses_the_set_once(capsys):
     # one table: the reversed set's, read for its prefix pair
-    with patch.object(automata, "determinize", wraps=automata.determinize) as spy:
+    with subset_table_builds() as builds:
         code, out, _ = run(capsys, "suffix", "--alphabet", "ab", "(ba)*.(a|bb)")
     assert code == 1
     assert out.endswith("witness: a begins or ends baa\n")
-    assert spy.call_count == 1
+    assert len(builds) == 1
 
 
 # --- unsupported channel ----------------------------------------------------
@@ -471,9 +473,9 @@ def test_open_questions_need_no_subset_table(capsys):
         (["independent", expr, "--rel", "Lambda:2"], "Q1"),
         (["image-code", expr, "--rel", "S:2"], "Q3"),
     ):
-        with patch.object(automata, "determinize", wraps=automata.determinize) as spy:
+        with subset_table_builds() as builds:
             code, out, _ = run(capsys, *argv, "--alphabet", "ab")
-        assert (code, spy.call_count) == (2, 0)
+        assert (code, len(builds)) == (2, 0)
         assert f"question: {question}\n" in out
     argv = ["simulate", "--code", expr, "--alphabet", "ab", "--rel", "delta:1"]
     code, _, err = run(capsys, *argv, "--p", "0.1", "--len", "5")
@@ -523,6 +525,11 @@ def test_deep_nesting_exits_three(capsys):
     code, out, err = run(capsys, "code", "--alphabet", "ab", "(" * 1500 + "a" + ")" * 1500)
     assert (code, out) == (3, "")
     assert err == "codekit: parse error: expression nested too deeply\n"
+
+
+def test_a_letter_weighted_twice_exits_three(capsys):
+    argv = ["measure", "--alphabet", "ab", "a", "--max-len", "2", "--probs", "a=1/2,b=1/4,a=3/4"]
+    assert run(capsys, *argv) == (3, "", "codekit: parse error: letter 'a' weighted twice\n")
 
 
 def test_a_run_of_stars_is_one_star(capsys):

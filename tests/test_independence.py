@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codekit import analysis, independence
+from codekit import analysis, automata, independence
 from codekit.analysis import (
     is_complete,
     is_maximal_code,
@@ -451,3 +452,16 @@ def test_constraint_report_surfaces_open_questions():
     assert report.error_correcting.question == "Q2"
     assert report.underline_image_code.question == "Q3"
     assert report.hat_image_code.status in {"holds", "fails"}
+
+
+def test_constraint_sweep_spells_a_finite_automaton_once():
+    # every constraint asks whether X is finite; the set keeps the
+    # answer and its own form
+    rng = random.Random(0)
+    words = {"".join(rng.choice("ab") for _ in range(32)) for _ in range(300)}
+    lang = compile_expression("(" + "|".join(sorted(words)) + ").eps*", AB)
+    with patch.object(automata, "words_upto", wraps=automata.words_upto) as spy:
+        check_constraints(lang, spec("delta:1"))
+    assert spy.call_count == 1
+    assert not lang.is_finite_repr
+    assert lang.to_finite().words() == words
