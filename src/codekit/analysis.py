@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import Language, _ancestors, _least_word, factors, reverse, star
+from .automata import Language, _least_word, factors, reverse, star
 from .errors import PreconditionError, UsageError
 from .words import Alphabet
 
@@ -174,26 +174,30 @@ def is_prefix_code(x_lang: Language) -> bool:
     return all(r < 0 for q in finals for r in rows[q])
 
 
-def _least_tail(rows, sources, targets, within=None) -> list[int] | None:
+def _least_tail(rows, sources, targets) -> list[int] | None:
     """Letter numbers of the length-lex least nonempty word leading from
     a state in ``sources`` to one in ``targets``, or None.  Breadth-first
     over groups of states: a group holds the states first reached by its
     word, and groups are entered in length-lex order of their words.
-    Given ``within``, only its states are entered."""
+    Each group keeps its parent group and last letter, which spell it."""
     seen = {-1, *sources}  # -1: no arc
-    queue = [([], list(sources))]
-    for word, group in queue:
+    queue = [(list(sources), -1, -1)]
+    for g, (group, _, _) in enumerate(queue):
         for i in range(len(rows[0])):
             fresh = []
             for q in group:
                 r = rows[q][i]
                 if r in targets:
-                    return word + [i]
-                if r not in seen and (within is None or r in within):
+                    word = [i]
+                    while g:
+                        _, g, i = queue[g]
+                        word.append(i)
+                    return word[::-1]
+                if r not in seen:
                     seen.add(r)
                     fresh.append(r)
             if fresh:
-                queue.append((word + [i], fresh))
+                queue.append((fresh, g, i))
     return None
 
 
@@ -201,8 +205,7 @@ def _prefix_pair(x_lang: Language) -> tuple[str, str] | None:
     """A codeword x and a longer codeword xu, read off the trim table, or
     None for a prefix code: u is the least nonempty word leading from a
     final state to a final state, and x the least word reaching a final
-    state from which u leads to a final state.  Only the states that
-    lead to such a holder are searched for x."""
+    state from which u leads to a final state."""
     rows, finals = x_lang.trim()
     letters = x_lang.alphabet.letters
     tail = _least_tail(rows, finals, finals)
@@ -212,10 +215,7 @@ def _prefix_pair(x_lang: Language) -> tuple[str, str] | None:
     for i in tail:
         ends = {p: r for p, q in ends.items() if (r := rows[q][i]) >= 0}
     holders = {p for p, q in ends.items() if q in finals}
-    if 0 in holders:
-        head = []
-    else:
-        head = _least_tail(rows, {0}, holders, _ancestors(rows, holders))
+    head = [] if 0 in holders else _least_tail(rows, {0}, holders)
     x = "".join([letters[i] for i in head])
     return x, x + "".join([letters[i] for i in tail])
 

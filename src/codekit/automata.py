@@ -26,6 +26,9 @@ do ``complement``, which makes it total with one dead state and flips
 it, and the code-ness and prefix tests of ``analysis``.  ``to_finite``
 reads the NFA instead: an infinite set is told by a cycle of letter
 arcs, so it builds no subset table.
+
+``compile_expression`` builds a set while it reads its expression, as
+Thompson's construction (1968) does, so no syntax tree is kept.
 """
 
 from __future__ import annotations
@@ -558,12 +561,15 @@ class _ExprParser:
                                factor := atom "*"*
                                atom := word | eps | "(" expr ")"
 
-    ``pos`` always sits past any whitespace, so ``peek`` reads one
-    character; a run of letters is read by one match.
+    Each rule returns the Language of the text it read; a word matched
+    against the alphabet's letters is not checked again.  ``pos``
+    always sits past any whitespace, so ``peek`` reads one character;
+    a run of letters is read by one match.
     """
 
     def __init__(self, text: str, alphabet: Alphabet):
         self.text = text
+        self.alphabet = alphabet
         self.eps_enabled = _eps_is_keyword(alphabet.letters)
         self.word = re.compile("[" + "".join(map(re.escape, alphabet)) + "]+")
         self._advance(0)
@@ -577,54 +583,57 @@ class _ExprParser:
             return None
         return self.text[self.pos]
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> Language:
+        lang = self.expr()
         if self.pos != len(self.text):
             raise ParseError(
                 f"unexpected character {self.text[self.pos]!r}", position=self.pos
             )
-        return node
+        return lang
 
-    def expr(self):
+    def expr(self) -> Language:
         parts = [self.term()]
         while self.peek() == "|":
             self._advance(self.pos + 1)
             parts.append(self.term())
-        return ("union", parts) if len(parts) > 1 else parts[0]
+        if len(parts) > 1 and all(p.is_finite_repr for p in parts):
+            words = frozenset().union(*[p.words() for p in parts])
+            return Language(self.alphabet, words=words)
+        return functools.reduce(union, parts)
 
-    def term(self):
-        parts = [self.factor()]
+    def term(self) -> Language:
+        lang = self.factor()
         while self.peek() == ".":
             self._advance(self.pos + 1)
-            parts.append(self.factor())
-        return ("concat", parts) if len(parts) > 1 else parts[0]
+            lang = concat(lang, self.factor())
+        return lang
 
-    def factor(self):
-        node = self.atom()
-        while self.peek() == "*":
+    def factor(self) -> Language:
+        lang = self.atom()
+        if self.peek() != "*":
+            return lang
+        while self.peek() == "*":  # a run of stars is one star
             self._advance(self.pos + 1)
-            if node[0] != "star":  # the star of a star is the star itself
-                node = ("star", node)
-        return node
+        return star(lang)
 
-    def atom(self):
+    def atom(self) -> Language:
         c = self.peek()
         if c is None:
             raise ParseError("unexpected end of expression", position=self.pos)
         if c == "(":
             self._advance(self.pos + 1)
-            node = self.expr()
+            lang = self.expr()
             if self.peek() != ")":
                 raise ParseError("missing closing parenthesis", position=self.pos)
             self._advance(self.pos + 1)
-            return node
+            return lang
         if self.eps_enabled and self.text.startswith(EPS_TOKEN, self.pos):
             self._advance(self.pos + len(EPS_TOKEN))
-            return ("word", "")
+            return Language(self.alphabet, words=frozenset(("",)))
         run = self.word.match(self.text, self.pos)
         if run:
             self._advance(run.end())
-            return ("word", run.group())
+            return Language(self.alphabet, words=frozenset((run.group(),)))
         raise ParseError(f"unexpected character {c!r}", position=self.pos)
 
 
@@ -651,11 +660,12 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
     """Compile an expression to a Language.
 
     A flat word list is read by one match and one split, straight into
-    finite-set form.  Any other text goes through ``_ExprParser``, which
-    also reports every error with its position: star-free expressions
-    come back in finite-set form, anything under a star is carried as
-    an automaton, and nesting too deep for Python's recursion limit is a
-    ParseError.
+    finite-set form.  Any other text goes through ``_ExprParser``, whose
+    rules return the Language of what they read, built by ``union``,
+    ``concat`` and ``star`` as the text is read, and which reports every
+    error with its position: star-free expressions come back in
+    finite-set form, anything under a star is carried as an automaton,
+    and nesting too deep for Python's recursion limit is a ParseError.
     """
     flat = _word_list(alphabet.letters)
     if flat is not None and flat.fullmatch(text):
@@ -665,31 +675,7 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
             words.add("")
         return Language(alphabet, words=frozenset(words))
 
-    def eval_node(node) -> Language:
-        tag = node[0]
-        # the parser matched every word against the alphabet's letters
-        if tag == "word":
-            return Language(alphabet, words=frozenset((node[1],)))
-        if tag == "union":
-            parts = [eval_node(p) for p in node[1]]
-            if all(p.is_finite_repr for p in parts):
-                words = frozenset().union(*(p.words() for p in parts))
-                return Language(alphabet, words=words)
-            out = parts[0]
-            for p in parts[1:]:
-                out = union(out, p)
-            return out
-        if tag == "concat":
-            parts = [eval_node(p) for p in node[1]]
-            out = parts[0]
-            for p in parts[1:]:
-                out = concat(out, p)
-            return out
-        if tag == "star":
-            return star(eval_node(node[1]))
-        raise AssertionError(node)
-
     try:
-        return eval_node(_ExprParser(text, alphabet).parse())
+        return _ExprParser(text, alphabet).parse()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None

@@ -26,7 +26,6 @@ from fractions import Fraction
 from .analysis import is_code
 from .automata import Language
 from .errors import UsageError
-from .independence import is_independent
 from .transducers import EditRelationSpec, relation_image_word
 from .words import sort_words
 
@@ -142,22 +141,23 @@ def encode(message: list[int], x_lang: Language) -> list[str]:
 class _ChannelTable:
     """Everything a channel experiment needs from the relation, computed once.
 
-    Built from one plain image per source word.  ``choices[x]`` is the
-    antireflexive image of x (its plain image minus x itself) in
+    Built from one antireflexive image per source word, its plain image
+    minus the word itself.  ``choices[x]`` is the image of x in
     length-lex order, the list a corruption draws from.  ``candidates``
     maps every word some source's image contains to those sources, in
     the order given, which is canonical codeword order when the sources
-    are the codewords.
+    are the codewords.  When they are, the sources are independent
+    exactly when none of them is a key of ``candidates``.
     """
 
     def __init__(self, sources, spec: EditRelationSpec, alphabet):
-        plain = spec.with_closure("plain")
+        bar = spec.with_closure("antireflexive")
         self.members = frozenset(sources)
         self.choices: dict[str, list[str]] = {}
         candidates: dict[str, list[str]] = {}
         for x in sources:
-            image = relation_image_word(plain, alphabet, x)
-            self.choices[x] = sort_words(image - {x}, alphabet)
+            image = relation_image_word(bar, alphabet, x)
+            self.choices[x] = sort_words(image, alphabet)
             for y in image:
                 candidates.setdefault(y, []).append(x)
         self.candidates = {y: tuple(xs) for y, xs in candidates.items()}
@@ -224,17 +224,18 @@ def decode(
     is matched against the codewords whose image contains it: exactly
     one match corrects the block, several leave it ambiguous, none
     leaves it merely detected.  Warns when the set is not a code, or
-    is a code that is not independent under the relation.
+    is a code that is not independent under the relation: some
+    codeword lies in another's image.
     """
     codewords = _codewords(x_lang)
+    table = _ChannelTable(codewords, spec, x_lang.alphabet)
     if not is_code(x_lang):
         warnings.warn("decoding over a set that is not a code", stacklevel=2)
-    elif not is_independent(x_lang, spec).independent:
+    elif any(x in table.candidates for x in codewords):
         warnings.warn(
             f"decoding over a code that is not independent under {spec.render()}",
             stacklevel=2,
         )
-    table = _ChannelTable(codewords, spec, x_lang.alphabet)
     return _decode_blocks(table, received)
 
 

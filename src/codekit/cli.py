@@ -504,7 +504,8 @@ def _cmd_sigma_star(args):
         "cardinality": orbit.cardinality(),
     }
     if orbit.cardinality() <= MEMBER_SAMPLE_LIMIT:
-        payload["members"] = sorted(orbit.materialize(), key=alphabet.lex_key)
+        members = sorted(orbit.materialize(), key=alphabet.lex_key)
+        payload["members"] = [format_word(w) for w in members]
     return 0, payload
 
 

@@ -192,13 +192,15 @@ def er_complete(x_lang: Language) -> Language:
 
 
 def _least_unbordered_non_factor(v: str, star_factors: Language) -> str:
-    """Length-lex least nonempty unbordered word outside ``star_factors``;
-    v, the least word outside it, bounds the search."""
+    """Length-lex least nonempty unbordered word outside ``star_factors``.
+    v, the least word outside it, bounds the search both ways: every
+    shorter word is a factor, and v padded to an unbordered word is not."""
     alphabet = star_factors.alphabet
     bound = len(v) + len(unbordered_extension(v, alphabet)) + 1
-    for w in alphabet.words_upto(bound):
-        if w and is_unbordered(w) and not star_factors.member(w):
-            return w
+    for n in range(len(v), bound + 1):
+        for w in alphabet.words_of_length(n):
+            if is_unbordered(w) and not star_factors.member(w):
+                return w
     raise AssertionError("unbordered non-factor search failed")
 
 

@@ -12,7 +12,8 @@ applied to the images they produce.
 ``image`` runs a machine on a language through the product automaton,
 under the subset construction's state cap,
 ``automata.DEFAULT_STATE_CAP``, and returns that automaton, for a
-finite language too.
+finite language too.  The cap is read when a machine or a product is
+built, and no machine has more states than it allows.
 ``image_word`` runs it on one word by a single pass over the grid of
 positions in the word times machine states; the normal form leaves
 that grid without a cycle, so every word has a finite image.  Both read
@@ -26,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .automata import DEFAULT_STATE_CAP, EPS, Language, Nfa, least_member, union as lang_union
+from . import automata
+from .automata import EPS, Language, Nfa, least_member, union as lang_union
 from .errors import BudgetExceededError, ParseError
 from .words import Alphabet
 
@@ -141,11 +143,16 @@ def build(spec: EditRelationSpec, alphabet: Alphabet) -> Transducer:
     Lambda with k >= 2 an isolated accepting start state is added: it
     contributes the pair (eps, eps), which the relation contains (one
     insertion undone by one deletion) but which no one-pass chain can
-    produce from empty input.
+    produce from empty input.  A machine of more states than
+    ``automata.DEFAULT_STATE_CAP`` raises before any arc is built.
     """
     if spec.closure != "plain":
         raise ValueError("closures are applied downstream, not in machines")
     k = spec.k
+    silent = spec.kind in ("S", "Lambda") and k >= 2
+    cap = automata.DEFAULT_STATE_CAP
+    if k + 1 + silent > cap:
+        raise BudgetExceededError(f"relation machine exceeded {cap} states", budget=cap)
     defects = _DEFECTS[spec.kind]
     arcs = [(j, c, c, j) for j in range(k + 1) for c in alphabet]
     for j in range(k):
@@ -161,11 +168,10 @@ def build(spec: EditRelationSpec, alphabet: Alphabet) -> Transducer:
         accepting = {k}
     initial = {0}
     n = k + 1
-    if spec.kind in ("S", "Lambda") and k >= 2:
-        silent = n
+    if silent:
+        initial.add(n)
+        accepting.add(n)
         n += 1
-        initial.add(silent)
-        accepting.add(silent)
     return Transducer(alphabet, n, frozenset(initial), frozenset(accepting), tuple(arcs))
 
 
@@ -179,6 +185,7 @@ def image(t: Transducer, lang: Language) -> Language:
     """
     nfa = lang.nfa()
     moves = t.moves
+    cap = automata.DEFAULT_STATE_CAP
     index: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
 
@@ -186,10 +193,9 @@ def image(t: Transducer, lang: Language) -> Language:
         i = index.get(pq)
         if i is None:
             i = len(order)
-            if i >= DEFAULT_STATE_CAP:
+            if i >= cap:
                 raise BudgetExceededError(
-                    f"transducer image exceeded {DEFAULT_STATE_CAP} states",
-                    budget=DEFAULT_STATE_CAP,
+                    f"transducer image exceeded {cap} states", budget=cap
                 )
             index[pq] = i
             order.append(pq)

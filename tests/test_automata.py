@@ -118,10 +118,7 @@ def test_parse_errors_have_positions():
 
 def parsed_word_list(text, alphabet):
     """The words of a flat word list as the recursive descent reads it."""
-    node = automata._ExprParser(text, alphabet).parse()
-    parts = node[1] if node[0] == "union" else [node]
-    assert all(tag == "word" for tag, _ in parts)
-    return frozenset(word for _, word in parts)
+    return automata._ExprParser(text, alphabet).parse().words()
 
 
 SPACES = st.text(alphabet=" \t\n\x0b\x1c\xa0\u2003", max_size=2)
@@ -434,6 +431,19 @@ def compiled_forms(case):
 
 
 @given(one_expression())
+@settings(max_examples=100, deadline=None)
+def test_a_starred_star_has_the_star_s_table(case):
+    # (x*)* gets a second hub, joined to the first by empty moves both
+    # ways, so every subset holds both hubs or neither
+    letters, expr = case
+    alphabet = Alphabet(letters)
+    once = compile_expression(f"({expr})*", alphabet)
+    twice = compile_expression(f"(({expr})*)*", alphabet)
+    assert twice.nfa().n == once.nfa().n + 1
+    assert twice.trim() == once.trim()
+
+
+@given(one_expression())
 @settings(max_examples=60, deadline=None)
 def test_complement_flips_the_subset_table(case):
     for x in compiled_forms(case):
@@ -542,9 +552,16 @@ def test_prefix_pair_matches_reference_on_regular_sets(case):
 )
 @settings(max_examples=120, deadline=None)
 def test_prefix_pair_matches_the_forward_walk(case):
-    # x is sought only among the states that lead to a holder
+    # the oracle spells every word it enters; the search spells only the answer
     for x in compiled_forms(case):
         assert analysis._prefix_pair(x) == forward_prefix_pair(x)
+
+
+def test_a_long_prefix_pair_is_spelled_once():
+    # x has 20001 letters: spelling every searched word would be quadratic
+    n = 20000
+    x = compile_expression("a" * n + ".(b|bb)", AB)
+    assert analysis._prefix_pair(x) == ("a" * n + "b", "a" * n + "bb")
 
 
 def test_emptiness_questions_build_no_minimal_automaton(capsys):

@@ -7,7 +7,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from codekit.analysis import is_code
 from codekit.automata import Language
 from codekit.channel import (
     Block,
@@ -17,6 +20,7 @@ from codekit.channel import (
     encode,
     run_experiment,
 )
+from codekit.independence import is_independent
 from codekit.transducers import KINDS, EditRelationSpec, relation_image_word
 from codekit.words import Alphabet
 from oracles import reference_corrupt, reference_decode, reference_experiment
@@ -131,6 +135,23 @@ def test_decode_warns_on_dependent_code():
 def test_decode_warns_on_non_code():
     with pytest.warns(UserWarning):
         decode(["a"], Language.finite({"a", "ab", "ba"}, AB), spec("delta:1"))
+
+
+@given(
+    st.frozensets(st.text(alphabet="ab", min_size=1, max_size=4), min_size=1, max_size=5),
+    st.sampled_from(KINDS),
+    st.integers(1, 2),
+)
+@settings(max_examples=150, deadline=None)
+def test_decode_warns_exactly_on_dependent_codes(words, kind, k):
+    # the warning is read off the channel table, not a second image pass
+    code = Language.finite(words, AB)
+    assume(is_code(code))
+    rel = EditRelationSpec(kind, k)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        decode([], code, rel)
+    assert bool(caught) == (not is_independent(code, rel).independent)
 
 
 # --- experiments ------------------------------------------------------------

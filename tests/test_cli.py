@@ -8,6 +8,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -304,6 +305,18 @@ def test_sigma_star_lists_members(capsys):
     assert payload["members"] == [
         "aaaa", "aabb", "abab", "abba", "baab", "baba", "bbaa", "bbbb",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sigma_star_of_the_empty_word_prints_eps(capsys, fmt):
+    code, out, _ = run(
+        capsys, "sigma-star", "eps", "--alphabet", "ab", "--k", "1", "--format", fmt
+    )
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["members"] == ["eps"]
+    else:
+        assert "members: eps\n" in out
 
 
 def test_enum_delta_closed_k2(capsys):
@@ -701,6 +714,22 @@ def test_image_product_past_the_state_cap_exits_four(capsys):
     assert out == (
         "verdict: budget-exceeded\ndetail: transducer image exceeded 65536 states\n"
     )
+
+
+def test_relation_machine_past_the_state_cap_exits_four(capsys):
+    # 70001 machine states: refused before any of its arcs is built
+    argv = ["closed", "--alphabet", "ab", "aa|ab", "--rel", "delta:70000"]
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert out == (
+        "verdict: budget-exceeded\ndetail: relation machine exceeded 65536 states\n"
+    )
+    assert peak < 4 << 20
 
 
 # --- closed stdout ----------------------------------------------------------

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from unittest.mock import patch
 
+from codekit import automata
 from codekit.automata import Language, compile_expression, star
-from codekit.errors import ParseError
+from codekit.errors import BudgetExceededError, ParseError
 from codekit.transducers import (
     KINDS,
     EditRelationSpec,
@@ -199,6 +200,20 @@ def test_image_regular_language():
     assert not got.member("")
     assert not got.member("ab")
     assert not equivalent(got, lang)
+
+
+def test_machines_and_images_read_the_state_cap_when_built(monkeypatch):
+    lang = compile_expression("(aab|abb|ba)*", AB)
+    machine = build(spec("delta:1"), AB)
+    assert image(machine, lang).nfa().n == 18
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 10)
+    with pytest.raises(BudgetExceededError, match="^transducer image exceeded 10 states$"):
+        image(machine, lang)
+    build.cache_clear()  # a machine is checked when it is built
+    assert build(spec("delta:9"), AB).n == build(spec("Lambda:8"), AB).n == 10
+    for text in ("delta:10", "Lambda:9"):
+        with pytest.raises(BudgetExceededError, match="^relation machine exceeded 10 states$"):
+            build(spec(text), AB)
 
 
 @settings(max_examples=80, deadline=None)
