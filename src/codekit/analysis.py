@@ -79,10 +79,16 @@ def _double_factorization(rows, finals) -> tuple[dict[int, int], int, int] | Non
     order and each node is entered once, from its first parent; nodes
     where a run has no letter to read are never entered.
 
+    The runs can part only at a final state that reads on, so when no
+    final state has an outgoing arc, as in a prefix code, the answer is
+    None with no walk.
+
     Returns None when X is a code; otherwise the parent pointers, the
     node where both runs end on final states, and the letter number
     read last, from which ``_replay`` spells the word.
     """
+    if not any(max(rows[q]) >= 0 for q in finals):
+        return None
     n = len(rows)
     width = len(rows[0])
     start = n * n

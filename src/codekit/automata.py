@@ -1,8 +1,8 @@
 """Finite automata and the regular-language toolkit built on them.
 
 A :class:`Language` is held as words or as an NFA, but deciders outside
-this module fork only on ``to_finite``: finite or infinite.  Nothing
-here builds a minimal automaton: every verdict of the package is a
+this module fork only on ``to_finite``: finite or infinite.  No
+verdict needs a minimal automaton: every verdict of the package is a
 property of the set, read off any trim deterministic automaton for it,
 and two sets are equal when neither holds a word the other lacks.
 
@@ -21,11 +21,15 @@ automaton beside X's trim table.
 
 Every deterministic walk reads one table, ``Language.trim()``, built
 once per language: the trie of a word list, else the live part of the
-subset table.  A word list's automaton and ``words_upto`` read it, as
-do ``complement``, which makes it total with one dead state and flips
-it, and the code-ness and prefix tests of ``analysis``.  ``to_finite``
-reads the NFA instead: an infinite set is told by a cycle of letter
-arcs, so it builds no subset table.
+subset table.  ``words_upto`` reads it, as do ``complement``, which
+makes it total with one dead state and flips it, and the code-ness and
+prefix tests of ``analysis``.  A word list's automaton, which star,
+product, union, images and the subset searches read, is its trie with
+equal futures merged, the minimal acyclic automaton of the list (Revuz
+1992), so a subset never tells apart two states with one future; the
+one-pass readers of ``trim()`` gain nothing from the merge, so it stays
+the trie.  ``to_finite`` reads the NFA instead: an infinite set is told
+by a cycle of letter arcs, so it builds no subset table.
 
 ``compile_expression`` builds a set while it reads its expression, as
 Thompson's construction (1968) does, so no syntax tree is kept.
@@ -129,6 +133,26 @@ def _trie(words, alphabet: Alphabet):
                 rows.append([-1] * width)
         finals.add(q)
     return rows, finals
+
+
+def _merge_futures(rows, finals):
+    """The minimal acyclic automaton of a trie (rows, finals), in the same
+    form: states with the same future are one state (Revuz 1992).
+
+    Every child in a trie is numbered above its parent, so one pass from
+    the highest number down gives each state the class of the pair (is
+    it final, its row of child classes).  The root's class is found
+    last, as no other state has its future, so the classes are numbered
+    from last to first, and the initial state stays 0.
+    """
+    cls = [0] * len(rows)
+    keys: dict[tuple, int] = {}
+    for q in range(len(rows) - 1, -1, -1):
+        key = q in finals, tuple([cls[r] if r >= 0 else -1 for r in rows[q]])
+        cls[q] = keys.setdefault(key, len(keys))
+    top = len(keys) - 1
+    merged = [[top - r if r >= 0 else -1 for r in row] for _, row in reversed(keys)]
+    return merged, {top - c for c, (final, _) in enumerate(keys) if final}
 
 
 def _rows_nfa(alphabet: Alphabet, rows, initial, accepting) -> Nfa:
@@ -305,8 +329,11 @@ class Language:
         return self._words
 
     def nfa(self) -> Nfa:
+        """The automaton of the set; for a word list, its trie with equal
+        futures merged (``_merge_futures``), so a star or a product of
+        it carries no copies of one future.  ``trim()`` stays the trie."""
         if self._nfa is None:
-            rows, finals = self.trim()
+            rows, finals = _merge_futures(*self.trim())
             self._nfa = _rows_nfa(self.alphabet, rows, (0,), finals)
         return self._nfa
 

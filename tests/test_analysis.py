@@ -10,6 +10,7 @@ from codekit import automata
 from codekit.analysis import (
     CodeVerdict,
     Distribution,
+    DoubleFactorization,
     _least_non_factor,
     find_non_factor,
     is_bifix_code,
@@ -39,6 +40,7 @@ from oracles import (
     Dfa,
     canonical_dfa,
     count_factorizations,
+    dangling_suffixes,
     double_factorization_witness,
     reference_shortest_word,
 )
@@ -374,6 +376,37 @@ def test_kraft_sum_matches_the_subset_search(case):
         assert is_maximal_code(x) == (expected is None)
 
 
+@given(
+    st.one_of(
+        st.integers(2, 64).flatmap(
+            lambda n: st.randoms(use_true_random=False).map(
+                lambda rng: leaf_split_code(rng, "ab", n)
+            )
+        ),
+        st.frozensets(st.text(alphabet="ab", min_size=1, max_size=8), min_size=1, max_size=10),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_pair_search_matches_dangling_suffixes(words):
+    # a prefix code leaves the pair search before its walk
+    x = fin(words)
+    verdict = sardinas_patterson(x)
+    assert is_code(x) == verdict.is_code == ("" not in dangling_suffixes(words))
+    if is_prefix_code(x):
+        assert verdict == CodeVerdict(True, None)
+
+
+def test_the_empty_word_alone_is_no_code():
+    # the dangling-suffix oracle takes {eps} for a code; the empty word
+    # has two factorizations all the same
+    assert "" not in dangling_suffixes({""})
+    x = fin({""})
+    assert is_prefix_code(x) and not is_code(x)
+    assert sardinas_patterson(x) == CodeVerdict(
+        False, DoubleFactorization("", ("",), ("", ""))
+    )
+
+
 def test_finite_codes_settle_completeness_without_a_search(capsys, monkeypatch):
     def no_search(*args):
         raise AssertionError("subset search entered")
@@ -399,7 +432,7 @@ def test_finite_codes_settle_completeness_without_a_search(capsys, monkeypatch):
 
 
 # a 32-word complete prefix code with two words taken out; its least
-# non-factor, abababaababaab, lies in the 400th subset the search enters
+# non-factor, abababaababaab, lies in the 176th subset the search enters
 HOLED = (
     "aab|bab|abbb|baaa|bbaa|bbab|bbbb|aaaaa|aaaab|aaaba|aaabb|abaaa|baaba|"
     "baabb|bbbaa|ababab|ababba|abbaaa|abbaab|abbaba|abbabb|ababaaa|ababaab|"
@@ -409,13 +442,13 @@ HOLED = (
 
 def test_completeness_search_keeps_the_state_cap(capsys, monkeypatch):
     argv = ["complete", "--alphabet", "ab", HOLED]
-    for cap in (8, 399):
+    for cap in (8, 175):
         monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", cap)
         assert main(argv) == 4
         assert capsys.readouterr().out == (
             f"verdict: budget-exceeded\ndetail: determinization exceeded {cap} states\n"
         )
-    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 400)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 176)
     assert main(argv) == 1
     assert "witness: abababaababaab\n" in capsys.readouterr().out
 

@@ -504,6 +504,19 @@ def test_trie_and_live_dfa_give_the_same_words(xs):
     assert words_upto(words, longest) == words_upto(regular, longest) == xs
 
 
+@given(st.frozensets(st.text(alphabet="ab", max_size=8), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_a_word_list_automaton_is_its_trie_with_equal_futures_merged(xs):
+    x = fin(xs)
+    longest = max(map(len, xs), default=0)
+    assert words_upto(Language.regular(x.nfa()), longest + 1) == xs
+    if xs:
+        # the minimal table numbers its states otherwise, and keeps a dead one
+        rows, finals = minimal_trim(x)
+        live = [q for q, row in enumerate(rows) if q in finals or max(row) >= 0]
+        assert x.nfa().n == len(live)
+
+
 @given(one_expression())
 @settings(max_examples=80, deadline=None)
 def test_code_tests_match_the_pair_search_on_the_reference_table(case):

@@ -706,8 +706,10 @@ def test_budget_exhaustion_exits_four(capsys):
 
 
 def test_image_product_past_the_state_cap_exits_four(capsys):
-    # (2^14 - 1 trie states + 1) * (4 + 1) machine states > 65536
-    words = [format(i, "013b").translate(str.maketrans("01", "ab")) for i in range(1 << 13)]
+    # 1000 random length-40 words share few suffixes, so merging equal
+    # futures leaves 21159 states: (21159 + 1) * (4 + 1) machine states > 65536
+    rng = random.Random(1)
+    words = ["".join(rng.choice("ab") for _ in range(40)) for _ in range(1000)]
     argv = ["closed", "--alphabet", "ab", f"({'|'.join(words)})*", "--rel", "delta:4"]
     code, out, _ = run(capsys, *argv)
     assert code == 4

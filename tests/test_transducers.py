@@ -205,7 +205,7 @@ def test_image_regular_language():
 def test_machines_and_images_read_the_state_cap_when_built(monkeypatch):
     lang = compile_expression("(aab|abb|ba)*", AB)
     machine = build(spec("delta:1"), AB)
-    assert image(machine, lang).nfa().n == 18
+    assert image(machine, lang).nfa().n == 12
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 10)
     with pytest.raises(BudgetExceededError, match="^transducer image exceeded 10 states$"):
         image(machine, lang)
