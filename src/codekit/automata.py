@@ -1,10 +1,11 @@
 """Finite automata and the regular-language toolkit built on them.
 
 A :class:`Language` is held as words or as an NFA, but deciders outside
-this module fork only on ``to_finite``: finite or infinite.  No
-verdict needs a minimal automaton: every verdict of the package is a
-property of the set, read off any trim deterministic automaton for it,
-and two sets are equal when neither holds a word the other lacks.
+this module fork only on ``to_finite``: finite or infinite, and
+``words()`` answers for a finite set in either form.  No verdict needs
+a minimal automaton: every verdict of the package is a property of the
+set, read off any trim deterministic automaton for it, and two sets are
+equal when neither holds a word the other lacks.
 
 One subset construction, ``_subsets`` (Rabin & Scott 1959), carries the
 regular-set algebra, and it enters at most ``DEFAULT_STATE_CAP``
@@ -33,6 +34,10 @@ by a cycle of letter arcs, so it builds no subset table.
 
 ``compile_expression`` builds a set while it reads its expression, as
 Thompson's construction (1968) does, so no syntax tree is kept.
+``union`` and ``concat`` take any number of parts and number each
+part's states once.  Only a union of word lists stays a word list: a
+product is an automaton as large as its parts together, while its
+words may be as many as the product of theirs.
 """
 
 from __future__ import annotations
@@ -172,37 +177,50 @@ def _shift(arcs, offset):
     }
 
 
-def nfa_union(a: Nfa, b: Nfa) -> Nfa:
-    """The automata side by side: a's states as they are, b's after them,
-    so only b's arcs are renumbered."""
-    return Nfa(
-        a.alphabet,
-        a.n + b.n,
-        a.initial | {s + a.n for s in b.initial},
-        a.accepting | {s + a.n for s in b.accepting},
-        {**a.arcs, **_shift(b.arcs, a.n)},
-    )
+def _side_by_side(nfas):
+    """The arcs of the automata in one table, each numbered once, after
+    the ones before it, so the first keeps its numbers; with each one's
+    initial and final states in the new numbers."""
+    arcs, ends, n = {}, [], 0
+    for a in nfas:
+        arcs.update(_shift(a.arcs, n) if n else a.arcs)
+        ends.append(({s + n for s in a.initial}, {s + n for s in a.accepting}))
+        n += a.n
+    return arcs, ends, n
 
 
-def nfa_concat(a: Nfa, b: Nfa) -> Nfa:
-    arcs = {s: {lbl: set(d) for lbl, d in by.items()} for s, by in a.arcs.items()}
-    for s, by in _shift(b.arcs, a.n).items():
-        arcs.setdefault(s, {}).update({lbl: set(d) for lbl, d in by.items()})
-    for f in a.accepting:
-        for i in b.initial:
-            arcs.setdefault(f, {}).setdefault(EPS, set()).add(i + a.n)
-    frozen = {s: {lbl: frozenset(d) for lbl, d in by.items()} for s, by in arcs.items()}
-    return Nfa(a.alphabet, a.n + b.n, a.initial, {s + a.n for s in b.accepting}, frozen)
+def _add_empty_moves(arcs, sources, targets) -> None:
+    """Empty moves from each source to every target; only the sources'
+    rows are copied, as the others may be shared with other automata."""
+    for q in sources:
+        row = dict(arcs.get(q, {}))
+        row[EPS] = row.get(EPS, frozenset()) | targets
+        arcs[q] = row
+
+
+def nfa_union(nfas) -> Nfa:
+    """The automata side by side."""
+    arcs, ends, n = _side_by_side(nfas)
+    initial, accepting = zip(*ends)
+    return Nfa(nfas[0].alphabet, n, set().union(*initial), set().union(*accepting), arcs)
+
+
+def nfa_concat(nfas) -> Nfa:
+    """The automata in a row: empty moves lead from each one's final
+    states to the next one's initial states."""
+    arcs, ends, n = _side_by_side(nfas)
+    for (_, finals), (initial, _) in zip(ends, ends[1:]):
+        _add_empty_moves(arcs, finals, initial)
+    return Nfa(nfas[0].alphabet, n, ends[0][0], ends[-1][1], arcs)
 
 
 def nfa_star(a: Nfa) -> Nfa:
-    hub = a.n
-    arcs = {s: {lbl: set(d) for lbl, d in by.items()} for s, by in a.arcs.items()}
-    arcs.setdefault(hub, {}).setdefault(EPS, set()).update(a.initial)
-    for f in a.accepting:
-        arcs.setdefault(f, {}).setdefault(EPS, set()).add(hub)
-    frozen = {s: {lbl: frozenset(d) for lbl, d in by.items()} for s, by in arcs.items()}
-    return Nfa(a.alphabet, a.n + 1, frozenset((hub,)), frozenset((hub,)), frozen)
+    """A new hub, initial and final, with empty moves to a's initial
+    states and from a's final states back to it."""
+    hub = frozenset((a.n,))
+    arcs = {**a.arcs, a.n: {EPS: a.initial}}
+    _add_empty_moves(arcs, a.accepting, hub)
+    return Nfa(a.alphabet, a.n + 1, hub, hub, arcs)
 
 
 def nfa_universal(alphabet: Alphabet) -> Nfa:
@@ -324,9 +342,11 @@ class Language:
         return self._words is not None
 
     def words(self) -> frozenset[str]:
-        if self._words is None:
-            raise ValueError("language is held as an automaton; use to_finite first")
-        return self._words
+        """Members of a finite set in either form; ValueError if infinite."""
+        fin = self.to_finite()
+        if fin is None:
+            raise ValueError("language is infinite")
+        return fin._words
 
     def nfa(self) -> Nfa:
         """The automaton of the set; for a word list, its trie with equal
@@ -419,20 +439,19 @@ def _check_same_alphabet(*langs):
     return first
 
 
-def union(a: Language, b: Language) -> Language:
-    _check_same_alphabet(a, b)
-    if a.is_finite_repr and b.is_finite_repr:
-        return Language.finite(a.words() | b.words(), a.alphabet)
-    return Language.regular(nfa_union(a.nfa(), b.nfa()))
+def union(*langs: Language) -> Language:
+    """A word list when every part is one, else the parts side by side."""
+    alphabet = _check_same_alphabet(*langs)
+    if all(lang.is_finite_repr for lang in langs):
+        return Language(alphabet, words=frozenset().union(*[x.words() for x in langs]))
+    return Language.regular(nfa_union([lang.nfa() for lang in langs]))
 
 
-def concat(a: Language, b: Language) -> Language:
-    _check_same_alphabet(a, b)
-    if a.is_finite_repr and b.is_finite_repr:
-        return Language.finite(
-            {u + v for u in a.words() for v in b.words()}, a.alphabet
-        )
-    return Language.regular(nfa_concat(a.nfa(), b.nfa()))
+def concat(*langs: Language) -> Language:
+    """The parts in a row, as an automaton even for word lists, whose
+    product may have as many words as the product of their sizes."""
+    _check_same_alphabet(*langs)
+    return Language.regular(nfa_concat([lang.nfa() for lang in langs]))
 
 
 def star(a: Language) -> Language:
@@ -467,7 +486,7 @@ def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = Fa
     # X's states are numbered after U's, and a subset holds at most one
     starts = {
         max(subset) - nu.n
-        for subset, _, _ in _subsets(nfa_union(nu, base))
+        for subset, _, _ in _subsets(nfa_union((nu, base)))
         if subset & nu.accepting and max(subset) >= nu.n
     }
     n, initial, arcs = base.n, starts, base.arcs
@@ -475,20 +494,11 @@ def left_quotient(u_lang: Language, x_lang: Language, exclude_epsilon: bool = Fa
         # start at a fresh state, not accepting, that moves as all starts do
         arcs = {**arcs, n: {c: base.step(starts, c) for c in base.alphabet}}
         n, initial = n + 1, (n,)
-    out = Language.regular(Nfa(base.alphabet, n, initial, base.accepting, arcs))
-    fin = out.to_finite()
-    return fin if fin is not None else out
+    return Language.regular(Nfa(base.alphabet, n, initial, base.accepting, arcs))
 
 
 def factors(lang: Language) -> Language:
     """All factors (contiguous subwords) of members of the language."""
-    if lang.is_finite_repr:
-        out = set()
-        for w in lang.words():
-            for i in range(len(w) + 1):
-                for j in range(i, len(w) + 1):
-                    out.add(w[i:j])
-        return Language.finite(out, lang.alphabet)
     nfa = lang.nfa()
     core = nfa.core_states()
     if not core:
@@ -497,28 +507,20 @@ def factors(lang: Language) -> Language:
 
 
 def is_empty(lang: Language) -> bool:
-    if lang.is_finite_repr:
-        return not lang.words()
     nfa = lang.nfa()
     return not (nfa.eps_closure(nfa.initial) and nfa.core_states())
 
 
 def least_member(a: Language, b: Language, in_b: bool) -> str | None:
     """Length-lex least member of A that B holds (in_b=True) or lacks,
-    or None when there is none.
-
-    A finite A is filtered word by word.  Otherwise the subset
-    construction runs on both automata side by side and stops at the
-    first subset holding a final state of A, and one of B or none.
-    """
+    or None when there is none: the subset construction on both automata
+    side by side stops at the first subset holding a final state of A,
+    and one of B or none."""
     _check_same_alphabet(a, b)
-    if a.is_finite_repr:
-        hits = [w for w in a.words() if b.member(w) == in_b]
-        return min(hits, key=a.alphabet.lex_key, default=None)
     # B goes first, so only A's arcs are renumbered: a large B costs only
     # the states the search reaches
     nb = b.nfa()
-    both = nfa_union(nb, a.nfa())
+    both = nfa_union((nb, a.nfa()))
     a_final = both.accepting - nb.accepting
 
     def test(subset):
@@ -588,7 +590,8 @@ class _ExprParser:
                                factor := atom "*"*
                                atom := word | eps | "(" expr ")"
 
-    Each rule returns the Language of the text it read; a word matched
+    Each rule returns the Language of the text it read, with one
+    ``union`` or ``concat`` call for all its parts; a word matched
     against the alphabet's letters is not checked again.  ``pos``
     always sits past any whitespace, so ``peek`` reads one character;
     a run of letters is read by one match.
@@ -623,17 +626,14 @@ class _ExprParser:
         while self.peek() == "|":
             self._advance(self.pos + 1)
             parts.append(self.term())
-        if len(parts) > 1 and all(p.is_finite_repr for p in parts):
-            words = frozenset().union(*[p.words() for p in parts])
-            return Language(self.alphabet, words=words)
-        return functools.reduce(union, parts)
+        return union(*parts) if len(parts) > 1 else parts[0]
 
     def term(self) -> Language:
-        lang = self.factor()
+        parts = [self.factor()]
         while self.peek() == ".":
             self._advance(self.pos + 1)
-            lang = concat(lang, self.factor())
-        return lang
+            parts.append(self.factor())
+        return concat(*parts) if len(parts) > 1 else parts[0]
 
     def factor(self) -> Language:
         lang = self.atom()
@@ -690,9 +690,9 @@ def compile_expression(text: str, alphabet: Alphabet) -> Language:
     finite-set form.  Any other text goes through ``_ExprParser``, whose
     rules return the Language of what they read, built by ``union``,
     ``concat`` and ``star`` as the text is read, and which reports every
-    error with its position: star-free expressions come back in
-    finite-set form, anything under a star is carried as an automaton,
-    and nesting too deep for Python's recursion limit is a ParseError.
+    error with its position: a union of words comes back in finite-set
+    form, a product or a star as an automaton, and nesting too deep for
+    Python's recursion limit is a ParseError.
     """
     flat = _word_list(alphabet.letters)
     if flat is not None and flat.fullmatch(text):

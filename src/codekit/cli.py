@@ -209,10 +209,7 @@ def _read_language_file(path: str, declared: str | None) -> Language:
     exprs = lines[1:]
     if not exprs:
         raise ParseError("language file declares no expressions")
-    lang = compile_expression(exprs[0], alphabet)
-    for expr in exprs[1:]:
-        lang = union(lang, compile_expression(expr, alphabet))
-    return lang
+    return union(*[compile_expression(expr, alphabet) for expr in exprs])
 
 
 def _parse_probs(alphabet: Alphabet, text: str | None) -> Distribution:

@@ -183,7 +183,7 @@ def er_complete(x_lang: Language) -> Language:
     w = _least_unbordered_non_factor(v, factors(star(x_lang)))
     universe = Language.regular(nfa_universal(alphabet))
     w_lang = Language.finite((w,), alphabet)
-    surrounded = concat(concat(universe, w_lang), universe)
+    surrounded = concat(universe, w_lang, universe)
     u_lang = complement(union(star(x_lang), surrounded))
     y_lang = union(x_lang, concat(w_lang, star(concat(u_lang, w_lang))))
     if not is_code(y_lang) or not is_complete(y_lang, known_code=True):

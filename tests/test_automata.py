@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -289,16 +290,40 @@ def test_alphabet_mismatch():
         union(fin({"a"}), Language.finite({"0"}, Alphabet("01")))
 
 
-@given(finite_sets, finite_sets)
+@given(finite_sets, finite_sets, finite_sets)
 @settings(max_examples=60)
-def test_boolean_ops_match_sets(xs, ys):
-    lx, ly = fin(xs), fin(ys)
+def test_boolean_ops_match_sets(xs, ys, zs):
+    lx, ly, lz = fin(xs), fin(ys), fin(zs)
     assert union(lx, ly).words() == xs | ys
+    assert union(lx, ly, lz).words() == xs | ys | zs
     for a in both_forms(lx):
         for b in both_forms(ly):
             assert least_member(a, b, True) == min(xs & ys, key=AB.lex_key, default=None)
             assert least_member(a, b, False) == min(xs - ys, key=AB.lex_key, default=None)
     assert concat(lx, ly).words() == {u + v for u in xs for v in ys}
+    assert concat(lx, ly, lz).words() == {u + v + w for u in xs for v in ys for w in zs}
+    with pytest.raises(ValueError):
+        star(fin({"a"})).words()
+
+
+def test_a_product_of_word_lists_is_never_spelled():
+    # (a|b)^18.a*.b has 2^18 words before the star, and 24 automaton states
+    text = ".".join(["(a|b)"] * 18) + ".a*.b"
+    tracemalloc.start()
+    try:
+        lang = compile_expression(text, AB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert lang.member("ab" * 9 + "aab") and not lang.member("ab" * 9)
+    assert is_code(compile_expression(".".join(["(a|b)"] * 18), AB))
+    # a chain of 1000 words is one pass of Thompson's construction, not
+    # 999 that each copy every arc built so far
+    with patch.object(automata, "nfa_concat", wraps=automata.nfa_concat) as spy:
+        chain = compile_expression(".".join(["ab"] * 1000), AB)
+    assert spy.call_count == 1
+    assert chain.words() == {"ab" * 1000}
 
 
 @given(finite_sets)
