@@ -14,23 +14,25 @@ iteration cap.  The one search has two readers: ``is_code`` takes the
 verdict alone, and ``sardinas_patterson`` also spells, from the
 search's parent pointers, a shortest word with two factorizations:
 eps = (eps) = (eps)(eps) when the empty word is a member.  The measure
-up to a length is one weighted pass over the same table.
+up to a length is one weighted pass over the same table, with integer
+weights scaled by a power of the letters' common denominator.
 
 A finite code, in either form, is complete, and maximal, exactly when
 its uniform Bernoulli measure is 1 (Schutzenberger), so its
-completeness is read off its Kraft sum with exact integers and no
-search.  The least-word walk of ``automata`` runs only for the witness
-of an incomplete code, for non-codes and for infinite sets: the subset
-construction (``automata._subsets``) on the automaton for the factors
-of X*, stopped at the first subset holding no accepting state, which
-is entered by the length-lex least non-factor.
+completeness is read off that pass, run to the size of the table, with
+no search and no word spelled.  The least-word walk of ``automata``
+runs only for the witness of an incomplete code, for non-codes and for
+infinite sets: the subset construction (``automata._subsets``) on the
+automaton for the factors of X*, stopped at the first subset holding
+no accepting state, which is entered by the length-lex least
+non-factor.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .automata import Language, _least_word, factors, reverse, star
 from .errors import PreconditionError, UsageError
@@ -257,12 +259,12 @@ class Distribution:
 
 
 def measure_finite(x_lang: Language, dist: Distribution) -> Fraction:
-    """Exact Bernoulli measure of a finite set, in either form; an
-    infinite set raises UsageError."""
-    fin = x_lang.to_finite()
-    if fin is None:
+    """Exact Bernoulli measure of a finite set, in either form: the pass
+    of ``measure_partial`` run to the size of its trim table, which
+    bounds a member's length.  An infinite set raises UsageError."""
+    if x_lang.to_finite() is None:
         raise UsageError("measure_finite needs a finite set; use measure_partial")
-    return measure_partial(x_lang, dist, max(map(len, fin.words()), default=0))
+    return measure_partial(x_lang, dist, len(x_lang.trim()[0]))
 
 
 def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fraction:
@@ -270,52 +272,46 @@ def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fract
 
     One weighted pass over the trim table, a length at a time, for
     either form of the set, so nothing is enumerated; it stops once no
-    weight is left.  A negative max_len raises UsageError.
+    weight is left.  The weights are integers: with d the common
+    denominator of the letter probabilities, a letter weighs d times
+    its probability, and after n letters the running total is the
+    measure times d^n.  A negative max_len raises UsageError.
     """
     if max_len < 0:
         raise UsageError(f"max_len must be at least 0, got {max_len}")
     rows, finals = x_lang.trim()
-    weights = {0: Fraction(1)}
-    total = Fraction(1 if 0 in finals else 0)
+    d = lcm(*[p.denominator for p in dist.probs])
+    letter_weights = [p.numerator * (d // p.denominator) for p in dist.probs]
+    weights = {0: 1}
+    total = 1 if 0 in finals else 0
+    scale = 1  # d to the power of the length read
     for _ in range(max_len):
-        nxt: dict[int, Fraction] = {}
+        nxt: dict[int, int] = {}
         for q, wq in weights.items():
-            for r, p in zip(rows[q], dist.probs):
+            for r, w in zip(rows[q], letter_weights):
                 if r >= 0:
-                    nxt[r] = nxt.get(r, 0) + wq * p
+                    nxt[r] = nxt.get(r, 0) + wq * w
         if not nxt:
             break
         weights = nxt
-        total += sum((wq for q, wq in weights.items() if q in finals), Fraction(0))
-    return total
-
-
-def _kraft_excess(x_lang: Language) -> int | None:
-    """The Kraft sum of a finite X, sum of |A|^(L-|x|) over its words,
-    less |A|^L, with L the greatest length: 0 exactly when X's uniform
-    Bernoulli measure is 1, negative when it is less.  None for an
-    infinite X."""
-    fin = x_lang.to_finite()
-    if fin is None:
-        return None
-    size = len(x_lang.alphabet.letters)
-    counts = Counter(map(len, fin.words()))
-    top = max(counts, default=0)
-    return sum(n * size ** (top - m) for m, n in counts.items()) - size**top
+        scale *= d
+        total = total * d + sum([wq for q, wq in weights.items() if q in finals])
+    return Fraction(total, scale)
 
 
 def is_complete(x_lang: Language, known_code: bool = False) -> bool:
     """Every word is a factor of some product of codewords.
 
-    A finite code is settled by its Kraft sum with no search: it is
+    A finite code is settled by its measure with no search: it is
     complete exactly when its uniform measure is 1.  Every other set
     runs the least non-factor search.  ``known_code`` says the caller
     has already found X to be a code.
     """
-    excess = _kraft_excess(x_lang)
-    # McMillan: a code's Kraft sum is at most 1
-    if excess is not None and excess <= 0 and (known_code or is_code(x_lang)):
-        return excess == 0
+    if x_lang.to_finite() is not None:
+        mu = measure_finite(x_lang, Distribution.uniform(x_lang.alphabet))
+        # McMillan: a code's measure is at most 1
+        if mu <= 1 and (known_code or is_code(x_lang)):
+            return mu == 1
     return _search_non_factor(x_lang) is None
 
 
@@ -334,9 +330,14 @@ def is_maximal_code(x_lang: Language) -> bool:
 
 def _least_non_factor(x_lang: Language, known_code: bool = False) -> str | None:
     """Length-lex least word outside the factors of the star closure, or
-    None when the set is complete.  A finite code whose Kraft sum is 1
-    is complete with no search; ``known_code`` as for ``is_complete``."""
-    if _kraft_excess(x_lang) == 0 and (known_code or is_code(x_lang)):
+    None when the set is complete.  A finite code whose uniform measure
+    is 1 is complete with no search; ``known_code`` as for
+    ``is_complete``."""
+    if (
+        x_lang.to_finite() is not None
+        and measure_finite(x_lang, Distribution.uniform(x_lang.alphabet)) == 1
+        and (known_code or is_code(x_lang))
+    ):
         return None
     return _search_non_factor(x_lang)
 

@@ -1,11 +1,12 @@
 """Finite automata and the regular-language toolkit built on them.
 
 A :class:`Language` is held as words or as an NFA, but deciders outside
-this module fork only on ``to_finite``: finite or infinite, and
-``words()`` answers for a finite set in either form.  No verdict needs
-a minimal automaton: every verdict of the package is a property of the
-set, read off any trim deterministic automaton for it, and two sets are
-equal when neither holds a word the other lacks.
+this module fork only on ``to_finite``: finite or infinite.  It spells
+no word; ``words()`` answers for a finite set in either form, and
+spells an automaton's members once.  No verdict needs a minimal
+automaton: every verdict of the package is a property of the set, read
+off any trim deterministic automaton for it, and two sets are equal
+when neither holds a word the other lacks.
 
 One subset construction, ``_subsets`` (Rabin & Scott 1959), carries the
 regular-set algebra, and it enters at most ``DEFAULT_STATE_CAP``
@@ -22,15 +23,16 @@ automaton beside X's trim table.
 
 Every deterministic walk reads one table, ``Language.trim()``, built
 once per language: the trie of a word list, else the live part of the
-subset table.  ``words_upto`` reads it, as do ``complement``, which
-makes it total with one dead state and flips it, and the code-ness and
-prefix tests of ``analysis``.  A word list's automaton, which star,
-product, union, images and the subset searches read, is its trie with
-equal futures merged, the minimal acyclic automaton of the list (Revuz
-1992), so a subset never tells apart two states with one future; the
-one-pass readers of ``trim()`` gain nothing from the merge, so it stays
-the trie.  ``to_finite`` reads the NFA instead: an infinite set is told
-by a cycle of letter arcs, so it builds no subset table.
+subset table.  ``words_upto`` and ``words()`` read it, as do
+``complement``, which makes it total with one dead state and flips it,
+and the code-ness, prefix and measure passes of ``analysis``.  A word
+list's automaton, which star, product, union, images and the subset
+searches read, is its trie with equal futures merged, the minimal
+acyclic automaton of the list (Revuz 1992), so a subset never tells
+apart two states with one future; the one-pass readers of ``trim()``
+gain nothing from the merge, so it stays the trie.  ``to_finite``
+reads the NFA instead: an infinite set is told by a cycle of letter
+arcs, so it builds no subset table.
 
 ``compile_expression`` builds a set while it reads its expression, as
 Thompson's construction (1968) does, so no syntax tree is kept.
@@ -324,7 +326,9 @@ class Language:
         self._words = words
         self._nfa = nfa
         self._trim = None
-        self._finite = None  # to_finite's answer, False for an infinite set
+        # to_finite's answer for an automaton: False when infinite, else
+        # True, then the words once ``words()`` has spelled them
+        self._finite = None
 
     @staticmethod
     def finite(words, alphabet: Alphabet) -> "Language":
@@ -342,11 +346,16 @@ class Language:
         return self._words is not None
 
     def words(self) -> frozenset[str]:
-        """Members of a finite set in either form; ValueError if infinite."""
-        fin = self.to_finite()
-        if fin is None:
+        """Members of a finite set in either form; ValueError if infinite.
+        A finite automaton is spelled once, off its trim table, whose
+        states a member's letters reach at most once each."""
+        if self._words is not None:
+            return self._words
+        if self.to_finite() is None:
             raise ValueError("language is infinite")
-        return fin._words
+        if self._finite is True:
+            self._finite = words_upto(self, len(self.trim()[0]))
+        return self._finite
 
     def nfa(self) -> Nfa:
         """The automaton of the set; for a word list, its trie with equal
@@ -388,18 +397,15 @@ class Language:
         return self._nfa.accepts(w)
 
     def to_finite(self) -> "Language | None":
-        """Finite-set form, or None when the language is infinite.
+        """The set itself when it is finite, else None; nothing is spelled.
 
         A set is infinite exactly when a letter arc lies on a cycle of
         core states, those on accepting paths.  Kahn's sort over the
         core, where q leads to each core state that one letter arc
         reaches from q's empty closure, never orders such a cycle, so an
-        infinite set builds no subset table.  A member's letters reach
-        distinct core states, which bounds its length.  The answer is
-        kept with the set, which keeps its own form."""
-        if self._words is not None:
-            return self
-        if self._finite is None:
+        infinite set builds no subset table.  The answer is kept with
+        the set."""
+        if self._words is None and self._finite is None:
             nfa = self.nfa()
             core = nfa.core_states()
             succ = {q: set() for q in core}
@@ -415,12 +421,8 @@ class Language:
                     indeg[r] -= 1
                     if not indeg[r]:
                         order.append(r)
-            # the words are spelled off the table, so their letters are
-            # the alphabet's
-            self._finite = len(order) == len(core) and Language(
-                self.alphabet, words=words_upto(self, len(core))
-            )
-        return self._finite or None
+            self._finite = len(order) == len(core)
+        return None if self._finite is False else self
 
     def __repr__(self):
         if self._words is not None:

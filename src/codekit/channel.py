@@ -117,12 +117,11 @@ class ExperimentReport:
 
 
 def _codewords(x_lang: Language) -> list[str]:
-    fin = x_lang.to_finite()
-    if fin is None:
+    if x_lang.to_finite() is None:
         raise UsageError(
             "an infinite code cannot drive the simulator; truncate it first"
         )
-    return sort_words(fin.words(), x_lang.alphabet)
+    return sort_words(x_lang.words(), x_lang.alphabet)
 
 
 def encode(message: list[int], x_lang: Language) -> list[str]:

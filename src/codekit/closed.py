@@ -128,11 +128,10 @@ def closure_star(x_lang: Language, spec: EditRelationSpec) -> Language:
         raise ValueError(
             f"closure under {spec.render()} is infinite on nonempty sets"
         )
-    fin = x_lang.to_finite()
-    if fin is None:
+    if x_lang.to_finite() is None:
         raise ValueError("closure iteration needs a finite set")
-    alphabet = fin.alphabet
-    seen = set(fin.words())
+    alphabet = x_lang.alphabet
+    seen = set(x_lang.words())
     frontier = list(seen)
     while frontier:
         w = frontier.pop()
@@ -380,11 +379,17 @@ def _complete_extensions(
     base: frozenset[str], units, alphabet: Alphabet, budget: _Budget
 ) -> list[Language]:
     """The complete codes among the nonempty ones of base and its search.
-    Base is a code and the search yields only codes, so completeness is
-    read off the Kraft sum with no second code test."""
+    Base is a code and the search yields only codes, so a code is
+    complete exactly when its uniform measure, its Kraft sum, is 1:
+    read off the lengths of its words before any Language is built."""
+    size = len(alphabet.letters)
+
+    def kraft_one(code):
+        top = max(map(len, code))
+        return sum([size ** (top - len(w)) for w in code]) == size**top
+
     codes = chain((base,), _code_search(base, units, alphabet, budget))
-    found = (Language(alphabet, words=c) for c in codes if c)
-    return [lang for lang in found if is_complete(lang, known_code=True)]
+    return [Language(alphabet, words=c) for c in codes if c and kraft_one(c)]
 
 
 def enumerate_delta_closed(
@@ -421,18 +426,17 @@ def _delta_closed_codes(
 
 
 def _require_delta_closed_code(x_lang: Language, k: int) -> frozenset[str]:
-    fin = x_lang.to_finite()
-    if fin is None:
+    if x_lang.to_finite() is None:
         raise UsageError("deletion-closed analysis needs a finite set")
     spec = EditRelationSpec("delta", k)
-    if not is_code(fin):
+    if not is_code(x_lang):
         raise PreconditionError("precondition failed: input is not a code")
-    report = is_closed(fin, spec)
+    report = is_closed(x_lang, spec)
     if not report.closed:
         raise PreconditionError(
             f"precondition failed: input is not closed under {spec.render()}"
         )
-    return fin.words()
+    return x_lang.words()
 
 
 def is_maximal_delta_closed(
@@ -487,13 +491,12 @@ def assert_empty_family(
         raise ValueError(
             f"{spec.render()} admits closed codes; no emptiness argument applies"
         )
-    fin = x_lang.to_finite()
-    if fin is None or not fin.words():
+    if x_lang.to_finite() is None or not x_lang.words():
         raise ValueError("a nonempty finite candidate code is required")
     alphabet = x_lang.alphabet
-    if not is_code(fin):
+    if not is_code(x_lang):
         raise PreconditionError("precondition failed: input is not a code")
-    x = min(fin.words(), key=alphabet.lex_key)
+    x = min(x_lang.words(), key=alphabet.lex_key)
     k = spec.k
     if spec.kind in ("iota", "I"):
         chain = [x]
@@ -555,11 +558,10 @@ def sigma_star(w: str, k: int, alphabet: Alphabet) -> SigmaOrbit:
 def _length_class(x_lang: Language) -> tuple[int, frozenset[str]] | None:
     """The common codeword length and the codewords, when the set has
     one length (so it is finite)."""
-    fin = x_lang.to_finite()
-    if fin is None:
+    if x_lang.to_finite() is None:
         return None
-    lengths = {len(w) for w in fin.words()}
-    return (lengths.pop(), fin.words()) if len(lengths) == 1 else None
+    lengths = {len(w) for w in x_lang.words()}
+    return (lengths.pop(), x_lang.words()) if len(lengths) == 1 else None
 
 
 def _materialize_class(
@@ -642,10 +644,7 @@ def sigma_complete_embedding(
         raise PreconditionError("precondition failed: input is already complete")
     short = Language.finite(alphabet.words_upto(k), alphabet)
     if least_member(x_lang, short, False) is None:
-        fin = x_lang.to_finite()
-        if fin is None:
-            raise RuntimeError("internal: short set must be finite")
-        return _short_embedding_search(fin.words(), k, alphabet, candidate_budget)
+        return _short_embedding_search(x_lang.words(), k, alphabet, candidate_budget)
     uniform = _length_class(x_lang)
     if uniform is None:
         return []

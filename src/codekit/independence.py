@@ -63,9 +63,8 @@ def is_independent(x_lang: Language, spec: EditRelationSpec) -> IndependenceRepo
     another member."""
     alphabet = x_lang.alphabet
     bar = spec.with_closure("antireflexive")
-    fin = x_lang.to_finite()
-    if fin is not None:
-        members = fin.words()
+    if x_lang.to_finite() is not None:
+        members = x_lang.words()
         for x in sort_words(members, alphabet):
             hits = relation_image_word(bar, alphabet, x) & members
             if hits:
@@ -90,13 +89,12 @@ def is_error_correcting(
 
     Checked pairwise on image overlap.
     """
-    fin = x_lang.to_finite()
-    if fin is None:
+    if x_lang.to_finite() is None:
         raise UnsupportedError(
             "Q2", f"error correction of an infinite regular set under {spec.render()}"
         )
-    alphabet = fin.alphabet
-    members = sort_words(fin.words(), alphabet)
+    alphabet = x_lang.alphabet
+    members = sort_words(x_lang.words(), alphabet)
     images = {x: relation_image_word(spec, alphabet, x) for x in members}
     for i, x in enumerate(members):
         for y in members[i + 1 :]:
@@ -118,14 +116,10 @@ def hat_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:
 
 def underline_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:
     """Code-ness of the antireflexive image."""
-    if not spec.is_antireflexive_already:
-        fin = x_lang.to_finite()
-        if fin is None:
-            raise UnsupportedError(
-                "Q3",
-                f"antireflexive image of an infinite regular set under {spec.render()}",
-            )
-        x_lang = fin
+    if not spec.is_antireflexive_already and x_lang.to_finite() is None:
+        raise UnsupportedError(
+            "Q3", f"antireflexive image of an infinite regular set under {spec.render()}"
+        )
     img = relation_image(spec.with_closure("antireflexive"), x_lang.alphabet, x_lang)
     return sardinas_patterson(img)
 

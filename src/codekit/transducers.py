@@ -181,7 +181,7 @@ def image(t: Transducer, lang: Language) -> Language:
     The product of the language's automaton and the machine holds at
     most ``automata.DEFAULT_STATE_CAP`` states.  The result is always
     held as that automaton; a caller that needs its words calls
-    ``to_finite``.
+    ``words()``.
     """
     nfa = lang.nfa()
     moves = t.moves
@@ -287,12 +287,11 @@ def relation_image(spec: EditRelationSpec, alphabet: Alphabet, lang: Language) -
         return lang_union(lang, image(build(plain, alphabet), lang))
     if spec.is_antireflexive_already:
         return image(build(plain, alphabet), lang)
-    fin = lang.to_finite()
-    if fin is None:
+    if lang.to_finite() is None:
         raise ValueError(
             f"antireflexive image under {spec.render()} needs a finite language"
         )
     out: set[str] = set()
-    for x in fin.words():
+    for x in lang.words():
         out |= relation_image_word(spec, alphabet, x)
     return Language.finite(out, alphabet)

@@ -19,6 +19,7 @@ import itertools
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -507,6 +508,26 @@ def reference_to_finite(x_lang):
             if r >= 0:
                 prefixes[r].update(w + c for w in prefixes[q])
     return frozenset(out)
+
+
+def reference_measure_partial(x_lang, dist, max_len):
+    """Measure of X's members of length at most max_len, for
+    ``analysis.measure_partial``: one pass over the reference trim table
+    (``reference_trim``) a length at a time, in ``Fraction`` weights."""
+    rows, finals = reference_trim(x_lang)
+    weights = {0: Fraction(1)}
+    total = Fraction(1 if 0 in finals else 0)
+    for _ in range(max_len):
+        nxt = {}
+        for q, wq in weights.items():
+            for r, p in zip(rows[q], dist.probs):
+                if r >= 0:
+                    nxt[r] = nxt.get(r, 0) + wq * p
+        if not nxt:
+            break
+        weights = nxt
+        total += sum((wq for q, wq in weights.items() if q in finals), Fraction(0))
+    return total
 
 
 def reference_determinize(nfa):

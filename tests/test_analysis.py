@@ -429,6 +429,25 @@ def test_finite_codes_settle_completeness_without_a_search(capsys, monkeypatch):
     ):
         with pytest.raises(AssertionError, match="subset search entered"):
             ask()
+    # an infinite set is told without a subset table
+    with pytest.raises(UsageError):
+        measure_finite(compile_expression("(a|bb)*", AB), Distribution.uniform(AB))
+    monkeypatch.undo()
+
+    # a finite set held as an automaton is measured with no word spelled:
+    # (a|b)^30 has 2^30 members
+    def no_spelling(*args):
+        raise AssertionError("words spelled")
+
+    monkeypatch.setattr(automata, "words_upto", no_spelling)
+    product = ".".join(["(a|b)"] * 30)
+    for command, name in (("complete", "complete"), ("maximal", "maximal-code")):
+        assert main([command, "--alphabet", "ab", product]) == 0
+        assert capsys.readouterr().out == f"property: {name}\nverdict: holds\n"
+    uniform = Distribution.uniform(AB)
+    assert measure_finite(compile_expression(product, AB), uniform) == 1
+    lang = compile_expression("(a|bb).eps*.(eps|a)", AB)
+    assert measure_finite(lang, uniform) == Fraction(9, 8)
 
 
 # a 32-word complete prefix code with two words taken out; its least

@@ -12,6 +12,7 @@ from codekit.analysis import (
     find_non_factor,
     is_code,
     is_prefix_code,
+    measure_finite,
     measure_partial,
     sardinas_patterson,
 )
@@ -46,6 +47,7 @@ from oracles import (
     is_universal,
     minimal_trim,
     reference_left_quotient,
+    reference_measure_partial,
     reference_prefix_pair,
     reference_product,
     reference_shortest_word,
@@ -540,6 +542,36 @@ def test_a_word_list_automaton_is_its_trie_with_equal_futures_merged(xs):
         rows, finals = minimal_trim(x)
         live = [q for q, row in enumerate(rows) if q in finals or max(row) >= 0]
         assert x.nfa().n == len(live)
+
+
+@st.composite
+def measured_sets(draw):
+    """A word list or an expression over ab or abc, with the uniform
+    distribution or letter weights drawn from 1 to 9."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    alphabet = Alphabet(letters)
+    if draw(st.booleans()):
+        words = draw(st.frozensets(st.text(alphabet=letters, max_size=5), max_size=8))
+        lang = Language.finite(words, alphabet)
+    else:
+        lang = compile_expression(draw(expressions(letters)), alphabet)
+    n = len(letters)
+    ints = draw(st.none() | st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    if ints is None:
+        return lang, Distribution.uniform(alphabet)
+    return lang, Distribution(alphabet, tuple(Fraction(i, sum(ints)) for i in ints))
+
+
+@given(measured_sets(), st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_integer_measure_pass_matches_the_fraction_pass(case, max_len):
+    lang, dist = case
+    for x in both_forms(lang):
+        want = reference_measure_partial(x, dist, max_len)
+        assert measure_partial(x, dist, max_len) == want
+        if x.to_finite() is not None:
+            longest = max(map(len, x.words()), default=0)
+            assert measure_finite(x, dist) == reference_measure_partial(x, dist, longest)
 
 
 @given(one_expression())
