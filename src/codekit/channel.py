@@ -10,7 +10,10 @@ none.
 
 The image of each codeword under the relation is computed once per
 experiment (or once per call of :func:`corrupt` and :func:`decode`), and
-every block is corrupted and decoded by lookups into it.
+every block is corrupted and decoded by lookups into it.  The decoder
+reads the inverted table of ``transducers.image_table``, received word
+to the codewords that could have sent it; error correction
+(``independence.is_error_correcting``) reads the same table.
 :func:`run_experiment` simulates any finite set as given and checks
 neither code-ness nor independence; :func:`decode` warns when either
 fails, and ``codekit code`` and ``codekit independent`` decide them.
@@ -26,7 +29,7 @@ from fractions import Fraction
 from .analysis import is_code
 from .automata import Language
 from .errors import UsageError
-from .transducers import EditRelationSpec, relation_image_word
+from .transducers import EditRelationSpec, image_table, relation_image_word
 from .words import sort_words
 
 
@@ -140,60 +143,52 @@ def encode(message: list[int], x_lang: Language) -> list[str]:
 class _ChannelTable:
     """Everything a channel experiment needs from the relation, computed once.
 
-    Built from one antireflexive image per source word, its plain image
-    minus the word itself.  ``choices[x]`` is the image of x in
-    length-lex order, the list a corruption draws from.  ``candidates``
-    maps every word some source's image contains to those sources, in
-    the order given, which is canonical codeword order when the sources
-    are the codewords.  When they are, the sources are independent
-    exactly when none of them is a key of ``candidates``.
+    Read off ``transducers.image_table`` under the antireflexive closure,
+    each source's plain image minus the word itself.  ``choices[x]`` is
+    the image of x in length-lex order, the list a corruption draws
+    from.  ``candidates`` is the inverted table: it maps every word some
+    source's image contains to those sources, in the order given, which
+    is canonical codeword order when the sources are the codewords.
+    When they are, the sources are independent exactly when none of
+    them is a key of ``candidates``.
     """
 
     def __init__(self, sources, spec: EditRelationSpec, alphabet):
         bar = spec.with_closure("antireflexive")
-        self.members = frozenset(sources)
-        self.choices: dict[str, list[str]] = {}
-        candidates: dict[str, list[str]] = {}
-        for x in sources:
-            image = relation_image_word(bar, alphabet, x)
-            self.choices[x] = sort_words(image, alphabet)
-            for y in image:
-                candidates.setdefault(y, []).append(x)
-        self.candidates = {y: tuple(xs) for y, xs in candidates.items()}
+        images, self.candidates = image_table(bar, alphabet, sources)
+        self.members = frozenset(images)
+        self.choices = {x: sort_words(im, alphabet) for x, im in images.items()}
 
 
 def _corrupt_blocks(
-    table: _ChannelTable, blocks: list[str], p: float, rng: random.Random
+    choices: dict[str, list[str]], blocks: list[str], p: float, rng: random.Random
 ) -> list[Block]:
     out = []
     for sent in blocks:
         received = sent
         if rng.random() < p:
-            choices = table.choices[sent]
-            if choices:
-                received = choices[rng.randrange(len(choices))]
+            image = choices[sent]
+            if image:
+                received = image[rng.randrange(len(image))]
         out.append(Block(sent, received))
     return out
 
 
 def _decode_blocks(table: _ChannelTable, received: list[str]) -> DecodeReport:
     outcomes = []
-    counts = {"exact": 0, "corrected": 0, "ambiguous": 0, "detected": 0}
+    counts = dict.fromkeys(("exact", "corrected", "ambiguous", "detected"), 0)
     for r in received:
-        if r in table.members:
-            outcomes.append(BlockOutcome(r, "exact", r, (r,)))
-            counts["exact"] += 1
-            continue
         candidates = table.candidates.get(r, ())
-        if len(candidates) == 1:
-            outcomes.append(BlockOutcome(r, "corrected", candidates[0], candidates))
-            counts["corrected"] += 1
+        if r in table.members:
+            outcome = BlockOutcome(r, "exact", r, (r,))
+        elif len(candidates) == 1:
+            outcome = BlockOutcome(r, "corrected", candidates[0], candidates)
         elif candidates:
-            outcomes.append(BlockOutcome(r, "ambiguous", None, candidates))
-            counts["ambiguous"] += 1
+            outcome = BlockOutcome(r, "ambiguous", None, candidates)
         else:
-            outcomes.append(BlockOutcome(r, "detected", None, ()))
-            counts["detected"] += 1
+            outcome = BlockOutcome(r, "detected", None, ())
+        outcomes.append(outcome)
+        counts[outcome.kind] += 1
     return DecodeReport(outcomes=tuple(outcomes), **counts)
 
 
@@ -208,10 +203,15 @@ def corrupt(
 
     A hit replaces the block by a uniform draw from its antireflexive
     image; blocks whose image is empty pass through untouched.  The
-    draw sequence is fully determined by the seed.
+    draw sequence is fully determined by the seed.  Each distinct
+    block's image is spelled once; no inverted table is built.
     """
-    table = _ChannelTable(dict.fromkeys(blocks), spec, alphabet)
-    return _corrupt_blocks(table, blocks, p, random.Random(seed))
+    bar = spec.with_closure("antireflexive")
+    choices = {
+        x: sort_words(relation_image_word(bar, alphabet, x), alphabet)
+        for x in set(blocks)
+    }
+    return _corrupt_blocks(choices, blocks, p, random.Random(seed))
 
 
 def decode(
@@ -251,16 +251,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     table = _ChannelTable(codewords, config.spec, config.code.alphabet)
     master = random.Random(config.seed)
     trial_seeds = [master.getrandbits(64) for _ in range(config.trials)]
-    totals = {
-        "blocks": 0,
-        "corrupted": 0,
-        "exact": 0,
-        "corrected": 0,
-        "ambiguous": 0,
-        "detected": 0,
-        "miscorrected": 0,
-        "restored_messages": 0,
-    }
+    totals = dict.fromkeys(
+        ("blocks", "corrupted", "exact", "corrected", "ambiguous", "detected",
+         "miscorrected", "restored_messages"),
+        0,
+    )
     for trial_seed in trial_seeds:
         rng = random.Random(trial_seed)
         sent = [
@@ -268,17 +263,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             for _ in range(config.message_length)
         ]
         blocks = _corrupt_blocks(
-            table, sent, config.p, random.Random(rng.getrandbits(64))
+            table.choices, sent, config.p, random.Random(rng.getrandbits(64))
         )
         report = _decode_blocks(table, [b.received for b in blocks])
         totals["blocks"] += len(blocks)
         totals["corrupted"] += sum(1 for b in blocks if b.corrupted)
-        totals["exact"] += report.exact
-        totals["corrected"] += report.corrected
-        totals["ambiguous"] += report.ambiguous
-        totals["detected"] += report.detected
         restored = True
         for block, outcome in zip(blocks, report.outcomes):
+            totals[outcome.kind] += 1
             if outcome.kind == "corrected" and outcome.decoded != block.sent:
                 totals["miscorrected"] += 1
             if outcome.decoded != block.sent:

@@ -13,6 +13,7 @@ report is written, as when it is piped into ``head``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -571,23 +572,11 @@ def _cmd_simulate(args):
         seed=args.seed,
     )
     report = channel_mod.run_experiment(config)
-    payload = {
-        "relation": spec.render(),
-        "p": args.p,
-        "seed": report.config_seed,
-        "trials": report.trials,
-        "blocks": report.blocks,
-        "corrupted": report.corrupted,
-        "exact": report.exact,
-        "corrected": report.corrected,
-        "ambiguous": report.ambiguous,
-        "detected": report.detected,
-        "miscorrected": report.miscorrected,
-        "restored_messages": report.restored_messages,
-        "correction_rate": report.correction_rate,
-        "ambiguity_rate": report.ambiguity_rate,
-        "detection_rate": report.detection_rate,
-    }
+    counts = dataclasses.asdict(report)
+    seed = counts.pop("config_seed")
+    payload = {"relation": spec.render(), "p": args.p, "seed": seed, **counts}
+    for rate in ("correction_rate", "ambiguity_rate", "detection_rate"):
+        payload[rate] = getattr(report, rate)
     return 0, payload
 
 

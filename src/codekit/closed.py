@@ -88,7 +88,12 @@ class Classification:
 
 
 class _Budget:
-    def __init__(self, limit: int, context: str):
+    """A cap on the candidates one search tries, made before any work:
+    a negative cap is a usage error, and 0 runs out on the first one."""
+
+    def __init__(self, limit: int, context: str = ""):
+        if limit < 0:
+            raise UsageError(f"candidate budget must be at least 0, got {limit}")
         self.limit = limit
         self.context = context
         self.spent = 0
@@ -403,23 +408,20 @@ def enumerate_delta_closed(
     Streams codes in the order induced by adding universe words left to
     right, so prefixes of the stream are reproducible.  Every yielded
     set has been checked closed and uniquely decodable.  A limit stops
-    the stream after that many codes.  A negative limit or a defect
-    count below 1 raises UsageError at the call; the search units are
-    built on the first ``next()``.
+    the stream after that many codes.  A negative limit or budget, or a
+    defect count below 1, raises UsageError at the call; the search
+    units are built on the first ``next()``.
     """
     if limit is not None and limit < 0:
         raise UsageError(f"limit must be at least 0, got {limit}")
+    budget = _Budget(candidate_budget)
     delta_length_bound(k)  # raises for a defect count below 1
-    return _delta_closed_codes(k, alphabet, limit, candidate_budget)
+    return _delta_closed_codes(k, alphabet, limit, budget)
 
 
-def _delta_closed_codes(
-    k: int, alphabet: Alphabet, limit: int | None, candidate_budget: int
-):
+def _delta_closed_codes(k: int, alphabet: Alphabet, limit: int | None, budget: _Budget):
     units = _delta_units(k, alphabet)
-    budget = _Budget(
-        candidate_budget, f"enumerating over a universe of {len(units)} words"
-    )
+    budget.context = f"enumerating over a universe of {len(units)} words"
     codes = _code_search(frozenset(), units, alphabet, budget)
     for code in islice(codes, limit):
         yield Language(alphabet, words=code)
@@ -448,11 +450,11 @@ def is_maximal_delta_closed(
     enough to test one-word extensions closed off, in universe order.
     Each is tested by growing the code's dangling suffixes.
     """
+    budget = _Budget(candidate_budget, "testing one-word closed extensions")
     words = _require_delta_closed_code(x_lang, k)
     universe = _delta_universe(k, x_lang.alphabet)
     closure = _delta_closures(k, universe)
     dangling = _grow_dangling(words, frozenset(), words)
-    budget = _Budget(candidate_budget, "testing one-word closed extensions")
     for y in universe:
         if y in words:
             continue
@@ -467,12 +469,11 @@ def embed_delta_closed_complete(
     x_lang: Language, k: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> list[Language]:
     """Every complete deletion-closed code containing the input."""
+    budget = _Budget(candidate_budget)
     words = _require_delta_closed_code(x_lang, k)
     alphabet = x_lang.alphabet
     units = _delta_units(k, alphabet, words)
-    budget = _Budget(
-        candidate_budget, f"embedding over a universe of {len(units)} words"
-    )
+    budget.context = f"embedding over a universe of {len(units)} words"
     return _complete_extensions(words, units, alphabet, budget)
 
 
@@ -578,6 +579,7 @@ def classify_sigma_closed(
     x_lang: Language, k: int, candidate_budget: int = DEFAULT_CANDIDATE_BUDGET
 ) -> Classification:
     """Which of the few possible shapes a substitution-closed code has."""
+    budget = _Budget(candidate_budget)
     alphabet = x_lang.alphabet
     spec = EditRelationSpec("sigma", k)
     verdict = sardinas_patterson(x_lang)
@@ -593,10 +595,10 @@ def classify_sigma_closed(
     if uniform is None:
         raise RuntimeError("internal: closed code with mixed lengths above the bound")
     n, members = uniform
-    if len(alphabet.letters) ** n > candidate_budget:
+    if len(alphabet.letters) ** n > budget.limit:
         raise BudgetExceededError(
             "length class too large to compare",
-            budget=candidate_budget,
+            budget=budget.limit,
             observed=len(alphabet.letters) ** n,
         )
     if members == _materialize_class(alphabet, n, None):
@@ -637,6 +639,7 @@ def sigma_complete_embedding(
     orbit units are enumerated directly, while any longer input can
     only sit inside its full length class.
     """
+    budget = _Budget(candidate_budget, "searching short closed embeddings")
     alphabet = x_lang.alphabet
     if not is_code(x_lang):
         raise PreconditionError("precondition failed: input is not a code")
@@ -644,7 +647,7 @@ def sigma_complete_embedding(
         raise PreconditionError("precondition failed: input is already complete")
     short = Language.finite(alphabet.words_upto(k), alphabet)
     if least_member(x_lang, short, False) is None:
-        return _short_embedding_search(x_lang.words(), k, alphabet, candidate_budget)
+        return _short_embedding_search(x_lang.words(), k, alphabet, budget)
     uniform = _length_class(x_lang)
     if uniform is None:
         return []
@@ -655,7 +658,7 @@ def sigma_complete_embedding(
 
 
 def _short_embedding_search(
-    words: frozenset[str], k: int, alphabet: Alphabet, candidate_budget: int
+    words: frozenset[str], k: int, alphabet: Alphabet, budget: _Budget
 ) -> list[Language]:
     units: list[frozenset[str]] = []
     covered: set[str] = set()
@@ -667,7 +670,6 @@ def _short_embedding_search(
         covered |= orbit
     forced_units = [unit for unit in units if unit & words]
     forced = frozenset().union(*forced_units) if forced_units else frozenset()
-    budget = _Budget(candidate_budget, "searching short closed embeddings")
     budget.spend()
     if _grow_dangling(forced, frozenset(), forced) is None:
         return []

@@ -9,7 +9,9 @@ code-ness of the antireflexive image in the same S/Lambda regime (Q3).
 A finite set, whatever its form, is read member by member, and a
 dependent set gives one witness: the least member x whose image meets
 X, then x's least hit; an infinite set finds x in the image of X under
-the inverse relation.
+the inverse relation.  Error correction reads the channel decoder's
+table, ``transducers.image_table``: corrupted word to the members that
+reach it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .transducers import (
     EditRelationSpec,
     _least_hit,
     build,
+    image_table,
     inverse_spec,
     relation_image,
     relation_image_word,
@@ -87,7 +90,11 @@ def is_error_correcting(
 ) -> ErrorCorrectionReport:
     """No corrupted block can have come from two different codewords.
 
-    Checked pairwise on image overlap.
+    Read off ``transducers.image_table`` over the members in length-lex
+    order.  The witness, the first colliding pair (x, y) and their least
+    common word, is the least (rank of holder 0, rank of holder 1, word)
+    in the table: a holder of a common word before x, or between x and
+    y, would make an earlier pair.
     """
     if x_lang.to_finite() is None:
         raise UnsupportedError(
@@ -95,15 +102,17 @@ def is_error_correcting(
         )
     alphabet = x_lang.alphabet
     members = sort_words(x_lang.words(), alphabet)
-    images = {x: relation_image_word(spec, alphabet, x) for x in members}
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            common = images[x] & images[y]
-            if common:
-                return ErrorCorrectionReport(
-                    False, (x, y, min(common, key=alphabet.lex_key))
-                )
-    return ErrorCorrectionReport(True, None)
+    rank = {x: i for i, x in enumerate(members)}
+    _, holders = image_table(spec, alphabet, members)
+    least = min(
+        ((rank[xs[0]], rank[xs[1]], alphabet.lex_key(z), z)
+         for z, xs in holders.items() if len(xs) > 1),
+        default=None,
+    )
+    if least is None:
+        return ErrorCorrectionReport(True, None)
+    i, j, _, z = least
+    return ErrorCorrectionReport(False, (members[i], members[j], z))
 
 
 def hat_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:
@@ -215,43 +224,28 @@ class ChannelCheckReport:
 
 
 def check_constraints(x_lang: Language, spec: EditRelationSpec) -> ChannelCheckReport:
-    """Evaluate the channel-facing constraints in one sweep."""
+    """Evaluate the channel-facing constraints in one sweep.  A report's
+    witness is None exactly when its property holds; maximality, a bool,
+    has none."""
 
-    def guard(fn):
+    def guard(decide):
         try:
-            return fn()
+            report = decide(x_lang, spec)
         except UnsupportedError as e:
             return ConstraintStatus("unsupported", question=e.question)
         except PreconditionError as e:
             return ConstraintStatus("fails", witness=str(e))
-
-    def indep():
-        r = is_independent(x_lang, spec)
-        return ConstraintStatus("holds" if r.independent else "fails", witness=r.witness)
-
-    def errc():
-        r = is_error_correcting(x_lang, spec)
-        return ConstraintStatus("holds" if r.correcting else "fails", witness=r.witness)
-
-    def maxi():
-        return ConstraintStatus(
-            "holds" if is_maximal_independent(x_lang, spec) else "fails"
-        )
-
-    def hat():
-        v = hat_image_is_code(x_lang, spec)
-        return ConstraintStatus("holds" if v.is_code else "fails", witness=v.witness)
-
-    def bar():
-        v = underline_image_is_code(x_lang, spec)
-        return ConstraintStatus("holds" if v.is_code else "fails", witness=v.witness)
+        if isinstance(report, bool):
+            return ConstraintStatus("holds" if report else "fails")
+        holds = report.witness is None
+        return ConstraintStatus("holds" if holds else "fails", witness=report.witness)
 
     return ChannelCheckReport(
-        independent=guard(indep),
-        error_correcting=guard(errc),
-        maximal_independent=guard(maxi),
-        hat_image_code=guard(hat),
-        underline_image_code=guard(bar),
+        independent=guard(is_independent),
+        error_correcting=guard(is_error_correcting),
+        maximal_independent=guard(is_maximal_independent),
+        hat_image_code=guard(hat_image_is_code),
+        underline_image_code=guard(underline_image_is_code),
     )
 
 

@@ -20,10 +20,14 @@ that grid without a cycle, so every word has a finite image.  Both read
 the arc index each machine builds once.  The least member of a set in
 the image of one word, a least source say, is a least-word search on
 that word's image automaton: the image is never spelled.
+``image_table`` spells the images of finitely many sources and inverts
+them, image word to sources: the channel's decoder and the
+error-correction test read that one table.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -260,6 +264,19 @@ def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> f
     if spec.closure == "antireflexive":
         return base - {w}
     return base
+
+
+def image_table(spec: EditRelationSpec, alphabet: Alphabet, sources):
+    """Each source's image, spelled once, and the images inverted:
+    ``(images, holders)``, where ``images[x]`` is the image of x under the
+    relation with its closure applied and ``holders[y]`` is the tuple of
+    sources whose image holds y, in the order the sources were given."""
+    images = {x: relation_image_word(spec, alphabet, x) for x in sources}
+    holders: defaultdict[str, list[str]] = defaultdict(list)
+    for x, image in images.items():
+        for y in image:
+            holders[y].append(x)
+    return images, {y: tuple(xs) for y, xs in holders.items()}
 
 
 def _least_hit(t: Transducer, w: str, lang: Language) -> str | None:

@@ -706,6 +706,30 @@ def reference_least_source(kind, k, lang, y):
     return min(hits, key=_lenlex(lang.alphabet.letters), default=None)
 
 
+def reference_error_correcting(x_lang, spec):
+    """``independence.is_error_correcting`` as a pair loop, as it was
+    before it read the inverted image table: every member's image, then
+    the pairs (x, y) in length-lex member order, and the length-lex
+    least common word of the first pair whose images meet.  Takes a
+    finite set."""
+    # imported here so that merely importing this module loads no codekit
+    from codekit.independence import ErrorCorrectionReport
+    from codekit.transducers import relation_image_word
+    from codekit.words import sort_words
+
+    alphabet = x_lang.alphabet
+    members = sort_words(x_lang.words(), alphabet)
+    images = {x: relation_image_word(spec, alphabet, x) for x in members}
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            common = images[x] & images[y]
+            if common:
+                return ErrorCorrectionReport(
+                    False, (x, y, min(common, key=alphabet.lex_key))
+                )
+    return ErrorCorrectionReport(True, None)
+
+
 # --- channel ------------------------------------------------------------------
 
 

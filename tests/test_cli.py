@@ -705,6 +705,24 @@ def test_budget_exhaustion_exits_four(capsys):
     assert "budget-exceeded" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum-delta-closed", "--alphabet", "ab", "--k", "3"],
+        ["embed-closed", "--alphabet", "ab", "aa", "--rel", "delta:3"],
+        ["classify-closed", "--alphabet", "ab", "aa|ab|ba|bb", "--rel", "sigma:1"],
+    ],
+    ids=["enum-delta-closed", "embed-closed", "classify-closed"],
+)
+def test_negative_budget_exits_three_and_zero_budget_four(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert (code, out) == (3, "")
+    assert err == "codekit: error: candidate budget must be at least 0, got -1\n"
+    code, out, _ = run(capsys, *argv, "--budget", "0")
+    assert code == 4
+    assert out.startswith("verdict: budget-exceeded\n")
+
+
 def test_image_product_past_the_state_cap_exits_four(capsys):
     # 1000 random length-40 words share few suffixes, so merging equal
     # futures leaves 21159 states: (21159 + 1) * (4 + 1) machine states > 65536

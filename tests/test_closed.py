@@ -25,7 +25,7 @@ from codekit.closed import (
     sigma_complete_embedding,
     sigma_star,
 )
-from codekit.errors import BudgetExceededError, PreconditionError
+from codekit.errors import BudgetExceededError, PreconditionError, UsageError
 from codekit.independence import is_independent
 from codekit.transducers import EditRelationSpec, relation_image_word
 from codekit.words import Alphabet
@@ -482,6 +482,48 @@ def test_delta_closures_match_closure_star(k, step):
 def test_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError):
         list(enumerate_delta_closed(3, AB, candidate_budget=10))
+
+
+BUDGETED_SEARCHES = {
+    "enumerate": lambda budget: list(
+        enumerate_delta_closed(3, AB, candidate_budget=budget)
+    ),
+    "maximal": lambda budget: is_maximal_delta_closed(
+        fin({"aa", "ab", "bb"}), 3, candidate_budget=budget
+    ),
+    "embed-delta": lambda budget: embed_delta_closed_complete(
+        fin({"aa"}), 3, candidate_budget=budget
+    ),
+    "classify-sigma": lambda budget: classify_sigma_closed(
+        fin({"aa", "ab", "ba", "bb"}), 1, candidate_budget=budget
+    ),
+    "embed-sigma": lambda budget: sigma_complete_embedding(
+        fin({"aa"}), 2, candidate_budget=budget
+    ),
+}
+
+
+@pytest.mark.parametrize("search", BUDGETED_SEARCHES.values(), ids=BUDGETED_SEARCHES)
+def test_negative_budget_is_a_usage_error_before_any_work(monkeypatch, search):
+    def work(*args, **kwargs):
+        raise AssertionError("work done before the budget was checked")
+
+    for name in ("is_code", "sardinas_patterson", "_delta_units"):
+        monkeypatch.setattr(closed, name, work)
+    with pytest.raises(UsageError, match="candidate budget must be at least 0, got -1"):
+        search(-1)
+    monkeypatch.undo()
+    # a cap of 0 is valid: it runs out on the first candidate
+    with pytest.raises(BudgetExceededError):
+        search(0)
+
+
+def test_enumeration_checks_its_budget_at_the_call(monkeypatch):
+    built = []
+    monkeypatch.setattr(closed, "_delta_units", lambda *args: built.append(args))
+    with pytest.raises(UsageError):
+        enumerate_delta_closed(3, AB, candidate_budget=-1)
+    assert built == []
 
 
 # --- maximality and embedding ----------------------------------------------

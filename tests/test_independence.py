@@ -29,10 +29,16 @@ from codekit.independence import (
     underline_image_is_code,
     witness_independent_extension,
 )
-from codekit.transducers import EditRelationSpec, inverse_spec, relation_image_word
+from codekit.transducers import (
+    CLOSURES,
+    KINDS,
+    EditRelationSpec,
+    inverse_spec,
+    relation_image_word,
+)
 from codekit.words import Alphabet
 
-from oracles import EditOracle
+from oracles import EditOracle, reference_error_correcting
 
 AB = Alphabet(("a", "b"))
 
@@ -213,6 +219,35 @@ def test_error_correction_matches_oracle(words, rel):
         for v in images[x]
     )
     assert preimage_ok == expected
+
+
+@st.composite
+def word_lists(draw):
+    """A word list over ab or abc, the empty word allowed, in either form:
+    ``w1|w2|...`` or ``(w1|w2|...).eps*``."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    words = draw(
+        st.lists(
+            st.text(alphabet=letters, max_size=4), min_size=1, max_size=6, unique=True
+        )
+    )
+    listed = "|".join(w or "eps" for w in words)
+    expr = f"({listed}).eps*" if draw(st.booleans()) else listed
+    return compile_expression(expr, Alphabet(tuple(letters)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    word_lists(),
+    st.sampled_from(KINDS),
+    st.sampled_from([1, 2]),
+    st.sampled_from(CLOSURES),
+)
+def test_error_correction_report_matches_pair_loop(x_lang, kind, k, closure):
+    # the whole report, witness triple included: the first colliding pair
+    # in length-lex member order, then their length-lex least common word
+    sp = EditRelationSpec(kind, k, closure)
+    assert is_error_correcting(x_lang, sp) == reference_error_correcting(x_lang, sp)
 
 
 # --- image code-ness --------------------------------------------------------
