@@ -23,9 +23,11 @@ automaton beside X's trim table.
 
 Every deterministic walk reads one table, ``Language.trim()``, built
 once per language: the trie of a word list, else the live part of the
-subset table.  ``words_upto`` and ``words()`` read it, as do
-``complement``, which makes it total with one dead state and flips it,
-and the code-ness, prefix and measure passes of ``analysis``.  A word
+subset table, whose live states are the keys of ``_distances``, one
+backward breadth-first pass; ``independence`` reads its distances.
+``words_upto`` and ``words()`` read the table, as do ``complement``,
+which makes it total with one dead state and flips it, and the
+code-ness, prefix and measure passes of ``analysis``.  A word
 list's automaton, which star, product, union, images and the subset
 searches read, is its trie with equal futures merged, the minimal
 acyclic automaton of the list (Revuz 1992), so a subset never tells
@@ -279,22 +281,24 @@ def _subsets(nfa: Nfa, rows: list | None = None):
             rows.append(tuple(row))
 
 
-def _ancestors(rows, targets) -> set[int]:
-    """The states from which some word leads into ``targets``, targets
-    included: one backward pass over the table, then a search back."""
+def _distances(rows, targets) -> dict[int, int]:
+    """Each state's distance in letters to ``targets``, for the states
+    from which some word leads into them: one backward breadth-first
+    pass over the table.  ``Language.trim()`` reads its keys."""
     back: list[list[int]] = [[] for _ in rows]
     for q, row in enumerate(rows):
         for r in row:
             if r >= 0:
                 back[r].append(q)
-    found = set(targets)
-    stack = list(found)
-    while stack:
-        for p in back[stack.pop()]:
-            if p not in found:
-                found.add(p)
-                stack.append(p)
-    return found
+    dist = dict.fromkeys(targets, 0)
+    queue = list(dist)
+    for r in queue:
+        d = dist[r] + 1
+        for p in back[r]:
+            if p not in dist:
+                dist[p] = d
+                queue.append(p)
+    return dist
 
 
 def _least_word(nfa: Nfa, test) -> str | None:
@@ -371,8 +375,8 @@ class Language:
         built on first use: the trie of a finite set, else the subset
         table of its automaton with every arc into a dead subset cut.
         rows[q][i] is the successor of q under letter number i, or -1
-        where no member continues.  Every subset is reached, so one
-        backward pass from the accepting subsets marks the live ones.
+        where no member continues.  Every subset is reached, so
+        ``_distances`` from the accepting subsets marks the live ones.
         The table is shared by every reader: read it, never change it.
         """
         if self._trim is None:
@@ -386,7 +390,7 @@ class Language:
                     for i, (subset, _, _) in enumerate(_subsets(nfa, table))
                     if subset & nfa.accepting
                 }
-                live = _ancestors(table, finals)
+                live = _distances(table, finals)
                 rows = [[r if r in live else -1 for r in row] for row in table]
                 self._trim = rows, finals
         return self._trim

@@ -64,37 +64,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _add_format(p):
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report style"
-    )
-
-
-def _add_language(p):
-    p.add_argument("language", help="expression, or @file with an alphabet header")
-    p.add_argument("--alphabet", help="alphabet letters, e.g. ab")
-    p.add_argument(
-        "--max-word-len",
-        type=int,
-        default=None,
-        help="truncate the language to words up to this length",
-    )
-
-
-def _add_rel(p):
-    p.add_argument(
-        "--rel", required=True, help="edit relation, e.g. delta:1 or Lambda:2"
-    )
-
-
-def _add_verify(p):
-    p.add_argument(
-        "--verify-witness",
-        action="store_true",
-        help="replay any reported witness through an independent check",
-    )
-
-
 def _add_budget(p):
     p.add_argument(
         "--budget",
@@ -114,12 +83,27 @@ def build_parser() -> _Parser:
     def add(name, help_text, language=True, rel=False, verify=False):
         p = sub.add_parser(name, help=help_text)
         if language:
-            _add_language(p)
+            p.add_argument("language", help="expression, or @file with an alphabet header")
+            p.add_argument("--alphabet", help="alphabet letters, e.g. ab")
+            p.add_argument(
+                "--max-word-len",
+                type=int,
+                default=None,
+                help="truncate the language to words up to this length",
+            )
         if rel:
-            _add_rel(p)
+            p.add_argument(
+                "--rel", required=True, help="edit relation, e.g. delta:1 or Lambda:2"
+            )
         if verify:
-            _add_verify(p)
-        _add_format(p)
+            p.add_argument(
+                "--verify-witness",
+                action="store_true",
+                help="replay any reported witness through an independent check",
+            )
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text", help="report style"
+        )
         return p
 
     add("code", "unique decipherability", verify=True)
@@ -244,8 +228,6 @@ def _render_double(w: DoubleFactorization) -> str:
 
 
 def _render_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return " ".join(_render_value(v) for v in value)
     return str(value)
@@ -253,16 +235,8 @@ def _render_value(value):
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        def default(value):
-            if isinstance(value, Fraction):
-                return str(value)
-            if isinstance(value, (frozenset, set)):
-                return sorted(value)
-            if isinstance(value, tuple):
-                return list(value)
-            return str(value)
-
-        print(json.dumps(payload, sort_keys=True, default=default))
+        # a measure's Fraction, the one value json cannot write, as "p/q"
+        print(json.dumps(payload, sort_keys=True, default=str))
         return
     for key, value in payload.items():
         if isinstance(value, list) and value and isinstance(value[0], list):

@@ -730,6 +730,36 @@ def reference_error_correcting(x_lang, spec):
     return ErrorCorrectionReport(True, None)
 
 
+# --- completion ---------------------------------------------------------------
+
+
+def leaf_split_code(rng, letters, n):
+    """A complete prefix code of at least n words, by random leaf splits;
+    over ab it is ``bench/workloads.random_prefix_code``."""
+    leaves = [""]
+    while len(leaves) < n:
+        w = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [w + c for c in letters]
+    return leaves
+
+
+def reference_least_unbordered_non_factor(v, star_factors):
+    """Length-lex least nonempty unbordered word outside ``star_factors``,
+    by one member test per word, as ``independence.er_complete`` found it
+    before it walked the trim table.
+    v, the least word outside it, bounds the search both ways: every
+    shorter word is a factor, and v padded to an unbordered word is not."""
+    from codekit.words import is_unbordered, unbordered_extension
+
+    alphabet = star_factors.alphabet
+    bound = len(v) + len(unbordered_extension(v, alphabet)) + 1
+    for n in range(len(v), bound + 1):
+        for w in alphabet.words_of_length(n):
+            if is_unbordered(w) and not star_factors.member(w):
+                return w
+    raise AssertionError("unbordered non-factor search failed")
+
+
 # --- channel ------------------------------------------------------------------
 
 

@@ -42,6 +42,7 @@ from oracles import (
     count_factorizations,
     dangling_suffixes,
     double_factorization_witness,
+    leaf_split_code,
     reference_shortest_word,
 )
 
@@ -333,16 +334,6 @@ def searched_non_factor(x):
     """The least non-factor by the subset search alone."""
     nfa = factors(star(x)).nfa()
     return _least_word(nfa, lambda subset: not subset & nfa.accepting)
-
-
-def leaf_split_code(rng, letters, n):
-    """A complete prefix code of at least n words, by random leaf splits;
-    over ab it is ``bench/workloads.random_prefix_code``."""
-    leaves = [""]
-    while len(leaves) < n:
-        w = leaves.pop(rng.randrange(len(leaves)))
-        leaves += [w + c for c in letters]
-    return leaves
 
 
 @st.composite

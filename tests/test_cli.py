@@ -294,6 +294,24 @@ def test_er_complete_reports_added_word_and_sample(capsys):
     assert payload["sample"] == sorted(payload["sample"], key=lambda w: (len(w), w))
 
 
+def test_er_complete_walks_the_table_of_factors(capsys):
+    # 63 words of a leaf-split prefix code, as bench/workloads.py's
+    # random_prefix_code(Random(1), 64) less one word: the least
+    # non-factor has 20 letters, and one member test for every word of
+    # each length from there took 67 s
+    rng = random.Random(1)
+    leaves = [""]
+    while len(leaves) < 64:
+        w = leaves.pop(rng.randrange(len(leaves)))
+        leaves += [w + "a", w + "b"]
+    leaves.remove("babaaaaba")
+    with patch.object(Language, "member", side_effect=AssertionError) as member:
+        code, out, _ = run(capsys, "er-complete", "--alphabet", "ab", "|".join(leaves))
+    assert code == 0
+    assert "added: bbabbabaabbbabaaaaba" in out.splitlines()
+    assert member.call_count == 0
+
+
 def test_sigma_star_lists_members(capsys):
     code, out, _ = run(
         capsys, "sigma-star", "abab", "--alphabet", "ab", "--k", "2", "--format", "json"

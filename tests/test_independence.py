@@ -11,15 +11,24 @@ from hypothesis import strategies as st
 
 from codekit import analysis, automata, independence
 from codekit.analysis import (
+    _least_non_factor,
     is_complete,
     is_maximal_code,
     sardinas_patterson,
     verify_double_factorization,
 )
-from codekit.automata import Language, compile_expression, star, union, words_upto
+from codekit.automata import (
+    Language,
+    compile_expression,
+    factors,
+    star,
+    union,
+    words_upto,
+)
 from codekit.closed import sigma_complete_embedding
-from codekit.errors import PreconditionError, UnsupportedError
+from codekit.errors import BudgetExceededError, PreconditionError, UnsupportedError
 from codekit.independence import (
+    _least_unbordered_exit,
     check_constraints,
     er_complete,
     hat_image_is_code,
@@ -38,7 +47,12 @@ from codekit.transducers import (
 )
 from codekit.words import Alphabet
 
-from oracles import EditOracle, reference_error_correcting
+from oracles import (
+    EditOracle,
+    leaf_split_code,
+    reference_error_correcting,
+    reference_least_unbordered_non_factor,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -400,6 +414,53 @@ def test_completion_of_regular_input():
     assert is_complete(y)
     for w in words_upto(x, 6):
         assert y.member(w)
+
+
+@st.composite
+def incomplete_codes(draw):
+    """A leaf-split prefix code, or its reversal, with one or two words
+    taken out, as a word list, as ``(...).eps*`` or as an automaton.  The
+    letter orders ba and cab make a walk in the wrong order fail."""
+    letters = draw(st.sampled_from(["ab", "ba", "abc", "cab"]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    # few enough words for the word-by-word reference to finish
+    most = 12 if len(letters) == 2 else 9
+    words = leaf_split_code(rng, letters, draw(st.integers(2, most)))
+    if draw(st.booleans()):
+        words = [w[::-1] for w in words]
+    for _ in range(draw(st.integers(1, min(2, len(words) - 1)))):
+        words.pop(rng.randrange(len(words)))
+    alphabet = Alphabet(tuple(letters))
+    finite = Language.finite(words, alphabet)
+    form = draw(st.sampled_from(["words", "eps*", "automaton"]))
+    if form == "eps*":
+        return compile_expression(f"({'|'.join(words)}).eps*", alphabet)
+    return finite if form == "words" else Language.regular(finite.nfa())
+
+
+@given(incomplete_codes())
+@settings(max_examples=150, deadline=None)
+def test_unbordered_exit_matches_the_word_by_word_search(x):
+    star_factors = factors(star(x))
+    v = _least_non_factor(x, known_code=True)
+    expected = reference_least_unbordered_non_factor(v, star_factors)
+    assert _least_unbordered_exit(star_factors.trim()[0], x.alphabet) == expected
+
+
+def test_unbordered_exit_is_bounded(monkeypatch):
+    rows = factors(star(fin({"aa", "bb"}))).trim()[0]
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 5)
+    with pytest.raises(BudgetExceededError, match="search exceeded 5 steps"):
+        _least_unbordered_exit(rows, AB)
+
+
+def test_unbordered_exit_needs_no_recursion():
+    # the table of the factors of {b, ab, ..., a^(k-1) b}*: state i has
+    # read a run of i letters a, and a^k leaves it; the least unbordered
+    # word that leaves is a^k b, far deeper than the recursion limit
+    k = 3000
+    rows = [[i + 1 if i + 1 < k else -1, 0] for i in range(k)]
+    assert _least_unbordered_exit(rows, AB) == "a" * k + "b"
 
 
 # --- aggregate report -------------------------------------------------------
