@@ -368,6 +368,12 @@ def _cmd_maximal(args):
         extended = union(lang, Language.finite((w,), lang.alphabet))
         return is_code(extended)
 
+    if w is not None and not replay(w):
+        # a bordered non-factor can overlap codewords on both sides; the
+        # least unbordered one always keeps X a code (Ehrenfeucht &
+        # Rozenberg 1986)
+        rows = factors(star(lang)).trim()[0]
+        w = indep_mod._least_unbordered_exit(rows, lang.alphabet)
     return _verdict(
         args,
         "maximal-code",

@@ -89,7 +89,8 @@ class Classification:
 
 class _Budget:
     """A cap on the candidates one search tries, made before any work:
-    a negative cap is a usage error, and 0 runs out on the first one."""
+    a negative cap is a usage error, and 0 runs out on the first one.
+    A candidate known to fail is counted though it is not tested."""
 
     def __init__(self, limit: int, context: str = ""):
         if limit < 0:
@@ -315,8 +316,8 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
     A unit ``(words, latest, needs)`` may join a set that already holds
     all of ``needs()``, a set of words of one length; ``latest`` is its
     length-lex greatest word, or None when it is empty.  Each joined set
-    spends one budget unit; only the codes among them are yielded and
-    extended.  ``base`` must be a code.
+    tried spends one budget unit; only the codes among them are yielded
+    and extended.  ``base`` must be a code.
 
     Each level carries the dangling suffixes of its code (see
     ``_grow_dangling``), and a joined set is tested by growing its
@@ -325,6 +326,13 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
     language is built and no word is checked against the alphabet.  The
     walk does not read ``alphabet``: it keeps the arguments of the plain
     scan it is tested against (``tests/oracles.py``).
+
+    A level tests its ready units once, on entry, and keeps the grown
+    suffixes of those that pass; it skips the units past the budget
+    left, which no spend reaches.  A subset of a code is a code, so a
+    unit that fails to join a set fails below it too: each level hands
+    its children ``dead``, the units that failed on its branch, and a
+    dead unit still spends when its turn comes but is not tested again.
 
     Each level also carries ``ready``: the sorted indices of the units
     after the last one joined whose needs the set already holds.  A
@@ -360,13 +368,28 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
     # wakes[i] with each unit's needs, built when unit i first joins a code
     waking: list[list[tuple[int, frozenset[str]]] | None] = [None] * len(units)
 
-    def walk(current: frozenset[str], dangling: frozenset[str], ready: list[int]):
+    def walk(
+        current: frozenset[str],
+        dangling: frozenset[str],
+        ready: list[int],
+        dead: frozenset[int],
+    ):
+        # the units past the budget left are never spent for, here or below
+        tried = ready[: budget.limit - budget.spent]
+        passed: dict[int, frozenset[str]] = {}  # unit -> grown suffixes
+        for i in tried:
+            if i not in dead:
+                words = units[i][0]
+                grown = _grow_dangling(current.union(words), dangling, words)
+                if grown is not None:
+                    passed[i] = grown
+        if len(passed) < len(tried):
+            dead = dead.union(i for i in tried if i not in passed)
         for pos, i in enumerate(ready):
-            words = units[i][0]
-            candidate = current.union(words)
             budget.spend()
-            grown = _grow_dangling(candidate, dangling, words)
+            grown = passed.get(i)
             if grown is not None:
+                candidate = current.union(units[i][0])
                 yield candidate
                 rest = ready[pos + 1 :]
                 sleepers = waking[i]
@@ -374,10 +397,10 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
                     sleepers = waking[i] = [(j, units[j][2]()) for j in wakes[i]]
                 woken = [j for j, needs in sleepers if needs <= candidate]
                 yield from walk(
-                    candidate, grown, sorted(rest + woken) if woken else rest
+                    candidate, grown, sorted(rest + woken) if woken else rest, dead
                 )
 
-    return walk(base, _grow_dangling(base, frozenset(), base), ready)
+    return walk(base, _grow_dangling(base, frozenset(), base), ready, frozenset())
 
 
 def _complete_extensions(

@@ -182,10 +182,15 @@ def er_complete(x_lang: Language) -> Language:
     alphabet = x_lang.alphabet
     if not is_code(x_lang):
         raise PreconditionError("precondition failed: input is not a code")
-    if is_complete(x_lang, known_code=True):
-        raise PreconditionError("precondition failed: input is already complete")
     x_star = star(x_lang)
-    w = _least_unbordered_exit(factors(x_star).trim()[0], alphabet)
+    # a finite code is complete when its measure is 1, and needs no table;
+    # F = factors(X*) is every word when no row of its table misses an arc
+    rows = None
+    if x_lang.to_finite() is None or not is_complete(x_lang, known_code=True):
+        rows = factors(x_star).trim()[0]
+    if rows is None or all(-1 not in row for row in rows):
+        raise PreconditionError("precondition failed: input is already complete")
+    w = _least_unbordered_exit(rows, alphabet)
     universe = Language.regular(nfa_universal(alphabet))
     w_lang = Language.finite((w,), alphabet)
     surrounded = concat(universe, w_lang, universe)

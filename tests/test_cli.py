@@ -163,6 +163,19 @@ def test_complete_and_maximal_failures_share_a_non_factor(capsys):
     assert "witness_check: verified" in out
 
 
+def test_maximal_witness_is_unbordered_when_the_least_non_factor_is_not(capsys):
+    # the least non-factor baaba overlaps codewords on both sides:
+    # aaaabaabaabaaaab = (aa)(aa)(baaba)(ab)(aaaab) = (aaaab)(aa)(baaba)(aa)(ab)
+    x = "aa|ab|bb|aaaab|abbbb"
+    code, out, _ = run(capsys, "complete", "--alphabet", "ab", x)
+    assert code == 1
+    assert "witness: baaba\n" in out
+    code, out, _ = run(capsys, "maximal", "--alphabet", "ab", x, "--verify-witness")
+    assert code == 1
+    assert "witness: babbaa\nde" in out
+    assert "witness_check: verified" in out
+
+
 def test_independent_failure_witness(capsys):
     code, out, _ = run(
         capsys,

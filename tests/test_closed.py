@@ -318,6 +318,70 @@ def test_search_stream_matches_linear_scan(monkeypatch, run, codes, spends):
         assert events.count(None) == spends
 
 
+def code_tests(monkeypatch, run):
+    """The ``_grow_dangling`` calls of ``run()`` and its budget spends:
+    one ``(candidate - added, added, failed)`` per call, in order."""
+    calls = []
+
+    def recorded(words, dangling, added):
+        grown = GROW(words, dangling, added)
+        added = frozenset(added)
+        calls.append((words - added, added, grown is None))
+        return grown
+
+    monkeypatch.setattr(closed, "_grow_dangling", recorded)
+    events, _ = search_events(monkeypatch, CODE_SEARCH, run)
+    return calls, events.count(None)
+
+
+@pytest.mark.parametrize(
+    "run, tests, spends",
+    [
+        (enumerated(3, "ab"), 132, 184),
+        (enumerated(4, "ab"), 3341, 6010),
+        (enumerated(3, "abc", limit=300), 999, 2178),
+        (embedded(embed_delta_closed_complete, {"a"}, 4), 184, 287),
+        (embedded(sigma_complete_embedding, {"a"}, 3, ABC), 186, 392),
+    ],
+    ids=[
+        "ab-delta3", "ab-delta4", "abc-delta3-300", "embed-a-delta4",
+        "embed-a-abc-sigma3",
+    ],
+)
+def test_walk_tests_a_unit_once_per_branch(monkeypatch, run, tests, spends):
+    # a unit that fails to join a set is spent for but not tested again
+    # below that set: a subset of a code is a code.  The counts include
+    # the base's own call.
+    calls, spent = code_tests(monkeypatch, run)
+    assert (len(calls), spent) == (tests, spends)
+    assert tests < spends
+    # the walk is pre-order, so a set tested after a subset of it lies
+    # below that subset: the stack holds the branch, each set with the
+    # units that failed to join it
+    branch: list[tuple[frozenset[str], set[frozenset[str]]]] = []
+    for current, added, failed in calls:
+        while branch and not branch[-1][0] <= current:
+            branch.pop()
+        if not branch or branch[-1][0] != current:
+            branch.append((current, set()))
+        assert not any(added in dead for _, dead in branch), (current, added)
+        if failed:
+            branch[-1][1].add(added)
+
+
+@pytest.mark.parametrize("budget, tests", [(0, 1), (5, 12), (50, 72)])
+def test_walk_tests_no_unit_past_the_budget(monkeypatch, budget, tests):
+    # a level tests only the ready units the budget left can reach: with
+    # every ready unit tested on entry, budget 5 would run 70 tests
+    calls = []
+    monkeypatch.setattr(
+        closed, "_grow_dangling", lambda *args: calls.append(args) or GROW(*args)
+    )
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_delta_closed(4, AB, candidate_budget=budget))
+    assert len(calls) == tests
+
+
 @pytest.mark.parametrize(
     "alphabet, k", [(AB, 1), (AB, 2), (AB, 3), (AB, 4), (ABC, 1), (ABC, 2), (ABC, 3)]
 )

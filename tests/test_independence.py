@@ -20,6 +20,7 @@ from codekit.analysis import (
 from codekit.automata import (
     Language,
     compile_expression,
+    equivalent,
     factors,
     star,
     union,
@@ -414,6 +415,24 @@ def test_completion_of_regular_input():
     assert is_complete(y)
     for w in words_upto(x, 6):
         assert y.member(w)
+
+
+def test_completion_enters_the_factors_of_the_star_once(monkeypatch):
+    # F = factors(X*)'s trim table answers "already complete" and holds
+    # the walk: no separate non-factor search enters F's automaton
+    x = compile_expression("aa.(bb)*", AB)
+    entered = []
+    subsets = automata._subsets
+
+    def spy(nfa, rows=None):
+        entered.append(nfa)
+        return subsets(nfa, rows)
+
+    monkeypatch.setattr(automata, "_subsets", spy)
+    er_complete(x)
+    monkeypatch.undo()
+    f = factors(star(x))
+    assert sum(equivalent(Language.regular(nfa), f) for nfa in entered) == 1
 
 
 @st.composite
