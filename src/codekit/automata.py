@@ -572,7 +572,8 @@ def truncate(lang: Language, max_len: int) -> Language:
 def reverse(lang: Language) -> Language:
     """Mirror image of every member."""
     if lang.is_finite_repr:
-        return Language.finite({w[::-1] for w in lang.words()}, lang.alphabet)
+        # the mirrored words have the set's own letters: nothing to check
+        return Language(lang.alphabet, words=frozenset(w[::-1] for w in lang.words()))
     nfa = lang.nfa()
     arcs: dict[int, dict[str, set[int]]] = {}
     for q, by in nfa.arcs.items():

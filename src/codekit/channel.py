@@ -13,10 +13,14 @@ experiment (or once per call of :func:`corrupt` and :func:`decode`), and
 every block is corrupted and decoded by lookups into it.  The decoder
 reads the inverted table of ``transducers.image_table``, received word
 to the codewords that could have sent it; error correction
-(``independence.is_error_correcting``) reads the same table.
-:func:`run_experiment` simulates any finite set as given and checks
-neither code-ness nor independence; :func:`decode` warns when either
-fails, and ``codekit code`` and ``codekit independent`` decide them.
+(``independence.is_error_correcting``) reads the same table.  One
+routine draws each block's received word and one table method gives
+its verdict; :func:`corrupt` and :func:`decode` wrap their results in
+:class:`Block` and :class:`BlockOutcome`, while :func:`run_experiment`
+only counts them.  :func:`run_experiment` simulates any finite set as
+given and checks neither code-ness nor independence; :func:`decode`
+warns when either fails, and ``codekit code`` and ``codekit
+independent`` decide them.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .automata import Language
 from .errors import UsageError
 from .transducers import EditRelationSpec, image_table, relation_image_word
 from .words import sort_words
+
+
+_VERDICTS = ("exact", "corrected", "ambiguous", "detected")
 
 
 @dataclass(frozen=True)
@@ -159,37 +166,34 @@ class _ChannelTable:
         self.members = frozenset(images)
         self.choices = {x: sort_words(im, alphabet) for x, im in images.items()}
 
+    def verdict(self, r: str) -> tuple[str, str | None, tuple[str, ...]]:
+        """``(kind, decoded, candidates)`` of the received word r."""
+        if r in self.members:
+            return "exact", r, (r,)
+        candidates = self.candidates.get(r, ())
+        if len(candidates) == 1:
+            return "corrected", candidates[0], candidates
+        if candidates:
+            return "ambiguous", None, candidates
+        return "detected", None, ()
 
-def _corrupt_blocks(
+
+def _received_words(
     choices: dict[str, list[str]], blocks: list[str], p: float, rng: random.Random
-) -> list[Block]:
-    out = []
+):
+    """Yield the received word of each block, drawing from ``rng``.
+
+    One ``random()`` per block; on a hit, one ``randrange`` over the
+    block's choices, unless they are empty and the block passes through.
+    """
+    draw, pick = rng.random, rng.randrange
     for sent in blocks:
-        received = sent
-        if rng.random() < p:
+        if draw() < p:
             image = choices[sent]
             if image:
-                received = image[rng.randrange(len(image))]
-        out.append(Block(sent, received))
-    return out
-
-
-def _decode_blocks(table: _ChannelTable, received: list[str]) -> DecodeReport:
-    outcomes = []
-    counts = dict.fromkeys(("exact", "corrected", "ambiguous", "detected"), 0)
-    for r in received:
-        candidates = table.candidates.get(r, ())
-        if r in table.members:
-            outcome = BlockOutcome(r, "exact", r, (r,))
-        elif len(candidates) == 1:
-            outcome = BlockOutcome(r, "corrected", candidates[0], candidates)
-        elif candidates:
-            outcome = BlockOutcome(r, "ambiguous", None, candidates)
-        else:
-            outcome = BlockOutcome(r, "detected", None, ())
-        outcomes.append(outcome)
-        counts[outcome.kind] += 1
-    return DecodeReport(outcomes=tuple(outcomes), **counts)
+                yield image[pick(len(image))]
+                continue
+        yield sent
 
 
 def corrupt(
@@ -211,7 +215,8 @@ def corrupt(
         x: sort_words(relation_image_word(bar, alphabet, x), alphabet)
         for x in set(blocks)
     }
-    return _corrupt_blocks(choices, blocks, p, random.Random(seed))
+    received = _received_words(choices, blocks, p, random.Random(seed))
+    return list(map(Block, blocks, received))
 
 
 def decode(
@@ -235,7 +240,11 @@ def decode(
             f"decoding over a code that is not independent under {spec.render()}",
             stacklevel=2,
         )
-    return _decode_blocks(table, received)
+    outcomes = tuple(BlockOutcome(r, *table.verdict(r)) for r in received)
+    counts = dict.fromkeys(_VERDICTS, 0)
+    for outcome in outcomes:
+        counts[outcome.kind] += 1
+    return DecodeReport(outcomes=outcomes, **counts)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -243,41 +252,46 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Draws the same blocks and corruptions as encode, corrupt and decode
     called once per trial, but computes the relation's images once for
-    the whole experiment.  It checks neither code-ness nor independence.
+    the whole experiment.  Each block is drawn, looked up in the table
+    and counted; no per-block object is built.  It checks neither
+    code-ness nor independence.
     """
     codewords = _codewords(config.code)
     if not codewords:
         raise UsageError("cannot transmit over an empty code")
     table = _ChannelTable(codewords, config.spec, config.code.alphabet)
+    verdict = table.verdict
     master = random.Random(config.seed)
     trial_seeds = [master.getrandbits(64) for _ in range(config.trials)]
-    totals = dict.fromkeys(
-        ("blocks", "corrupted", "exact", "corrected", "ambiguous", "detected",
-         "miscorrected", "restored_messages"),
-        0,
-    )
+    kinds = dict.fromkeys(_VERDICTS, 0)
+    corrupted = miscorrected = restored_messages = 0
     for trial_seed in trial_seeds:
         rng = random.Random(trial_seed)
         sent = [
             codewords[rng.randrange(len(codewords))]
             for _ in range(config.message_length)
         ]
-        blocks = _corrupt_blocks(
+        received = _received_words(
             table.choices, sent, config.p, random.Random(rng.getrandbits(64))
         )
-        report = _decode_blocks(table, [b.received for b in blocks])
-        totals["blocks"] += len(blocks)
-        totals["corrupted"] += sum(1 for b in blocks if b.corrupted)
         restored = True
-        for block, outcome in zip(blocks, report.outcomes):
-            totals[outcome.kind] += 1
-            if outcome.kind == "corrected" and outcome.decoded != block.sent:
-                totals["miscorrected"] += 1
-            if outcome.decoded != block.sent:
+        for x, r in zip(sent, received):
+            kind, decoded, _ = verdict(r)
+            kinds[kind] += 1
+            corrupted += r != x
+            if decoded != x:
                 restored = False
-        if restored:
-            totals["restored_messages"] += 1
-    return ExperimentReport(config_seed=config.seed, trials=config.trials, **totals)
+                miscorrected += kind == "corrected"
+        restored_messages += restored
+    return ExperimentReport(
+        config_seed=config.seed,
+        trials=config.trials,
+        blocks=config.trials * config.message_length,
+        corrupted=corrupted,
+        **kinds,
+        miscorrected=miscorrected,
+        restored_messages=restored_messages,
+    )
 
 
 __all__ = [

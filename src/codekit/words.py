@@ -16,6 +16,19 @@ from .errors import BudgetExceededError, ParseError, UsageError
 EPS_TOKEN = "eps"
 
 
+class _LetterOrder(dict):
+    """Letter code point -> ``chr(rank)``, a ``str.translate`` table.
+
+    A letter outside the alphabet raises :class:`UsageError`, which
+    ``str.translate`` passes on: it is a ValueError, not a LookupError.
+    """
+
+    def __missing__(self, code):
+        raise UsageError(
+            f"letter {chr(code)!r} not in alphabet {''.join(map(chr, self))}"
+        )
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered set of single-character letters.
@@ -25,7 +38,7 @@ class Alphabet:
     """
 
     letters: tuple[str, ...]
-    _rank: dict[str, int] = field(init=False, repr=False, compare=False)
+    _order: _LetterOrder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -36,7 +49,8 @@ class Alphabet:
         for c in self.letters:
             if len(c) != 1:
                 raise UsageError(f"letters are single characters, got {c!r}")
-        object.__setattr__(self, "_rank", {c: i for i, c in enumerate(self.letters)})
+        order = _LetterOrder({ord(c): chr(i) for i, c in enumerate(self.letters)})
+        object.__setattr__(self, "_order", order)
 
     def __len__(self):
         return len(self.letters)
@@ -60,13 +74,10 @@ class Alphabet:
         return w
 
     def lex_key(self, w: str):
-        """Sort key realizing the length-lex order."""
-        try:
-            return (len(w), tuple(map(self._rank.__getitem__, w)))
-        except KeyError as e:
-            raise UsageError(
-                f"letter {e.args[0]!r} not in alphabet {''.join(self.letters)}"
-            ) from None
+        """Sort key realizing the length-lex order: the length, then w
+        with each letter replaced by ``chr`` of its rank, so that plain
+        string order is the declared letter order."""
+        return (len(w), w.translate(self._order))
 
     def words_of_length(self, n: int):
         """Yield every word of length n in lex order."""

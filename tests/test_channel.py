@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from codekit import channel
 from codekit.analysis import is_code
 from codekit.automata import Language
 from codekit.channel import (
@@ -245,6 +246,45 @@ def test_experiment_matches_reference_replay(kind, k, p):
         for seed in range(3):
             config = ExperimentConfig(code, spec(f"{kind}:{k}"), p, 12, 3, seed)
             assert run_experiment(config) == reference_experiment(config)
+
+
+@st.composite
+def experiment_configs(draw):
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    # a word shorter than k has an empty image under delta:k and sigma:k,
+    # and eps makes any larger set a non-code
+    words = draw(
+        st.frozensets(st.text(alphabet=letters, max_size=3), min_size=1, max_size=5)
+    )
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+    return ExperimentConfig(
+        Language.finite(words, Alphabet(letters)),
+        EditRelationSpec(draw(st.sampled_from(KINDS)), draw(st.integers(1, 2))),
+        p,
+        draw(st.integers(1, 6)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(0, 2**32)),
+    )
+
+
+@given(experiment_configs())
+@settings(max_examples=200, deadline=None)
+def test_random_experiments_match_reference_replay(config):
+    assert run_experiment(config) == reference_experiment(config)
+
+
+def test_experiment_builds_no_per_block_objects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run_experiment built a per-block object")
+
+    monkeypatch.setattr(channel, "Block", refuse)
+    monkeypatch.setattr(channel, "BlockOutcome", refuse)
+    config = ExperimentConfig(AMBIGUOUS, spec("Lambda:2"), 0.5, 200, 2, 0)
+    report = run_experiment(config)
+    # the golden counts of `codekit simulate` for this experiment
+    assert (report.corrupted, report.exact, report.corrected, report.ambiguous) == (
+        231, 177, 37, 186
+    )
 
 
 def test_experiment_with_empty_images_matches_reference_replay():

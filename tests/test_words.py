@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codekit.errors import UsageError
 from codekit.words import (
     Alphabet,
     complement_word,
@@ -42,6 +43,34 @@ def test_alphabet_validation():
 def test_length_lex_order():
     ws = ["ba", "b", "aa", "a", "", "ab"]
     assert sort_words(ws, AB) == ["", "a", "b", "aa", "ab", "ba"]
+
+
+def _rank_tuple_key(alphabet):
+    """The length-lex key as a tuple of letter ranks, the reference order."""
+    rank = {c: i for i, c in enumerate(alphabet.letters)}
+    return lambda w: (len(w), tuple(rank[c] for c in w))
+
+
+@pytest.mark.parametrize("letters", ["ab", "ba", "cab", "bca"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lex_key_matches_rank_tuple_order(letters, data):
+    alphabet = Alphabet(letters)
+    words = data.draw(st.lists(st.text(alphabet=letters, max_size=6), max_size=12))
+    reference = _rank_tuple_key(alphabet)
+    assert sort_words(words, alphabet) == sorted(words, key=reference)
+    if words:
+        assert min(words, key=alphabet.lex_key) == min(words, key=reference)
+        assert max(words, key=alphabet.lex_key) == max(words, key=reference)
+
+
+def test_lex_key_rejects_foreign_letters():
+    with pytest.raises(UsageError) as caught:
+        AB.lex_key("abd")
+    assert str(caught.value) == "letter 'd' not in alphabet ab"
+    with pytest.raises(UsageError) as caught:
+        sort_words(["a", "d"], AB)
+    assert str(caught.value) == "letter 'd' not in alphabet ab"
 
 
 def test_word_rendering():
