@@ -17,15 +17,16 @@ eps = (eps) = (eps)(eps) when the empty word is a member.  The measure
 up to a length is one weighted pass over the same table, with integer
 weights scaled by a power of the letters' common denominator.
 
-A finite code, in either form, is complete, and maximal, exactly when
-its uniform Bernoulli measure is 1 (Schutzenberger), so its
-completeness is read off that pass, run to the size of the table, with
-no search and no word spelled.  The least-word walk of ``automata``
-runs only for the witness of an incomplete code, for non-codes and for
-infinite sets: the subset construction (``automata._subsets``) on the
-automaton for the factors of X*, stopped at the first subset holding
-no accepting state, which is entered by the length-lex least
-non-factor.
+Completeness has its one home here, with the one code precondition
+(``_require_code``) of every routine defined on codes only.  A finite
+set's measure settles it when below 1, and for a code at 1
+(Schutzenberger), with no search and no word spelled.  Otherwise the
+least-word walk of ``automata`` runs on F = factors(X*), stopped at the
+first subset holding no accepting state, which is entered by the
+length-lex least non-factor.  ``_maximal_witness`` gives the word that
+``maximal`` adjoins: that non-factor when it keeps X a code, else the
+least unbordered one, ``er_complete``'s word, found by a distance-pruned
+walk over F's trim table (``_least_unbordered_non_factor``).
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .automata import Language, _least_word, factors, reverse, star
-from .errors import PreconditionError, UsageError
-from .words import Alphabet
+from . import automata
+from .automata import Language, _distances, _least_word, factors, reverse, star, union
+from .errors import BudgetExceededError, PreconditionError, UsageError
+from .words import Alphabet, is_unbordered
 
 
 @dataclass(frozen=True)
@@ -299,27 +301,33 @@ def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fract
     return Fraction(total, scale)
 
 
-def is_complete(x_lang: Language, known_code: bool = False) -> bool:
-    """Every word is a factor of some product of codewords.
-
-    A finite code is settled by its measure with no search: it is
-    complete exactly when its uniform measure is 1.  Every other set
-    runs the least non-factor search.  ``known_code`` says the caller
-    has already found X to be a code.
-    """
-    if x_lang.to_finite() is not None:
-        mu = measure_finite(x_lang, Distribution.uniform(x_lang.alphabet))
-        # McMillan: a code's measure is at most 1
-        if mu <= 1 and (known_code or is_code(x_lang)):
-            return mu == 1
-    return _search_non_factor(x_lang) is None
-
-
 def _require_code(x_lang: Language) -> None:
     if not is_code(x_lang):
-        raise PreconditionError(
-            "maximality is only defined for codes; input is not a code"
-        )
+        raise PreconditionError("precondition failed: input is not a code")
+
+
+def _complete_by_measure(x_lang: Language, known_code: bool) -> bool | None:
+    """A finite set's completeness where its uniform measure settles it,
+    else None.  Below 1 the set is incomplete, code or not: X* has o(k^n)
+    words of length n, and so has the set of their factors.  A code of
+    measure 1 is complete (Schutzenberger); over 1 there is no
+    code (McMillan).  ``known_code``: the caller found X to be a code."""
+    if x_lang.to_finite() is None:
+        return None
+    mu = measure_finite(x_lang, Distribution.uniform(x_lang.alphabet))
+    if mu < 1:
+        return False
+    if mu == 1 and (known_code or is_code(x_lang)):
+        return True
+    return None
+
+
+def is_complete(x_lang: Language, known_code: bool = False) -> bool:
+    """Every word is a factor of some product of codewords."""
+    settled = _complete_by_measure(x_lang, known_code)
+    if settled is not None:
+        return settled
+    return _search_non_factor(factors(star(x_lang))) is None
 
 
 def is_maximal_code(x_lang: Language) -> bool:
@@ -330,24 +338,76 @@ def is_maximal_code(x_lang: Language) -> bool:
 
 def _least_non_factor(x_lang: Language, known_code: bool = False) -> str | None:
     """Length-lex least word outside the factors of the star closure, or
-    None when the set is complete.  A finite code whose uniform measure
-    is 1 is complete with no search; ``known_code`` as for
-    ``is_complete``."""
-    if (
-        x_lang.to_finite() is not None
-        and measure_finite(x_lang, Distribution.uniform(x_lang.alphabet)) == 1
-        and (known_code or is_code(x_lang))
-    ):
+    None when the set is complete; ``known_code`` as for ``is_complete``."""
+    if _complete_by_measure(x_lang, known_code):
         return None
-    return _search_non_factor(x_lang)
+    return _search_non_factor(factors(star(x_lang)))
 
 
-def _search_non_factor(x_lang: Language) -> str | None:
-    """The least non-factor by the subset search on the automaton of the
-    factors of X*, stopped at the first subset holding no accepting
-    state; a complete set visits every subset."""
-    nfa = factors(star(x_lang)).nfa()
+def _search_non_factor(f: Language) -> str | None:
+    """The least word outside F = factors(X*): the subset search on F's
+    automaton, stopped at the first subset with no accepting state."""
+    nfa = f.nfa()
     return _least_word(nfa, lambda subset: not subset & nfa.accepting)
+
+
+def _code_star_factors(x_lang: Language) -> Language | None:
+    """F = factors(X*) of a code X, or None when X's measure shows it complete."""
+    _require_code(x_lang)
+    complete = _complete_by_measure(x_lang, known_code=True)
+    return None if complete else factors(star(x_lang))
+
+
+def _least_unbordered_non_factor(x_lang: Language) -> str | None:
+    """The least unbordered non-factor of X*, which keeps the code X a
+    code (Ehrenfeucht & Rozenberg 1986), or None when X is complete."""
+    f = _code_star_factors(x_lang)
+    return None if f is None else _least_unbordered_exit(f.trim()[0], x_lang.alphabet)
+
+
+def _maximal_witness(x_lang: Language) -> str | None:
+    """A word v with X union {v} a code, or None when the code X is
+    complete: the least non-factor of X* if it keeps X a code, else the
+    least unbordered one, both read off one F = factors(X*)."""
+    f = _code_star_factors(x_lang)
+    v = None if f is None else _search_non_factor(f)
+    if v is None or is_code(union(x_lang, Language.finite((v,), x_lang.alphabet))):
+        return v
+    return _least_unbordered_exit(f.trim()[0], x_lang.alphabet)
+
+
+def _least_unbordered_exit(rows, alphabet: Alphabet) -> str | None:
+    """Length-lex least unbordered word that leaves ``rows``, the trim table
+    of a set closed under factors, such as the factors of X*: its states are
+    all final, and a word that leaves never comes back; None when no row
+    misses an arc.  For each length n from the least leaving word's on, a
+    depth-first walk in letter order, on an explicit stack, enters a state
+    only if its distance to a missing arc (``_distances``) is less than the
+    letters left, and tries each completion of length n of a word that has
+    left.  Every node counts against DEFAULT_STATE_CAP, read at call time."""
+    letters = alphabet.letters
+    dist = _distances(rows, [q for q, row in enumerate(rows) if -1 in row])
+    if 0 not in dist:
+        return None
+    cap = automata.DEFAULT_STATE_CAP
+    n, stack = dist[0], []  # (state, or -1 once the word has left; word)
+    for _ in range(cap):
+        if not stack:  # no word of length n passed: the next length
+            n += 1
+            stack.append((0, ""))
+        q, word = stack.pop()
+        left = n - len(word) - 1  # letters left after the next one
+        if left < 0:
+            if is_unbordered(word):
+                return word
+            continue
+        for i in reversed(range(len(letters))):
+            r = rows[q][i] if q >= 0 else -1
+            if r < 0 or dist.get(r, n) < left:
+                stack.append((r, word + letters[i]))
+    raise BudgetExceededError(
+        f"unbordered non-factor search exceeded {cap} steps", budget=cap
+    )
 
 
 def find_non_factor(x_lang: Language) -> str:

@@ -27,8 +27,8 @@ from .analysis import (
     Distribution,
     DoubleFactorization,
     _least_non_factor,
+    _maximal_witness,
     _prefix_pair,
-    _require_code,
     is_code,
     measure_partial,
     sardinas_patterson,
@@ -348,11 +348,10 @@ def _cmd_measure(args):
 
 def _cmd_complete(args):
     lang = _load_language(args)
-    w = _least_non_factor(lang)
     return _verdict(
         args,
         "complete",
-        w,
+        _least_non_factor(lang),
         format_word,
         lambda w: not factors(star(lang)).member(w),
         detail="no message contains this word as a factor",
@@ -361,25 +360,12 @@ def _cmd_complete(args):
 
 def _cmd_maximal(args):
     lang = _load_language(args)
-    _require_code(lang)
-    w = _least_non_factor(lang, known_code=True)
-
-    def replay(w):
-        extended = union(lang, Language.finite((w,), lang.alphabet))
-        return is_code(extended)
-
-    if w is not None and not replay(w):
-        # a bordered non-factor can overlap codewords on both sides; the
-        # least unbordered one always keeps X a code (Ehrenfeucht &
-        # Rozenberg 1986)
-        rows = factors(star(lang)).trim()[0]
-        w = indep_mod._least_unbordered_exit(rows, lang.alphabet)
     return _verdict(
         args,
         "maximal-code",
-        w,
+        _maximal_witness(lang),
         format_word,
-        replay,
+        lambda w: is_code(union(lang, Language.finite((w,), lang.alphabet))),
         detail="adjoining this word keeps the set a code",
     )
 

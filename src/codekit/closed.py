@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 
-from .analysis import DoubleFactorization, is_code, is_complete, sardinas_patterson
+from .analysis import (
+    DoubleFactorization, _require_code, is_complete, sardinas_patterson
+)
 from .automata import Language, is_empty, least_member
 from .errors import BudgetExceededError, PreconditionError, UsageError
 from .transducers import (
@@ -454,8 +456,7 @@ def _require_delta_closed_code(x_lang: Language, k: int) -> frozenset[str]:
     if x_lang.to_finite() is None:
         raise UsageError("deletion-closed analysis needs a finite set")
     spec = EditRelationSpec("delta", k)
-    if not is_code(x_lang):
-        raise PreconditionError("precondition failed: input is not a code")
+    _require_code(x_lang)
     report = is_closed(x_lang, spec)
     if not report.closed:
         raise PreconditionError(
@@ -518,8 +519,7 @@ def assert_empty_family(
     if x_lang.to_finite() is None or not x_lang.words():
         raise ValueError("a nonempty finite candidate code is required")
     alphabet = x_lang.alphabet
-    if not is_code(x_lang):
-        raise PreconditionError("precondition failed: input is not a code")
+    _require_code(x_lang)
     x = min(x_lang.words(), key=alphabet.lex_key)
     k = spec.k
     if spec.kind in ("iota", "I"):
@@ -664,8 +664,7 @@ def sigma_complete_embedding(
     """
     budget = _Budget(candidate_budget, "searching short closed embeddings")
     alphabet = x_lang.alphabet
-    if not is_code(x_lang):
-        raise PreconditionError("precondition failed: input is not a code")
+    _require_code(x_lang)
     if is_complete(x_lang, known_code=True):
         raise PreconditionError("precondition failed: input is already complete")
     short = Language.finite(alphabet.words_upto(k), alphabet)

@@ -11,18 +11,19 @@ dependent set gives one witness: the least member x whose image meets
 X, then x's least hit; an infinite set finds x in the image of X under
 the inverse relation.  Error correction reads the channel decoder's
 table, ``transducers.image_table``: corrupted word to the members that
-reach it.  ``er_complete`` reads its unbordered non-factor off the trim
-table of the factors of X*, by one walk pruned by distances to its exits.
+reach it.  Completeness, its witnesses and the code precondition live
+in ``analysis``, where ``er_complete`` takes its unbordered non-factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import automata
 from .analysis import (
     CodeVerdict,
     _least_non_factor,
+    _least_unbordered_non_factor,
+    _require_code,
     is_code,
     is_complete,
     sardinas_patterson,
@@ -30,16 +31,14 @@ from .analysis import (
 )
 from .automata import (
     Language,
-    _distances,
     complement,
     concat,
-    factors,
     least_member,
     nfa_universal,
     star,
     union,
 )
-from .errors import BudgetExceededError, PreconditionError, UnsupportedError
+from .errors import PreconditionError, UnsupportedError
 from .transducers import (
     EditRelationSpec,
     _least_hit,
@@ -49,7 +48,7 @@ from .transducers import (
     relation_image,
     relation_image_word,
 )
-from .words import is_unbordered, sort_words, unbordered_extension
+from .words import sort_words, unbordered_extension
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,7 @@ def underline_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVer
 
 
 def _require_independent_code(x_lang: Language, spec: EditRelationSpec) -> None:
-    if not is_code(x_lang):
-        raise PreconditionError("precondition failed: input is not a code")
+    _require_code(x_lang)
     if not is_independent(x_lang, spec).independent:
         raise PreconditionError(
             f"precondition failed: input is not independent under {spec.render()}"
@@ -175,63 +173,21 @@ def witness_independent_extension(x_lang: Language, spec: EditRelationSpec) -> s
 
 def er_complete(x_lang: Language) -> Language:
     """Embed a non-complete code into a complete one (Ehrenfeucht &
-    Rozenberg 1986): with w the least unbordered non-factor of X*, read
-    off the trim table of its factors by ``_least_unbordered_exit``, and
-    U the words avoiding both X* and w, X union w(Uw)* is a complete
-    code containing X."""
+    Rozenberg 1986): with w the least unbordered non-factor of X*, from
+    ``analysis._least_unbordered_non_factor``, and U the words avoiding both X* and
+    w, X union w(Uw)* is a complete code containing X."""
     alphabet = x_lang.alphabet
-    if not is_code(x_lang):
-        raise PreconditionError("precondition failed: input is not a code")
-    x_star = star(x_lang)
-    # a finite code is complete when its measure is 1, and needs no table;
-    # F = factors(X*) is every word when no row of its table misses an arc
-    rows = None
-    if x_lang.to_finite() is None or not is_complete(x_lang, known_code=True):
-        rows = factors(x_star).trim()[0]
-    if rows is None or all(-1 not in row for row in rows):
+    w = _least_unbordered_non_factor(x_lang)
+    if w is None:
         raise PreconditionError("precondition failed: input is already complete")
-    w = _least_unbordered_exit(rows, alphabet)
     universe = Language.regular(nfa_universal(alphabet))
     w_lang = Language.finite((w,), alphabet)
     surrounded = concat(universe, w_lang, universe)
-    u_lang = complement(union(x_star, surrounded))
+    u_lang = complement(union(star(x_lang), surrounded))
     y_lang = union(x_lang, concat(w_lang, star(concat(u_lang, w_lang))))
     if not is_code(y_lang) or not is_complete(y_lang, known_code=True):
         raise RuntimeError("internal: completion failed verification")
     return y_lang
-
-
-def _least_unbordered_exit(rows, alphabet) -> str:
-    """Length-lex least unbordered word that leaves ``rows``, the trim
-    table of a set closed under factors that misses some word, such as
-    the factors of X*: its states are all final, and a word that leaves
-    never comes back.  For each length n from the least leaving word's
-    on, a depth-first walk in letter order, on an explicit stack,
-    enters a state only if its distance to a missing arc
-    (``_distances``) is less than the letters left, and tries each
-    completion of length n of a word that has left.  Every node counts
-    against DEFAULT_STATE_CAP, read at call time."""
-    letters = alphabet.letters
-    dist = _distances(rows, [q for q, row in enumerate(rows) if -1 in row])
-    cap = automata.DEFAULT_STATE_CAP
-    n, stack = dist[0], []  # (state, or -1 once the word has left; word)
-    for _ in range(cap):
-        if not stack:  # no word of length n passed: the next length
-            n += 1
-            stack.append((0, ""))
-        q, word = stack.pop()
-        left = n - len(word) - 1  # letters left after the next one
-        if left < 0:
-            if is_unbordered(word):
-                return word
-            continue
-        for i in reversed(range(len(letters))):
-            r = rows[q][i] if q >= 0 else -1
-            if r < 0 or dist.get(r, n) < left:
-                stack.append((r, word + letters[i]))
-    raise BudgetExceededError(
-        f"unbordered non-factor search exceeded {cap} steps", budget=cap
-    )
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,7 @@ class Alphabet:
             raise UsageError(f"letter {c!r} not in alphabet {''.join(self.letters)}") from None
 
     def check_word(self, w: str) -> str:
-        for c in w:
-            if c not in self.letters:
-                raise UsageError(f"letter {c!r} not in alphabet {''.join(self.letters)}")
+        w.translate(self._order)  # a letter outside raises UsageError
         return w
 
     def lex_key(self, w: str):

@@ -9,11 +9,12 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codekit import automata, cli
@@ -21,7 +22,7 @@ from codekit.automata import Language
 from codekit.cli import main
 from codekit.words import Alphabet
 
-from oracles import subset_table_builds
+from oracles import dangling_suffixes, subset_table_builds
 
 
 def run(capsys, *argv):
@@ -325,6 +326,22 @@ def test_er_complete_walks_the_table_of_factors(capsys):
     assert member.call_count == 0
 
 
+def test_infinite_complete_code_is_maximal_and_not_completed(capsys):
+    code, out, err = run(capsys, "er-complete", "--alphabet", "ab", "a*.b")
+    assert code == 3
+    assert err == "codekit: error: precondition failed: input is already complete\n"
+    code, out, _ = run(capsys, "maximal", "--alphabet", "ab", "a*.b")
+    assert code == 0
+    assert "verdict: holds\n" in out
+
+
+def test_maximal_of_a_non_code_names_the_one_precondition(capsys):
+    code, out, err = run(capsys, "maximal", "--alphabet", "ab", "a|ab|b")
+    assert code == 3
+    assert out == ""
+    assert err == "codekit: error: precondition failed: input is not a code\n"
+
+
 def test_sigma_star_lists_members(capsys):
     code, out, _ = run(
         capsys, "sigma-star", "abab", "--alphabet", "ab", "--k", "2", "--format", "json"
@@ -455,6 +472,48 @@ def test_both_forms_print_the_same_report(words):
                 for form in (expr, f"({expr}).eps*")
             ]
             assert reports[0] == reports[1], (command, options, fmt)
+
+
+@st.composite
+def small_word_sets(draw):
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    words = draw(st.sets(st.text(alphabet=letters, max_size=4), min_size=1, max_size=6))
+    return letters, words
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(small_word_sets())
+# codes X whose least non-factor v is bordered, with X + {v} no code:
+# maximal must report the least unbordered non-factor instead
+@example(("ab", {"aa", "aabb", "ab", "bbaab"}))
+@example(("ab", {"a", "aba", "abbaa"}))
+def test_commands_check_themselves_on_small_sets(case):
+    # code-ness by the dangling suffixes and a finite code's completeness
+    # by its Kraft sum, with no codekit call; both forms of the set
+    letters, words = case
+    is_a_code = "" not in words and "" not in dangling_suffixes(words)
+    kraft = sum(Fraction(1, len(letters) ** len(w)) for w in words)
+    expr = "|".join(w or "eps" for w in words)
+    for form in (expr, f"({expr}).eps*"):
+        codes = {}
+        for command, *options in [
+            ["code", "--verify-witness"], ["complete", "--verify-witness"],
+            ["maximal", "--verify-witness"], ["er-complete"], ["extend", "--rel", "delta:1"],
+        ]:
+            code, out, _ = run_quietly(command, "--alphabet", letters, form, *options)
+            assert code != 5, (command, form, out)
+            if code == 1:
+                assert "witness_check: verified\n" in out, (command, form, out)
+            codes[command] = code
+            if command == "extend" and code == 0:
+                w = dict(line.split(": ", 1) for line in out.splitlines())["word"]
+                assert w not in words and "" not in dangling_suffixes(words | {w})
+        assert codes["code"] == (0 if is_a_code else 1)
+        if is_a_code:
+            assert codes["complete"] == codes["maximal"] == (0 if kraft == 1 else 1)
+            assert codes["er-complete"] == (3 if kraft == 1 else 0)
+        else:
+            assert codes["maximal"] == codes["er-complete"] == codes["extend"] == 3
 
 
 @pytest.mark.parametrize("expr", ["eps|a", "(eps|a).eps*", "a*"])

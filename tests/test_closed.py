@@ -572,7 +572,7 @@ def test_negative_budget_is_a_usage_error_before_any_work(monkeypatch, search):
     def work(*args, **kwargs):
         raise AssertionError("work done before the budget was checked")
 
-    for name in ("is_code", "sardinas_patterson", "_delta_units"):
+    for name in ("_require_code", "sardinas_patterson", "_delta_units"):
         monkeypatch.setattr(closed, name, work)
     with pytest.raises(UsageError, match="candidate budget must be at least 0, got -1"):
         search(-1)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from codekit import analysis, automata, independence
 from codekit.analysis import (
     _least_non_factor,
+    _least_unbordered_exit,
     is_complete,
     is_maximal_code,
     sardinas_patterson,
@@ -29,7 +30,6 @@ from codekit.automata import (
 from codekit.closed import sigma_complete_embedding
 from codekit.errors import BudgetExceededError, PreconditionError, UnsupportedError
 from codekit.independence import (
-    _least_unbordered_exit,
     check_constraints,
     er_complete,
     hat_image_is_code,
@@ -401,6 +401,15 @@ def test_completion_of_empty_set():
 def test_completion_rejects_complete_input():
     with pytest.raises(ValueError):
         er_complete(fin({"a", "b"}))
+
+
+def test_completion_rejects_infinite_complete_input():
+    # F = factors(X*) is every word: no row of its table misses an arc,
+    # and the walk over it finds no word that leaves
+    x = compile_expression("a*.b", AB)
+    assert _least_unbordered_exit(factors(star(x)).trim()[0], AB) is None
+    with pytest.raises(PreconditionError, match="already complete"):
+        er_complete(x)
 
 
 def test_completion_rejects_non_code():
