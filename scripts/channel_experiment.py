@@ -1,7 +1,7 @@
 """Sweep the corruption probability for one code and print exact rates.
 
-The simulation computes each codeword's image under the relation once
-per experiment and checks neither code-ness nor independence, so the
+The simulation computes each codeword's image under the relation on
+first draw and checks neither code-ness nor independence, so the
 script prints both verdicts (and error correction) before the sweep.
 
 Example:

@@ -8,19 +8,23 @@ every outcome is a per-block verdict: delivered exactly, corrected to
 the unique candidate, flagged with several candidates, or flagged with
 none.
 
-The image of each codeword under the relation is computed once per
-experiment (or once per call of :func:`corrupt` and :func:`decode`), and
-every block is corrupted and decoded by lookups into it.  The decoder
-reads the inverted table of ``transducers.image_table``, received word
-to the codewords that could have sent it; error correction
-(``independence.is_error_correcting``) reads the same table.  One
-routine draws each block's received word and one table method gives
-its verdict; :func:`corrupt` and :func:`decode` wrap their results in
-:class:`Block` and :class:`BlockOutcome`, while :func:`run_experiment`
-only counts them.  :func:`run_experiment` simulates any finite set as
-given and checks neither code-ness nor independence; :func:`decode`
-warns when either fails, and ``codekit code`` and ``codekit
-independent`` decide them.
+One table, filled on first use, holds what the channel reads of the
+relation: each word's antireflexive image, spelled once when first
+read; that image in length-lex order, sorted on the first corrupted
+draw from the word; and each received word's holders, the codewords
+whose image holds it, found once per distinct word.  Neither
+:func:`corrupt` nor :func:`run_experiment` reads the table before its
+first hit, so a noiseless run spells nothing.  The one draw rule: a
+block is hit when ``random() < p``, and a hit is replaced by
+``choice`` over its ranked image when that image is not empty.
+:func:`corrupt` and :func:`decode` wrap their results in :class:`Block`
+and :class:`BlockOutcome`; :func:`run_experiment` draws inline and
+only counts outcomes.  Error correction
+(``independence.is_error_correcting``) reads
+``transducers.image_table`` instead.  :func:`run_experiment` simulates
+any finite set as given and checks neither code-ness nor independence;
+:func:`decode` warns when either fails, and ``codekit code`` and
+``codekit independent`` decide them.
 """
 
 from __future__ import annotations
@@ -29,15 +33,23 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .analysis import is_code
 from .automata import Language
 from .errors import UsageError
-from .transducers import EditRelationSpec, image_table, relation_image_word
+from .transducers import EditRelationSpec, relation_image_word
 from .words import sort_words
 
 
 _VERDICTS = ("exact", "corrected", "ambiguous", "detected")
+# The outcome numbers of a corrupted block in an experiment.  It lies in
+# the image of the word sent, so that word is one of its holders: unless
+# it is another codeword, received exactly (slipped), it is corrected
+# back to the word sent (restored) when no other codeword holds it and
+# is ambiguous otherwise.  An experiment's decoder never detects nor
+# miscorrects a block.
+_RESTORED, _SLIPPED, _AMBIGUOUS = range(3)
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,11 @@ class DecodeReport:
     detected: int
 
 
+def _check_probability(p: float) -> None:
+    if not 0 <= p <= 1:
+        raise UsageError("corruption probability must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     code: Language
@@ -77,8 +94,7 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise UsageError("corruption probability must lie in [0, 1]")
+        _check_probability(self.p)
         if self.message_length < 1:
             raise UsageError("message length must be positive")
         if self.trials < 1:
@@ -148,52 +164,61 @@ def encode(message: list[int], x_lang: Language) -> list[str]:
 
 
 class _ChannelTable:
-    """Everything a channel experiment needs from the relation, computed once.
+    """The relation's images as the channel reads them, each filled on first use.
 
-    Read off ``transducers.image_table`` under the antireflexive closure,
-    each source's plain image minus the word itself.  ``choices[x]`` is
-    the image of x in length-lex order, the list a corruption draws
-    from.  ``candidates`` is the inverted table: it maps every word some
-    source's image contains to those sources, in the order given, which
-    is canonical codeword order when the sources are the codewords.
-    When they are, the sources are independent exactly when none of
-    them is a key of ``candidates``.
+    Images are taken under the antireflexive closure, so a corrupted
+    block always differs from the word sent.  ``image(x)`` is spelled
+    once per word.  ``ranked(x)`` is that image in length-lex order, the
+    list a corruption draws from, sorted on the first corrupted draw
+    from x.  ``holders(y)`` is the tuple of sources whose image holds y,
+    in the order given, which is canonical codeword order when the
+    sources are the codewords; it is found once per distinct word.  When
+    the sources are the codewords, they are independent exactly when no
+    codeword has a holder.  An experiment reads ``outcomes(x)`` instead,
+    from ``shared``, the words two sources' images hold.  The one draw
+    rule: a block is hit when ``random() < p``, and a hit is replaced by
+    ``choice`` over its ranked image when that image is not empty.
     """
 
-    def __init__(self, sources, spec: EditRelationSpec, alphabet):
+    def __init__(self, spec: EditRelationSpec, alphabet, sources=()):
         bar = spec.with_closure("antireflexive")
-        images, self.candidates = image_table(bar, alphabet, sources)
-        self.members = frozenset(images)
-        self.choices = {x: sort_words(im, alphabet) for x, im in images.items()}
+        self.sources = sources = tuple(sources)
+        self.members = frozenset(sources)
+        self.image = image = cache(lambda x: relation_image_word(bar, alphabet, x))
+        self.ranked = cache(lambda x: sort_words(image(x), alphabet))
+        self.holders = cache(lambda y: tuple(x for x in sources if y in image(x)))
 
     def verdict(self, r: str) -> tuple[str, str | None, tuple[str, ...]]:
         """``(kind, decoded, candidates)`` of the received word r."""
         if r in self.members:
             return "exact", r, (r,)
-        candidates = self.candidates.get(r, ())
+        candidates = self.holders(r)
         if len(candidates) == 1:
             return "corrected", candidates[0], candidates
         if candidates:
             return "ambiguous", None, candidates
         return "detected", None, ()
 
+    @cached_property
+    def shared(self) -> set[str]:
+        """The words that two or more sources' images hold."""
+        seen: set[str] = set()
+        shared: set[str] = set()
+        for x in self.sources:
+            image = self.image(x)
+            shared |= seen & image
+            seen |= image
+        return shared
 
-def _received_words(
-    choices: dict[str, list[str]], blocks: list[str], p: float, rng: random.Random
-):
-    """Yield the received word of each block, drawing from ``rng``.
-
-    One ``random()`` per block; on a hit, one ``randrange`` over the
-    block's choices, unless they are empty and the block passes through.
-    """
-    draw, pick = rng.random, rng.randrange
-    for sent in blocks:
-        if draw() < p:
-            image = choices[sent]
-            if image:
-                yield image[pick(len(image))]
-                continue
-        yield sent
+    def outcomes(self, x: str) -> list[int]:
+        """The outcome number (``_RESTORED``, ``_SLIPPED`` or
+        ``_AMBIGUOUS``) of each word of ``ranked(x)``, received when the
+        source x was sent."""
+        members, shared = self.members, self.shared
+        return [
+            _SLIPPED if y in members else _AMBIGUOUS if y in shared else _RESTORED
+            for y in self.ranked(x)
+        ]
 
 
 def corrupt(
@@ -207,16 +232,22 @@ def corrupt(
 
     A hit replaces the block by a uniform draw from its antireflexive
     image; blocks whose image is empty pass through untouched.  The
-    draw sequence is fully determined by the seed.  Each distinct
-    block's image is spelled once; no inverted table is built.
+    draw sequence is fully determined by the seed.  A block's image is
+    spelled on its first hit; no holder is looked up.
     """
-    bar = spec.with_closure("antireflexive")
-    choices = {
-        x: sort_words(relation_image_word(bar, alphabet, x), alphabet)
-        for x in set(blocks)
-    }
-    received = _received_words(choices, blocks, p, random.Random(seed))
-    return list(map(Block, blocks, received))
+    _check_probability(p)
+    table = _ChannelTable(spec, alphabet)
+    rng = random.Random(seed)
+    chance, draw = rng.random, rng.choice
+    out = []
+    for x in blocks:
+        r = x
+        if chance() < p:
+            image = table.ranked(x)
+            if image:
+                r = draw(image)
+        out.append(Block(x, r))
+    return out
 
 
 def decode(
@@ -232,10 +263,10 @@ def decode(
     codeword lies in another's image.
     """
     codewords = _codewords(x_lang)
-    table = _ChannelTable(codewords, spec, x_lang.alphabet)
+    table = _ChannelTable(spec, x_lang.alphabet, codewords)
     if not is_code(x_lang):
         warnings.warn("decoding over a set that is not a code", stacklevel=2)
-    elif any(x in table.candidates for x in codewords):
+    elif any(map(table.holders, codewords)):
         warnings.warn(
             f"decoding over a code that is not independent under {spec.render()}",
             stacklevel=2,
@@ -251,45 +282,52 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Repeated random transmissions with per-seed reproducibility.
 
     Draws the same blocks and corruptions as encode, corrupt and decode
-    called once per trial, but computes the relation's images once for
-    the whole experiment.  Each block is drawn, looked up in the table
-    and counted; no per-block object is built.  It checks neither
-    code-ness nor independence.
+    called once per trial, from one table for the whole experiment.
+    A hit draws from the sent codeword's row of outcome numbers, one
+    per word of its ranked image and filled on its first hit, so the
+    index drawn is the one ``corrupt`` draws, and adds one to that
+    outcome's tally.  A block that is not hit, or whose image is empty,
+    is counted by subtraction.  No per-block object is built.  It
+    checks neither code-ness nor independence.
     """
     codewords = _codewords(config.code)
     if not codewords:
         raise UsageError("cannot transmit over an empty code")
-    table = _ChannelTable(codewords, config.spec, config.code.alphabet)
-    verdict = table.verdict
+    table = _ChannelTable(config.spec, config.code.alphabet, codewords)
+    p = config.p
+    # rows[x] is table.outcomes(x) once codeword x has been hit
+    rows: dict[str, list[int] | None] = dict.fromkeys(codewords)
+    tally = [0, 0, 0]  # hits by outcome number
     master = random.Random(config.seed)
     trial_seeds = [master.getrandbits(64) for _ in range(config.trials)]
-    kinds = dict.fromkeys(_VERDICTS, 0)
-    corrupted = miscorrected = restored_messages = 0
+    restored_messages = 0
     for trial_seed in trial_seeds:
         rng = random.Random(trial_seed)
-        sent = [
-            codewords[rng.randrange(len(codewords))]
-            for _ in range(config.message_length)
-        ]
-        received = _received_words(
-            table.choices, sent, config.p, random.Random(rng.getrandbits(64))
-        )
-        restored = True
-        for x, r in zip(sent, received):
-            kind, decoded, _ = verdict(r)
-            kinds[kind] += 1
-            corrupted += r != x
-            if decoded != x:
-                restored = False
-                miscorrected += kind == "corrected"
-        restored_messages += restored
+        pick = rng.choice
+        sent = [pick(codewords) for _ in range(config.message_length)]
+        channel = random.Random(rng.getrandbits(64))
+        chance, draw = channel.random, channel.choice
+        failed = tally[_SLIPPED] + tally[_AMBIGUOUS]
+        for x in sent:
+            if chance() < p:
+                row = rows[x]
+                if row is None:
+                    row = rows[x] = table.outcomes(x)
+                if row:
+                    tally[draw(row)] += 1
+        restored_messages += tally[_SLIPPED] + tally[_AMBIGUOUS] == failed
+    corrupted = sum(tally)
+    blocks = config.trials * config.message_length
     return ExperimentReport(
         config_seed=config.seed,
         trials=config.trials,
-        blocks=config.trials * config.message_length,
+        blocks=blocks,
         corrupted=corrupted,
-        **kinds,
-        miscorrected=miscorrected,
+        exact=blocks - corrupted + tally[_SLIPPED],
+        corrected=tally[_RESTORED],
+        ambiguous=tally[_AMBIGUOUS],
+        detected=0,
+        miscorrected=0,
         restored_messages=restored_messages,
     )
 

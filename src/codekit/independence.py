@@ -9,10 +9,12 @@ code-ness of the antireflexive image in the same S/Lambda regime (Q3).
 A finite set, whatever its form, is read member by member, and a
 dependent set gives one witness: the least member x whose image meets
 X, then x's least hit; an infinite set finds x in the image of X under
-the inverse relation.  Error correction reads the channel decoder's
-table, ``transducers.image_table``: corrupted word to the members that
-reach it.  Completeness, its witnesses and the code precondition live
-in ``analysis``, where ``er_complete`` takes its unbordered non-factor.
+the inverse relation.  Error correction reads the inverted image table
+of ``transducers.image_table``, corrupted word to the members that
+reach it, over every member at once; the channel simulator fills its
+own table on first use.  Completeness, its witnesses and the code
+precondition live in ``analysis``, where ``er_complete`` takes its
+unbordered non-factor.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def is_error_correcting(
     alphabet = x_lang.alphabet
     members = sort_words(x_lang.words(), alphabet)
     rank = {x: i for i, x in enumerate(members)}
-    _, holders = image_table(spec, alphabet, members)
+    holders = image_table(spec, alphabet, members)
     least = min(
         ((rank[xs[0]], rank[xs[1]], alphabet.lex_key(z), z)
          for z, xs in holders.items() if len(xs) > 1),

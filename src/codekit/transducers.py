@@ -21,8 +21,8 @@ the arc index each machine builds once.  The least member of a set in
 the image of one word, a least source say, is a least-word search on
 that word's image automaton: the image is never spelled.
 ``image_table`` spells the images of finitely many sources and inverts
-them, image word to sources: the channel's decoder and the
-error-correction test read that one table.
+them, image word to sources: ``independence.is_error_correcting`` is
+its only reader.  The channel fills its own table on first use.
 """
 
 from __future__ import annotations
@@ -266,17 +266,19 @@ def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> f
     return base
 
 
-def image_table(spec: EditRelationSpec, alphabet: Alphabet, sources):
-    """Each source's image, spelled once, and the images inverted:
-    ``(images, holders)``, where ``images[x]`` is the image of x under the
-    relation with its closure applied and ``holders[y]`` is the tuple of
-    sources whose image holds y, in the order the sources were given."""
-    images = {x: relation_image_word(spec, alphabet, x) for x in sources}
+def image_table(
+    spec: EditRelationSpec, alphabet: Alphabet, sources
+) -> dict[str, tuple[str, ...]]:
+    """The images of distinct sources, each spelled once, inverted:
+    ``holders[y]`` is the tuple of sources whose image under the relation,
+    closure applied, holds y, in the order the sources were given.  The
+    error-correction test, ``independence.is_error_correcting``, is its
+    only reader."""
     holders: defaultdict[str, list[str]] = defaultdict(list)
-    for x, image in images.items():
-        for y in image:
+    for x in sources:
+        for y in relation_image_word(spec, alphabet, x):
             holders[y].append(x)
-    return images, {y: tuple(xs) for y, xs in holders.items()}
+    return {y: tuple(xs) for y, xs in holders.items()}
 
 
 def _least_hit(t: Transducer, w: str, lang: Language) -> str | None:

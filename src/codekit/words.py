@@ -39,6 +39,7 @@ class Alphabet:
 
     letters: tuple[str, ...]
     _order: _LetterOrder = field(init=False, repr=False, compare=False)
+    _natural: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -51,6 +52,8 @@ class Alphabet:
                 raise UsageError(f"letters are single characters, got {c!r}")
         order = _LetterOrder({ord(c): chr(i) for i, c in enumerate(self.letters)})
         object.__setattr__(self, "_order", order)
+        # letters declared in code-point order: plain string order is lex order
+        object.__setattr__(self, "_natural", list(self.letters) == sorted(self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -161,5 +164,16 @@ def parity_ones(w: str, alphabet: Alphabet) -> str:
 
 
 def sort_words(words, alphabet: Alphabet) -> list[str]:
-    """Sort an iterable of words in length-lex order."""
-    return sorted(words, key=alphabet.lex_key)
+    """Sort an iterable of words in length-lex order.
+
+    On an alphabet declared in code-point order that is two sorts with
+    no Python key, plain and then stable by length, after one check of
+    every letter; other letter orders sort by ``Alphabet.lex_key``.
+    """
+    if not alphabet._natural:
+        return sorted(words, key=alphabet.lex_key)
+    out = list(words)
+    alphabet.check_word("".join(out))
+    out.sort()
+    out.sort(key=len)
+    return out

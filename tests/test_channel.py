@@ -21,6 +21,7 @@ from codekit.channel import (
     encode,
     run_experiment,
 )
+from codekit.errors import UsageError
 from codekit.independence import is_independent
 from codekit.transducers import KINDS, EditRelationSpec, relation_image_word
 from codekit.words import Alphabet
@@ -80,6 +81,32 @@ def test_corruption_is_deterministic_per_seed():
     other = corrupt(["aabbb", "bbbbaa"] * 10, spec("Delta:2"), AB, 0.5, seed=4)
     assert one == two
     assert one != other
+
+
+@pytest.mark.parametrize("p", [float("nan"), -0.1, 1.5])
+def test_corrupt_rejects_probabilities_outside_the_unit_interval(p):
+    with pytest.raises(UsageError) as caught:
+        corrupt(["aabbb"], spec("Delta:2"), AB, p, seed=0)
+    assert str(caught.value) == "corruption probability must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_corrupt_accepts_the_ends_of_the_unit_interval(p):
+    blocks = corrupt(["aabbb"], spec("Delta:2"), AB, p, seed=0)
+    assert blocks[0].corrupted == bool(p)
+
+
+def test_noiseless_channel_spells_no_image(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an image was spelled with p = 0")
+
+    monkeypatch.setattr(channel, "relation_image_word", refuse)
+    assert corrupt(["aabbb", "bbbbaa"] * 5, spec("Lambda:3"), AB, 0.0, seed=1) == [
+        Block(x, x) for x in ["aabbb", "bbbbaa"] * 5
+    ]
+    config = ExperimentConfig(AMBIGUOUS, spec("Lambda:2"), 0.0, 200, 2, 0)
+    report = run_experiment(config)
+    assert (report.corrupted, report.exact) == (0, 400)
 
 
 def test_blocks_with_empty_image_pass_through():

@@ -51,7 +51,9 @@ def _rank_tuple_key(alphabet):
     return lambda w: (len(w), tuple(rank[c] for c in w))
 
 
-@pytest.mark.parametrize("letters", ["ab", "ba", "cab", "bca"])
+# "ab", "abc" and "01" are in code-point order and sort without a key;
+# "B" sorts before "a", so "aB" takes the lex_key path
+@pytest.mark.parametrize("letters", ["ab", "ba", "cab", "bca", "abc", "01", "aB"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lex_key_matches_rank_tuple_order(letters, data):
@@ -71,6 +73,11 @@ def test_lex_key_rejects_foreign_letters():
     with pytest.raises(UsageError) as caught:
         sort_words(["a", "d"], AB)
     assert str(caught.value) == "letter 'd' not in alphabet ab"
+    # the first foreign letter in the order given, on either sort path
+    for alphabet in (ABC, Alphabet("cab")):
+        with pytest.raises(UsageError) as caught:
+            sort_words(["ab", "cd", "e"], alphabet)
+        assert str(caught.value) == f"letter 'd' not in alphabet {''.join(alphabet)}"
 
 
 def test_word_rendering():
