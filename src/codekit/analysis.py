@@ -26,7 +26,7 @@ first subset holding no accepting state, which is entered by the
 length-lex least non-factor.  ``_maximal_witness`` gives the word that
 ``maximal`` adjoins: that non-factor when it keeps X a code, else the
 least unbordered one, ``er_complete``'s word, found by a distance-pruned
-walk over F's trim table (``_least_unbordered_non_factor``).
+walk over F's trim table (``_least_unbordered_exit``).
 """
 
 from __future__ import annotations
@@ -356,13 +356,6 @@ def _code_star_factors(x_lang: Language) -> Language | None:
     _require_code(x_lang)
     complete = _complete_by_measure(x_lang, known_code=True)
     return None if complete else factors(star(x_lang))
-
-
-def _least_unbordered_non_factor(x_lang: Language) -> str | None:
-    """The least unbordered non-factor of X*, which keeps the code X a
-    code (Ehrenfeucht & Rozenberg 1986), or None when X is complete."""
-    f = _code_star_factors(x_lang)
-    return None if f is None else _least_unbordered_exit(f.trim()[0], x_lang.alphabet)
 
 
 def _maximal_witness(x_lang: Language) -> str | None:

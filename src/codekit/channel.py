@@ -8,23 +8,25 @@ every outcome is a per-block verdict: delivered exactly, corrected to
 the unique candidate, flagged with several candidates, or flagged with
 none.
 
-One table, filled on first use, holds what the channel reads of the
-relation: each word's antireflexive image, spelled once when first
+One table, filled on first use, holds what is read of a relation over
+finitely many sources: each word's image, spelled once when first
 read; that image in length-lex order, sorted on the first corrupted
-draw from the word; and each received word's holders, the codewords
-whose image holds it, found once per distinct word.  Neither
-:func:`corrupt` nor :func:`run_experiment` reads the table before its
-first hit, so a noiseless run spells nothing.  The one draw rule: a
-block is hit when ``random() < p``, and a hit is replaced by
-``choice`` over its ranked image when that image is not empty.
-:func:`corrupt` and :func:`decode` wrap their results in :class:`Block`
-and :class:`BlockOutcome`; :func:`run_experiment` draws inline and
-only counts outcomes.  Error correction
-(``independence.is_error_correcting``) reads
-``transducers.image_table`` instead.  :func:`run_experiment` simulates
-any finite set as given and checks neither code-ness nor independence;
-:func:`decode` warns when either fails, and ``codekit code`` and
-``codekit independent`` decide them.
+draw from the word; each received word's holders, the sources whose
+image holds it, found once per distinct word; and the words that two
+sources' images share.  The channel reads it under the antireflexive
+closure; error correction (``independence.is_error_correcting``) reads
+it over a set's members, with the closure as given, and finds its
+witness among the shared words.  Neither :func:`corrupt` nor
+:func:`run_experiment` reads the table before its first hit, so a
+noiseless run spells nothing.  The one draw rule: a block is hit when
+``random() < p``, and a hit is replaced by ``choice`` over its ranked
+image when that image is not empty.  :func:`corrupt` and
+:func:`decode` wrap their results in :class:`Block` and
+:class:`BlockOutcome`; :func:`run_experiment` draws inline and only
+counts outcomes.  :func:`run_experiment` simulates any finite set as
+given and checks neither code-ness nor independence; :func:`decode`
+warns when either fails, and ``codekit code`` and ``codekit
+independent`` decide them.
 """
 
 from __future__ import annotations
@@ -164,40 +166,23 @@ def encode(message: list[int], x_lang: Language) -> list[str]:
 
 
 class _ChannelTable:
-    """The relation's images as the channel reads them, each filled on first use.
+    """A relation's images over finitely many sources, each filled on first use.
 
-    Images are taken under the antireflexive closure, so a corrupted
-    block always differs from the word sent.  ``image(x)`` is spelled
-    once per word.  ``ranked(x)`` is that image in length-lex order, the
-    list a corruption draws from, sorted on the first corrupted draw
-    from x.  ``holders(y)`` is the tuple of sources whose image holds y,
-    in the order given, which is canonical codeword order when the
-    sources are the codewords; it is found once per distinct word.  When
-    the sources are the codewords, they are independent exactly when no
-    codeword has a holder.  An experiment reads ``outcomes(x)`` instead,
-    from ``shared``, the words two sources' images hold.  The one draw
-    rule: a block is hit when ``random() < p``, and a hit is replaced by
-    ``choice`` over its ranked image when that image is not empty.
+    The relation comes with its closure applied: the channel passes the
+    antireflexive one, so a corrupted block always differs from the word
+    sent.  ``image(x)`` is spelled once per word.  ``ranked(x)`` is that
+    image in length-lex order, the list a corruption draws from, sorted
+    on the first corrupted draw from x.  ``holders(y)`` is the tuple of
+    sources whose image holds y, in the order given, found once per
+    distinct word.  ``shared`` is the set of words that two or more
+    sources' images hold, found by set operations over every image.
     """
 
     def __init__(self, spec: EditRelationSpec, alphabet, sources=()):
-        bar = spec.with_closure("antireflexive")
         self.sources = sources = tuple(sources)
-        self.members = frozenset(sources)
-        self.image = image = cache(lambda x: relation_image_word(bar, alphabet, x))
+        self.image = image = cache(lambda x: relation_image_word(spec, alphabet, x))
         self.ranked = cache(lambda x: sort_words(image(x), alphabet))
         self.holders = cache(lambda y: tuple(x for x in sources if y in image(x)))
-
-    def verdict(self, r: str) -> tuple[str, str | None, tuple[str, ...]]:
-        """``(kind, decoded, candidates)`` of the received word r."""
-        if r in self.members:
-            return "exact", r, (r,)
-        candidates = self.holders(r)
-        if len(candidates) == 1:
-            return "corrected", candidates[0], candidates
-        if candidates:
-            return "ambiguous", None, candidates
-        return "detected", None, ()
 
     @cached_property
     def shared(self) -> set[str]:
@@ -209,16 +194,6 @@ class _ChannelTable:
             shared |= seen & image
             seen |= image
         return shared
-
-    def outcomes(self, x: str) -> list[int]:
-        """The outcome number (``_RESTORED``, ``_SLIPPED`` or
-        ``_AMBIGUOUS``) of each word of ``ranked(x)``, received when the
-        source x was sent."""
-        members, shared = self.members, self.shared
-        return [
-            _SLIPPED if y in members else _AMBIGUOUS if y in shared else _RESTORED
-            for y in self.ranked(x)
-        ]
 
 
 def corrupt(
@@ -236,7 +211,7 @@ def corrupt(
     spelled on its first hit; no holder is looked up.
     """
     _check_probability(p)
-    table = _ChannelTable(spec, alphabet)
+    table = _ChannelTable(spec.with_closure("antireflexive"), alphabet)
     rng = random.Random(seed)
     chance, draw = rng.random, rng.choice
     out = []
@@ -263,7 +238,8 @@ def decode(
     codeword lies in another's image.
     """
     codewords = _codewords(x_lang)
-    table = _ChannelTable(spec, x_lang.alphabet, codewords)
+    bar = spec.with_closure("antireflexive")
+    table = _ChannelTable(bar, x_lang.alphabet, codewords)
     if not is_code(x_lang):
         warnings.warn("decoding over a set that is not a code", stacklevel=2)
     elif any(map(table.holders, codewords)):
@@ -271,11 +247,21 @@ def decode(
             f"decoding over a code that is not independent under {spec.render()}",
             stacklevel=2,
         )
-    outcomes = tuple(BlockOutcome(r, *table.verdict(r)) for r in received)
+    members = set(codewords)
     counts = dict.fromkeys(_VERDICTS, 0)
-    for outcome in outcomes:
-        counts[outcome.kind] += 1
-    return DecodeReport(outcomes=outcomes, **counts)
+    outcomes = []
+    for r in received:
+        if r in members:
+            kind, decoded, candidates = "exact", r, (r,)
+        else:
+            candidates = table.holders(r)
+            if len(candidates) == 1:
+                kind, decoded = "corrected", candidates[0]
+            else:
+                kind, decoded = "ambiguous" if candidates else "detected", None
+        counts[kind] += 1
+        outcomes.append(BlockOutcome(r, kind, decoded, candidates))
+    return DecodeReport(outcomes=tuple(outcomes), **counts)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -293,9 +279,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     codewords = _codewords(config.code)
     if not codewords:
         raise UsageError("cannot transmit over an empty code")
-    table = _ChannelTable(config.spec, config.code.alphabet, codewords)
-    p = config.p
-    # rows[x] is table.outcomes(x) once codeword x has been hit
+    bar = config.spec.with_closure("antireflexive")
+    table = _ChannelTable(bar, config.code.alphabet, codewords)
+    members, p = set(codewords), config.p
+    # rows[x] holds the outcome number of each word of table.ranked(x),
+    # received when x was sent, once codeword x has been hit
     rows: dict[str, list[int] | None] = dict.fromkeys(codewords)
     tally = [0, 0, 0]  # hits by outcome number
     master = random.Random(config.seed)
@@ -312,7 +300,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             if chance() < p:
                 row = rows[x]
                 if row is None:
-                    row = rows[x] = table.outcomes(x)
+                    shared = table.shared
+                    row = rows[x] = [
+                        _SLIPPED if y in members
+                        else _AMBIGUOUS if y in shared
+                        else _RESTORED
+                        for y in table.ranked(x)
+                    ]
                 if row:
                     tally[draw(row)] += 1
         restored_messages += tally[_SLIPPED] + tally[_AMBIGUOUS] == failed

@@ -9,12 +9,12 @@ code-ness of the antireflexive image in the same S/Lambda regime (Q3).
 A finite set, whatever its form, is read member by member, and a
 dependent set gives one witness: the least member x whose image meets
 X, then x's least hit; an infinite set finds x in the image of X under
-the inverse relation.  Error correction reads the inverted image table
-of ``transducers.image_table``, corrupted word to the members that
-reach it, over every member at once; the channel simulator fills its
-own table on first use.  Completeness, its witnesses and the code
-precondition live in ``analysis``, where ``er_complete`` takes its
-unbordered non-factor.
+the inverse relation.  Error correction reads the channel's image
+table, ``channel._ChannelTable``, over the members in length-lex
+order: every image is spelled once, and the words two images share are
+found by set operations.  Completeness, its witnesses and the code precondition live
+in ``analysis``, from which ``er_complete`` takes the trim table of
+factors(X*) and its unbordered walk.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 from .analysis import (
     CodeVerdict,
+    _code_star_factors,
     _least_non_factor,
-    _least_unbordered_non_factor,
+    _least_unbordered_exit,
     _require_code,
     is_code,
     is_complete,
@@ -40,12 +41,12 @@ from .automata import (
     star,
     union,
 )
+from .channel import _ChannelTable
 from .errors import PreconditionError, UnsupportedError
 from .transducers import (
     EditRelationSpec,
     _least_hit,
     build,
-    image_table,
     inverse_spec,
     relation_image,
     relation_image_word,
@@ -94,11 +95,12 @@ def is_error_correcting(
 ) -> ErrorCorrectionReport:
     """No corrupted block can have come from two different codewords.
 
-    Read off ``transducers.image_table`` over the members in length-lex
-    order.  The witness, the first colliding pair (x, y) and their least
-    common word, is the least (rank of holder 0, rank of holder 1, word)
-    in the table: a holder of a common word before x, or between x and
-    y, would make an earlier pair.
+    Read off one ``channel._ChannelTable`` over the members in
+    length-lex order.  The witness is the first colliding pair (x, y)
+    and their least common word z.  x is the first member whose image
+    meets ``shared``, the words two images hold, since the other holder
+    of such a word comes after x; y is the first other member whose
+    image meets x's shared words; z is the least word of both images.
     """
     if x_lang.to_finite() is None:
         raise UnsupportedError(
@@ -106,17 +108,15 @@ def is_error_correcting(
         )
     alphabet = x_lang.alphabet
     members = sort_words(x_lang.words(), alphabet)
-    rank = {x: i for i, x in enumerate(members)}
-    holders = image_table(spec, alphabet, members)
-    least = min(
-        ((rank[xs[0]], rank[xs[1]], alphabet.lex_key(z), z)
-         for z, xs in holders.items() if len(xs) > 1),
-        default=None,
-    )
-    if least is None:
+    table = _ChannelTable(spec, alphabet, members)
+    image, shared = table.image, table.shared
+    x = next((x for x in members if not shared.isdisjoint(image(x))), None)
+    if x is None:
         return ErrorCorrectionReport(True, None)
-    i, j, _, z = least
-    return ErrorCorrectionReport(False, (members[i], members[j], z))
+    common = image(x) & shared
+    y = next(y for y in members if y != x and not common.isdisjoint(image(y)))
+    z = min(common & image(y), key=alphabet.lex_key)
+    return ErrorCorrectionReport(False, (x, y, z))
 
 
 def hat_image_is_code(x_lang: Language, spec: EditRelationSpec) -> CodeVerdict:
@@ -175,11 +175,13 @@ def witness_independent_extension(x_lang: Language, spec: EditRelationSpec) -> s
 
 def er_complete(x_lang: Language) -> Language:
     """Embed a non-complete code into a complete one (Ehrenfeucht &
-    Rozenberg 1986): with w the least unbordered non-factor of X*, from
-    ``analysis._least_unbordered_non_factor``, and U the words avoiding both X* and
-    w, X union w(Uw)* is a complete code containing X."""
+    Rozenberg 1986): with w the least unbordered non-factor of X*, read
+    off the trim table of F = factors(X*) by
+    ``analysis._least_unbordered_exit``, and U the words avoiding both X*
+    and w, X union w(Uw)* is a complete code containing X."""
     alphabet = x_lang.alphabet
-    w = _least_unbordered_non_factor(x_lang)
+    f = _code_star_factors(x_lang)
+    w = None if f is None else _least_unbordered_exit(f.trim()[0], alphabet)
     if w is None:
         raise PreconditionError("precondition failed: input is already complete")
     universe = Language.regular(nfa_universal(alphabet))

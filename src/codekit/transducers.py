@@ -20,14 +20,14 @@ that grid without a cycle, so every word has a finite image.  Both read
 the arc index each machine builds once.  The least member of a set in
 the image of one word, a least source say, is a least-word search on
 that word's image automaton: the image is never spelled.
-``image_table`` spells the images of finitely many sources and inverts
-them, image word to sources: ``independence.is_error_correcting`` is
-its only reader.  The channel fills its own table on first use.
+``relation_image_word`` applies a closure to one word's image; the
+table that spells and inverts the images of finitely many sources,
+read by the channel and by error correction, is
+``channel._ChannelTable``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -264,21 +264,6 @@ def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> f
     if spec.closure == "antireflexive":
         return base - {w}
     return base
-
-
-def image_table(
-    spec: EditRelationSpec, alphabet: Alphabet, sources
-) -> dict[str, tuple[str, ...]]:
-    """The images of distinct sources, each spelled once, inverted:
-    ``holders[y]`` is the tuple of sources whose image under the relation,
-    closure applied, holds y, in the order the sources were given.  The
-    error-correction test, ``independence.is_error_correcting``, is its
-    only reader."""
-    holders: defaultdict[str, list[str]] = defaultdict(list)
-    for x in sources:
-        for y in relation_image_word(spec, alphabet, x):
-            holders[y].append(x)
-    return {y: tuple(xs) for y, xs in holders.items()}
 
 
 def _least_hit(t: Transducer, w: str, lang: Language) -> str | None:

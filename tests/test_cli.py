@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -22,7 +23,7 @@ from codekit.automata import Language
 from codekit.cli import main
 from codekit.words import Alphabet
 
-from oracles import dangling_suffixes, subset_table_builds
+from oracles import EditOracle, dangling_suffixes, subset_table_builds
 
 
 def run(capsys, *argv):
@@ -488,11 +489,20 @@ def small_word_sets(draw):
 @example(("ab", {"aa", "aabb", "ab", "bbaab"}))
 @example(("ab", {"a", "aba", "abbaa"}))
 def test_commands_check_themselves_on_small_sets(case):
-    # code-ness by the dangling suffixes and a finite code's completeness
-    # by its Kraft sum, with no codekit call; both forms of the set
+    # code-ness by the dangling suffixes, a finite code's completeness by
+    # its Kraft sum and error correction by a pair loop over the oracle's
+    # images, with no codekit call; both forms of the set
     letters, words = case
     is_a_code = "" not in words and "" not in dangling_suffixes(words)
     kraft = sum(Fraction(1, len(letters) ** len(w)) for w in words)
+    oracle = EditOracle(letters)
+    correcting = {
+        rel: all(
+            oracle.image(x, kind, 1).isdisjoint(oracle.image(y, kind, 1))
+            for x, y in itertools.combinations(words, 2)
+        )
+        for rel, kind in (("delta:1", "delta"), ("Lambda:1", "Lambda"))
+    }
     expr = "|".join(w or "eps" for w in words)
     for form in (expr, f"({expr}).eps*"):
         codes = {}
@@ -508,6 +518,12 @@ def test_commands_check_themselves_on_small_sets(case):
             if command == "extend" and code == 0:
                 w = dict(line.split(": ", 1) for line in out.splitlines())["word"]
                 assert w not in words and "" not in dangling_suffixes(words | {w})
+        for rel, holds in correcting.items():
+            argv = ("errcorrect", "--alphabet", letters, form, "--rel", rel)
+            code, out, _ = run_quietly(*argv, "--verify-witness")
+            assert code == (0 if holds else 1), (rel, form, out)
+            if code == 1:
+                assert "witness_check: verified\n" in out, (rel, form, out)
         assert codes["code"] == (0 if is_a_code else 1)
         if is_a_code:
             assert codes["complete"] == codes["maximal"] == (0 if kraft == 1 else 1)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codekit import analysis, automata, independence
+from codekit import analysis, automata, channel, independence
 from codekit.analysis import (
     _least_non_factor,
     _least_unbordered_exit,
@@ -243,7 +244,7 @@ def word_lists(draw):
     letters = draw(st.sampled_from(["ab", "abc"]))
     words = draw(
         st.lists(
-            st.text(alphabet=letters, max_size=4), min_size=1, max_size=6, unique=True
+            st.text(alphabet=letters, max_size=6), min_size=1, max_size=10, unique=True
         )
     )
     listed = "|".join(w or "eps" for w in words)
@@ -258,11 +259,29 @@ def word_lists(draw):
     st.sampled_from([1, 2]),
     st.sampled_from(CLOSURES),
 )
+# its first colliding pair is the 3rd and 5th members, ababb and babab
+@example(compile_expression("aab|baab|ababb|baaba|babab", AB), "delta", 1, "plain")
 def test_error_correction_report_matches_pair_loop(x_lang, kind, k, closure):
     # the whole report, witness triple included: the first colliding pair
     # in length-lex member order, then their length-lex least common word
     sp = EditRelationSpec(kind, k, closure)
     assert is_error_correcting(x_lang, sp) == reference_error_correcting(x_lang, sp)
+
+
+@pytest.mark.parametrize(
+    "words, correcting",
+    [({"aab", "baab", "ababb", "baaba", "babab"}, False), ({"aabbb", "bbbbaa"}, True)],
+)
+def test_error_correction_spells_each_image_once(monkeypatch, words, correcting):
+    spelled = Counter()
+
+    def counted(sp, alphabet, w):
+        spelled[w] += 1
+        return relation_image_word(sp, alphabet, w)
+
+    monkeypatch.setattr(channel, "relation_image_word", counted)
+    assert is_error_correcting(fin(words), spec("delta:1")).correcting == correcting
+    assert spelled == Counter(words)
 
 
 # --- image code-ness --------------------------------------------------------
