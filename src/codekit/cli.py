@@ -360,12 +360,17 @@ def _cmd_complete(args):
 
 def _cmd_maximal(args):
     lang = _load_language(args)
+
+    def replay(w):
+        extended = union(lang, Language.finite((w,), lang.alphabet))
+        return not lang.member(w) and is_code(extended)
+
     return _verdict(
         args,
         "maximal-code",
         _maximal_witness(lang),
         format_word,
-        lambda w: is_code(union(lang, Language.finite((w,), lang.alphabet))),
+        replay,
         detail="adjoining this word keeps the set a code",
     )
 
@@ -392,7 +397,8 @@ def _cmd_errcorrect(args):
 
     def replay(triple):
         x, y, common = triple
-        ok = common in relation_image_word(spec, lang.alphabet, x)
+        ok = x != y and lang.member(x) and lang.member(y)
+        ok = ok and common in relation_image_word(spec, lang.alphabet, x)
         return ok and common in relation_image_word(spec, lang.alphabet, y)
 
     def render(triple):

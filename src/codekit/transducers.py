@@ -9,11 +9,13 @@ families accept after any positive number of defects.  Machines realize
 the plain relation only: the reflexive and antireflexive closures are
 applied to the images they produce.
 
-``image`` runs a machine on a language through the product automaton,
-under the subset construction's state cap,
-``automata.DEFAULT_STATE_CAP``, and returns that automaton, for a
-finite language too.  The cap is read when a machine or a product is
-built, and no machine has more states than it allows.
+``image`` runs a machine on a language through the product automaton
+and returns that automaton, for a finite language too: with m machine
+states, the pair of language state p and machine state q is state
+p * m + q.  The subset construction's state cap,
+``automata.DEFAULT_STATE_CAP``, is read when a machine or a product is
+built, and either is refused before any arc is built when its states,
+every pair for a product, exceed it.
 ``image_word`` runs it on one word by a single pass over the grid of
 positions in the word times machine states; the normal form leaves
 that grid without a cycle, so every word has a finite image.  Both read
@@ -182,53 +184,35 @@ def build(spec: EditRelationSpec, alphabet: Alphabet) -> Transducer:
 def image(t: Transducer, lang: Language) -> Language:
     """Apply the relation to every member of the language.
 
-    The product of the language's automaton and the machine holds at
-    most ``automata.DEFAULT_STATE_CAP`` states.  The result is always
-    held as that automaton; a caller that needs its words calls
-    ``words()``.
+    The result is the product automaton, its pair (p, q) numbered
+    p * m + q for m machine states; its unreachable pairs are never
+    entered by the subset construction.  A product of more than
+    ``automata.DEFAULT_STATE_CAP`` pairs raises before any arc is built,
+    as a relation machine does.  A caller that needs the image's words
+    calls ``words()``.
     """
     nfa = lang.nfa()
-    moves = t.moves
+    m = t.n
     cap = automata.DEFAULT_STATE_CAP
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def node(pq):
-        i = index.get(pq)
-        if i is None:
-            i = len(order)
-            if i >= cap:
-                raise BudgetExceededError(
-                    f"transducer image exceeded {cap} states", budget=cap
-                )
-            index[pq] = i
-            order.append(pq)
-        return i
-
-    initial = frozenset(
-        [node((p, q)) for p in sorted(nfa.initial) for q in sorted(t.initial)]
-    )
+    if nfa.n * m > cap:
+        raise BudgetExceededError(f"transducer image exceeded {cap} states", budget=cap)
+    moves = t.moves
     arcs: dict[int, dict[str, set[int]]] = {}
-
-    def arc(src, lbl, dst):
-        arcs.setdefault(src, {}).setdefault(lbl, set()).add(dst)
-
-    i = 0
-    while i < len(order):
-        p, q = order[i]
-        for y, q2 in moves.get((q, EPS), ()):
-            arc(i, y, node((p, q2)))
-        for x, dsts in nfa.arcs.get(p, {}).items():
-            # the automaton's empty moves leave the machine where it is
-            for y, q2 in moves.get((q, x), ()) if x else [(EPS, q)]:
-                for p2 in dsts:
-                    arc(i, y, node((p2, q2)))
-        i += 1
-    accepting = frozenset(
-        i for i, (p, q) in enumerate(order) if p in nfa.accepting and q in t.accepting
-    )
+    for p, by in nfa.arcs.items():
+        for x, dsts in by.items():
+            for q in range(m):
+                # the automaton's empty moves leave the machine where it is
+                for y, q2 in moves.get((q, x), ()) if x else [(EPS, q)]:
+                    row = arcs.setdefault(p * m + q, {})
+                    row.setdefault(y, set()).update([p2 * m + q2 for p2 in dsts])
+    silent = [(q, y, q2) for (q, x), outs in moves.items() if x == EPS for y, q2 in outs]
+    for p in range(nfa.n):
+        for q, y, q2 in silent:
+            arcs.setdefault(p * m + q, {}).setdefault(y, set()).add(p * m + q2)
     frozen = {s: {lbl: frozenset(d) for lbl, d in by.items()} for s, by in arcs.items()}
-    return Language.regular(Nfa(nfa.alphabet, len(order), initial, accepting, frozen))
+    initial = [p * m + q for p in nfa.initial for q in t.initial]
+    accepting = [p * m + q for p in nfa.accepting for q in t.accepting]
+    return Language.regular(Nfa(nfa.alphabet, nfa.n * m, initial, accepting, frozen))
 
 
 def image_word(t: Transducer, w: str) -> frozenset[str]:

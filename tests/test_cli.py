@@ -490,19 +490,36 @@ def small_word_sets(draw):
 @example(("ab", {"a", "aba", "abbaa"}))
 def test_commands_check_themselves_on_small_sets(case):
     # code-ness by the dangling suffixes, a finite code's completeness by
-    # its Kraft sum and error correction by a pair loop over the oracle's
-    # images, with no codekit call; both forms of the set
+    # its Kraft sum, and closure, independence, error correction and the
+    # image's code-ness by the oracle's images, with no codekit call;
+    # both forms of the set
     letters, words = case
-    is_a_code = "" not in words and "" not in dangling_suffixes(words)
-    kraft = sum(Fraction(1, len(letters) ** len(w)) for w in words)
+
+    def is_code(ws):
+        return "" not in ws and "" not in dangling_suffixes(ws)
+
     oracle = EditOracle(letters)
-    correcting = {
-        rel: all(
-            oracle.image(x, kind, 1).isdisjoint(oracle.image(y, kind, 1))
-            for x, y in itertools.combinations(words, 2)
-        )
-        for rel, kind in (("delta:1", "delta"), ("Lambda:1", "Lambda"))
-    }
+
+    def images(kind, k):
+        return {x: oracle.image(x, kind, k) for x in words}
+
+    checks = []
+    for kind in ("delta", "Lambda"):
+        img = images(kind, 1)
+        holds = all(img[x].isdisjoint(img[y]) for x, y in itertools.combinations(words, 2))
+        checks.append((["errcorrect", "--rel", f"{kind}:1"], holds))
+    for kind in ("delta", "iota", "sigma"):
+        img = images(kind, 1)
+        checks.append((["closed", "--rel", f"{kind}:1"], all(img[x] <= words for x in words)))
+    for kind, k in (("delta", 1), ("Lambda", 2)):
+        img = images(kind, k)
+        holds = all((img[x] - {x}).isdisjoint(words) for x in words)
+        checks.append((["independent", "--rel", f"{kind}:{k}"], holds))
+    tau = set().union(*images("delta", 1).values())
+    for closure, img in (("hat", words | tau), ("bar", tau)):
+        checks.append((["image-code", "--rel", "delta:1", "--closure", closure], is_code(img)))
+    is_a_code = is_code(words)
+    kraft = sum(Fraction(1, len(letters) ** len(w)) for w in words)
     expr = "|".join(w or "eps" for w in words)
     for form in (expr, f"({expr}).eps*"):
         codes = {}
@@ -517,13 +534,13 @@ def test_commands_check_themselves_on_small_sets(case):
             codes[command] = code
             if command == "extend" and code == 0:
                 w = dict(line.split(": ", 1) for line in out.splitlines())["word"]
-                assert w not in words and "" not in dangling_suffixes(words | {w})
-        for rel, holds in correcting.items():
-            argv = ("errcorrect", "--alphabet", letters, form, "--rel", rel)
-            code, out, _ = run_quietly(*argv, "--verify-witness")
-            assert code == (0 if holds else 1), (rel, form, out)
+                assert w not in words and is_code(words | {w})
+        for (command, *options), holds in checks:
+            argv = (command, "--alphabet", letters, form, *options, "--verify-witness")
+            code, out, _ = run_quietly(*argv)
+            assert code == (0 if holds else 1), (argv, out)
             if code == 1:
-                assert "witness_check: verified\n" in out, (rel, form, out)
+                assert "witness_check: verified\n" in out, (argv, out)
         assert codes["code"] == (0 if is_a_code else 1)
         if is_a_code:
             assert codes["complete"] == codes["maximal"] == (0 if kraft == 1 else 1)
@@ -741,6 +758,26 @@ def test_prefix_replay_rejects_a_suffix_pair(capsys, monkeypatch):
     assert err == "codekit: internal error: RuntimeError: internal: witness failed replay\n"
 
 
+def test_errcorrect_replay_rejects_one_word_twice(capsys, monkeypatch):
+    # aa is in the image of aab, but a word colliding with itself is no pair
+    report = cli.indep_mod.ErrorCorrectionReport(False, ("aab", "aab", "aa"))
+    monkeypatch.setattr(cli.indep_mod, "is_error_correcting", lambda *args: report)
+    argv = ["errcorrect", "--alphabet", "ab", "aab|bba", "--rel", "delta:1"]
+    code, out, err = run(capsys, *argv, "--verify-witness")
+    assert code == 5
+    assert out == ""
+    assert err == "codekit: internal error: RuntimeError: internal: witness failed replay\n"
+
+
+def test_maximal_replay_rejects_a_member(capsys, monkeypatch):
+    # adjoining aa to aa|bb leaves the code as it was: it extends nothing
+    monkeypatch.setattr(cli, "_maximal_witness", lambda lang: "aa")
+    code, out, err = run(capsys, "maximal", "--alphabet", "ab", "aa|bb", "--verify-witness")
+    assert code == 5
+    assert out == ""
+    assert err == "codekit: internal error: RuntimeError: internal: witness failed replay\n"
+
+
 @pytest.mark.parametrize("fault", [RuntimeError, AssertionError, IndexError, KeyError])
 def test_internal_faults_exit_five(capsys, monkeypatch, fault):
     def handler(args):
@@ -831,15 +868,22 @@ def test_negative_budget_exits_three_and_zero_budget_four(capsys, argv):
 
 def test_image_product_past_the_state_cap_exits_four(capsys):
     # 1000 random length-40 words share few suffixes, so merging equal
-    # futures leaves 21159 states: (21159 + 1) * (4 + 1) machine states > 65536
+    # futures leaves 21159 states: (21159 + 1) * (4 + 1) pairs > 65536,
+    # refused before any arc of the product is built
     rng = random.Random(1)
     words = ["".join(rng.choice("ab") for _ in range(40)) for _ in range(1000)]
     argv = ["closed", "--alphabet", "ab", f"({'|'.join(words)})*", "--rel", "delta:4"]
-    code, out, _ = run(capsys, *argv)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 4
     assert out == (
         "verdict: budget-exceeded\ndetail: transducer image exceeded 65536 states\n"
     )
+    assert peak < 32 << 20
 
 
 def test_relation_machine_past_the_state_cap_exits_four(capsys):

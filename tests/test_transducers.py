@@ -216,6 +216,17 @@ def test_machines_and_images_read_the_state_cap_when_built(monkeypatch):
             build(spec(text), AB)
 
 
+def test_image_cap_counts_every_pair_of_the_product(monkeypatch):
+    # 8 language states times 4 machine states: 32 pairs, of which only
+    # 25 are reachable, so a cap of 30 refuses the product
+    lang = compile_expression("aa|ab|bb|aaaab|abbbb", AB)
+    machine = build(spec("delta:3"), AB)
+    assert (lang.nfa().n, machine.n) == (8, 4)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 30)
+    with pytest.raises(BudgetExceededError, match="^transducer image exceeded 30 states$"):
+        image(machine, lang)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sets(st.text(alphabet="ab", max_size=3), min_size=1, max_size=4),
