@@ -19,8 +19,12 @@ it over a set's members, with the closure as given, and finds its
 witness among the shared words.  Neither :func:`corrupt` nor
 :func:`run_experiment` reads the table before its first hit, so a
 noiseless run spells nothing.  The one draw rule: a block is hit when
-``random() < p``, and a hit is replaced by ``choice`` over its ranked
-image when that image is not empty.  :func:`corrupt` and
+``random() < p``, and a hit is replaced by a uniform draw from its
+ranked image when that image is not empty.  A uniform draw below n is
+the least-bits rejection draw over ``getrandbits`` (:func:`_below`):
+draw n.bit_length() bits until they read less than n.  It is the draw
+that ``Random.choice`` and ``Random.randrange`` make on CPython 3.10
+to 3.13, so a seed gives the blocks they would.  :func:`corrupt` and
 :func:`decode` wrap their results in :class:`Block` and
 :class:`BlockOutcome`; :func:`run_experiment` draws inline and only
 counts outcomes.  :func:`run_experiment` simulates any finite set as
@@ -86,6 +90,13 @@ def _check_probability(p: float) -> None:
         raise UsageError("corruption probability must lie in [0, 1]")
 
 
+def _check_seed(seed: int) -> None:
+    # Random(-s) seeds as Random(s) would, so a negative seed is refused
+    # rather than silently run as its absolute value
+    if seed < 0:
+        raise UsageError(f"seed must be at least 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     code: Language
@@ -97,6 +108,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_probability(self.p)
+        _check_seed(self.seed)
         if self.message_length < 1:
             raise UsageError("message length must be positive")
         if self.trials < 1:
@@ -196,6 +208,21 @@ class _ChannelTable:
         return shared
 
 
+def _below(bits, n: int) -> int:
+    """A uniform draw from range(n), n >= 1, by ``bits``, a ``getrandbits``.
+
+    Draws n.bit_length() bits and draws again while they read n or
+    more (the bitmask method with rejection; Lemire, *ACM TOMACS* 2019,
+    compares it with faster ones that draw differently).  It consumes
+    the generator exactly as ``Random.randrange(n)`` does.
+    """
+    w = n.bit_length()
+    r = bits(w)
+    while r >= n:
+        r = bits(w)
+    return r
+
+
 def corrupt(
     blocks: list[str],
     spec: EditRelationSpec,
@@ -211,16 +238,17 @@ def corrupt(
     spelled on its first hit; no holder is looked up.
     """
     _check_probability(p)
+    _check_seed(seed)
     table = _ChannelTable(spec.with_closure("antireflexive"), alphabet)
     rng = random.Random(seed)
-    chance, draw = rng.random, rng.choice
+    chance, bits = rng.random, rng.getrandbits
     out = []
     for x in blocks:
         r = x
         if chance() < p:
             image = table.ranked(x)
             if image:
-                r = draw(image)
+                r = image[_below(bits, len(image))]
         out.append(Block(x, r))
     return out
 
@@ -273,8 +301,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     per word of its ranked image and filled on its first hit, so the
     index drawn is the one ``corrupt`` draws, and adds one to that
     outcome's tally.  A block that is not hit, or whose image is empty,
-    is counted by subtraction.  No per-block object is built.  It
-    checks neither code-ness nor independence.
+    is counted by subtraction.  No per-block object is built, and each
+    draw is :func:`_below` written out in the loop, over a bound and a
+    bit width found once.  It checks neither code-ness nor independence.
     """
     codewords = _codewords(config.code)
     if not codewords:
@@ -282,33 +311,46 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     bar = config.spec.with_closure("antireflexive")
     table = _ChannelTable(bar, config.code.alphabet, codewords)
     members, p = set(codewords), config.p
-    # rows[x] holds the outcome number of each word of table.ranked(x),
-    # received when x was sent, once codeword x has been hit
-    rows: dict[str, list[int] | None] = dict.fromkeys(codewords)
+    n = len(codewords)
+    w = n.bit_length()
+    # rows[i] holds the outcome number of each word of table.ranked(x),
+    # received when x = codewords[i] was sent, with the row's length and
+    # bit width, once x has been hit
+    rows: list[tuple[list[int], int, int] | None] = [None] * n
     tally = [0, 0, 0]  # hits by outcome number
     master = random.Random(config.seed)
     trial_seeds = [master.getrandbits(64) for _ in range(config.trials)]
     restored_messages = 0
     for trial_seed in trial_seeds:
         rng = random.Random(trial_seed)
-        pick = rng.choice
-        sent = [pick(codewords) for _ in range(config.message_length)]
+        bits = rng.getrandbits
+        sent = []  # the message, as codeword numbers
+        for _ in range(config.message_length):
+            r = bits(w)
+            while r >= n:
+                r = bits(w)
+            sent.append(r)
         channel = random.Random(rng.getrandbits(64))
-        chance, draw = channel.random, channel.choice
+        chance, bits = channel.random, channel.getrandbits
         failed = tally[_SLIPPED] + tally[_AMBIGUOUS]
-        for x in sent:
+        for i in sent:
             if chance() < p:
-                row = rows[x]
-                if row is None:
+                entry = rows[i]
+                if entry is None:
                     shared = table.shared
-                    row = rows[x] = [
+                    row = [
                         _SLIPPED if y in members
                         else _AMBIGUOUS if y in shared
                         else _RESTORED
-                        for y in table.ranked(x)
+                        for y in table.ranked(codewords[i])
                     ]
-                if row:
-                    tally[draw(row)] += 1
+                    entry = rows[i] = row, len(row), len(row).bit_length()
+                row, m, v = entry
+                if m:
+                    r = bits(v)
+                    while r >= m:
+                        r = bits(v)
+                    tally[row[r]] += 1
         restored_messages += tally[_SLIPPED] + tally[_AMBIGUOUS] == failed
     corrupted = sum(tally)
     blocks = config.trials * config.message_length

@@ -60,6 +60,21 @@ def test_encode_rejects_infinite_codes():
         encode([0], star(Language.finite({"ab"}, AB)))
 
 
+# --- the draw ---------------------------------------------------------------
+
+def test_the_draw_is_the_one_random_makes():
+    # the sampler's one assumption: on this interpreter, randrange(n) and
+    # choice(seq) draw n.bit_length() bits until they read less than n,
+    # and leave the generator where _below leaves it
+    for seed in range(50):
+        for n in range(1, 400):
+            ours, ranged, chosen = (random.Random(seed) for _ in range(3))
+            assert channel._below(ours.getrandbits, n) == ranged.randrange(n) == (
+                chosen.choice(range(n))
+            ), (seed, n)
+            assert len({g.getrandbits(64) for g in (ours, ranged, chosen)}) == 1
+
+
 # --- corrupt ----------------------------------------------------------------
 
 def test_zero_probability_never_corrupts():
@@ -88,6 +103,12 @@ def test_corrupt_rejects_probabilities_outside_the_unit_interval(p):
     with pytest.raises(UsageError) as caught:
         corrupt(["aabbb"], spec("Delta:2"), AB, p, seed=0)
     assert str(caught.value) == "corruption probability must lie in [0, 1]"
+
+
+def test_corrupt_rejects_a_negative_seed():
+    # Random(-3) would seed as Random(3)
+    with pytest.raises(UsageError, match="^seed must be at least 0, got -3$"):
+        corrupt(["aabbb"], spec("Delta:2"), AB, 0.5, seed=-3)
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -255,6 +276,8 @@ def test_config_validation():
         ExperimentConfig(CORRECTING, spec("delta:1"), 0.5, 0, 10, 0)
     with pytest.raises(ValueError):
         ExperimentConfig(CORRECTING, spec("delta:1"), 0.5, 10, 0, 0)
+    with pytest.raises(UsageError, match="^seed must be at least 0, got -7$"):
+        ExperimentConfig(CORRECTING, spec("delta:1"), 0.5, 10, 10, -7)
 
 
 # --- differential checks against the oracle replay --------------------------

@@ -490,7 +490,8 @@ def small_word_sets(draw):
 @example(("ab", {"a", "aba", "abbaa"}))
 def test_commands_check_themselves_on_small_sets(case):
     # code-ness by the dangling suffixes, a finite code's completeness by
-    # its Kraft sum, and closure, independence, error correction and the
+    # its Kraft sum, the affix codes by startswith and endswith over
+    # distinct pairs, and closure, independence, error correction and the
     # image's code-ness by the oracle's images, with no codekit call;
     # both forms of the set
     letters, words = case
@@ -503,7 +504,10 @@ def test_commands_check_themselves_on_small_sets(case):
     def images(kind, k):
         return {x: oracle.image(x, kind, k) for x in words}
 
-    checks = []
+    pairs = list(itertools.permutations(words, 2))
+    prefix = not any(y.startswith(x) for x, y in pairs)
+    suffix = not any(y.endswith(x) for x, y in pairs)
+    checks = [(["prefix"], prefix), (["suffix"], suffix), (["bifix"], prefix and suffix)]
     for kind in ("delta", "Lambda"):
         img = images(kind, 1)
         holds = all(img[x].isdisjoint(img[y]) for x, y in itertools.combinations(words, 2))
@@ -820,6 +824,9 @@ def test_internal_faults_exit_five(capsys, monkeypatch, fault):
          "max_len must be at least 0, got -1"),
         (["er-complete", "--alphabet", "ab", "aa|b", "--sample-len", "-1"],
          "sample_len must be at least 0, got -1"),
+        # Random(-1) would seed as Random(1) and print seed: -1 beside its counts
+        (["simulate", "--code", "a|b", "--alphabet", "ab", "--rel", "delta:1", "--p", "0.5",
+          "--len", "3", "--seed", "-1"], "seed must be at least 0, got -1"),
     ],
 )
 def test_usage_errors_exit_three(capsys, argv, message):
