@@ -16,6 +16,7 @@ import argparse
 from codekit.analysis import sardinas_patterson
 from codekit.automata import compile_expression
 from codekit.channel import ExperimentConfig, run_experiment
+from codekit.errors import ParseError
 from codekit.independence import check_constraints
 from codekit.transducers import EditRelationSpec
 from codekit.words import parse_alphabet
@@ -36,9 +37,23 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    alphabet = parse_alphabet(args.alphabet)
-    code = compile_expression(args.code, alphabet)
-    spec = EditRelationSpec.parse(args.rel)
+    try:
+        alphabet = parse_alphabet(args.alphabet)
+        code = compile_expression(args.code, alphabet)
+        spec = EditRelationSpec.parse(args.rel)
+        configs = [
+            ExperimentConfig(
+                code=code,
+                spec=spec,
+                p=float(text),
+                message_length=args.message_length,
+                trials=args.trials,
+                seed=args.seed,
+            )
+            for text in args.probs.split(",")
+        ]
+    except (ParseError, ValueError) as e:  # a UsageError is a ValueError
+        parser.exit(3, f"{parser.prog}: error: {e}\n")
 
     print(f"code: {args.code}   relation: {spec.render()}")
     print(f"is a code: {sardinas_patterson(code).is_code}")
@@ -52,19 +67,10 @@ def main() -> int:
         f"{'ambiguous':>10} {'detected':>9} {'corr-rate':>10} {'det-rate':>9}"
     )
     print(header)
-    for text in args.probs.split(","):
-        p = float(text)
-        config = ExperimentConfig(
-            code=code,
-            spec=spec,
-            p=p,
-            message_length=args.message_length,
-            trials=args.trials,
-            seed=args.seed,
-        )
+    for config in configs:
         report = run_experiment(config)
         print(
-            f"{p:>6.2f} {report.blocks:>7} {report.corrupted:>8} "
+            f"{config.p:>6.2f} {report.blocks:>7} {report.corrupted:>8} "
             f"{report.exact:>6} {report.corrected:>10} {report.ambiguous:>10} "
             f"{report.detected:>9} {str(report.correction_rate):>10} "
             f"{str(report.detection_rate):>9}"

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from codekit.analysis import Distribution, is_complete, measure_finite
 from codekit.closed import delta_length_bound, enumerate_delta_closed, is_maximal_delta_closed
+from codekit.errors import UsageError
 from codekit.words import parse_alphabet
 
 
@@ -25,8 +26,12 @@ def main() -> int:
     parser.add_argument("--limit", type=int, default=None, help="stop after this many")
     args = parser.parse_args()
 
-    alphabet = parse_alphabet(args.alphabet)
-    lengths = sorted(delta_length_bound(args.k))
+    try:
+        alphabet = parse_alphabet(args.alphabet)
+        lengths = sorted(delta_length_bound(args.k))
+        codes = enumerate_delta_closed(args.k, alphabet, limit=args.limit)
+    except UsageError as e:
+        parser.exit(3, f"{parser.prog}: error: {e}\n")
     print(f"admissible word lengths for k={args.k}: {lengths or 'none'}")
     if not lengths:
         print("the family is empty")
@@ -37,7 +42,7 @@ def main() -> int:
     complete_count = 0
     maximal_count = 0
     best = (Fraction(0), None)
-    for code in enumerate_delta_closed(args.k, alphabet, limit=args.limit):
+    for code in codes:
         count += 1
         words = sorted(code.words(), key=alphabet.lex_key)
         mu = measure_finite(code, dist)

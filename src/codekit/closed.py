@@ -12,8 +12,8 @@ a parity class, or everything, and closed codes follow suit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
+from functools import cache, partial
+from itertools import chain, compress, islice, repeat
 
 from .analysis import (
     DoubleFactorization, _require_code, is_complete, sardinas_patterson
@@ -157,99 +157,97 @@ def delta_length_bound(k: int) -> frozenset[int]:
     return frozenset(range(1, k * k - k)) - {k}
 
 
-def _delta_universe(k: int, alphabet: Alphabet) -> list[str]:
-    lengths = sorted(delta_length_bound(k))
-    return [w for n in lengths for w in alphabet.words_of_length(n)]
+def _delta_images(k: int, alphabet: Alphabet):
+    """The words of the deletion search by length, and the k-deletion
+    image of a word: ``(classes, image)``.
 
-
-def _deletions(universe: list[str]):
-    """The memoized deletion images of words: ``deletions(u, j)`` is
-    the set of words left after deleting exactly j letters of u.
-
-    The images come from one recursion on suffixes, D(cu, j) =
-    c.D(u, j) | D(u, j - 1) with D(u, 0) = {u}, so words sharing a
-    suffix share its work.  Every distinct word is one string object,
-    the universe's own where it has one; the table of suffixes lives as
-    long as the returned function.
+    ``classes[n]`` lists ``alphabet.words_of_length(n)`` for each
+    universe length n, each n - k and 0: the lengths of the universe
+    words and of their images.  A j-deletion image D(u, j) is an int
+    mask over the class of length |u| - j, whose bit t stands for the
+    class's t-th word.  The masks come from one recursion on suffixes,
+    memoized by suffix: D(cu, j) = c.D(u, j) | D(u, j - 1) reads
+    (D(u, j) << rank(c).a^(|u| - j)) | D(u, j - 1) on masks over a
+    letters.  ``image(w)`` decodes D(w, k) from the class lists, so
+    every word is one string object.
     """
-    word = {w: w for w in universe}  # one string object per distinct word
-    table: dict[tuple[str, int], frozenset[str]] = {}
+    a = len(alphabet.letters)
+    rank = {c: i for i, c in enumerate(alphabet.letters)}
+    lengths = delta_length_bound(k)
+    needed = lengths.union((0,), (n - k for n in lengths if n > k))
+    classes = {n: list(alphabet.words_of_length(n)) for n in sorted(needed)}
 
-    def deletions(u: str, j: int) -> frozenset[str]:
-        if j == 0:
-            return frozenset((u,))
-        if j > len(u):
-            return frozenset()
-        out = table.get((u, j))
-        if out is None:
-            c, rest = u[0], u[1:]
-            rest = word.setdefault(rest, rest)
-            kept = [c + v for v in deletions(rest, j)]
-            out = frozenset(
-                chain((word.setdefault(v, v) for v in kept), deletions(rest, j - 1))
-            )
-            table[u, j] = out
-        return out
+    @cache
+    def mask(u: str, j: int) -> int:
+        if j < 0 or j >= len(u):
+            return int(j == len(u))
+        rest = u[1:]
+        return mask(rest, j) << rank[u[0]] * a ** (len(rest) - j) | mask(rest, j - 1)
 
-    return deletions
+    def image(w: str) -> frozenset[str]:
+        # a word shorter than k has no class and an empty image
+        bits = map("1".__eq__, bin(mask(w, k))[:1:-1])
+        return frozenset(compress(classes.get(len(w) - k, ()), bits))
+
+    return classes, image
 
 
-def _latest_need(w: str, k: int, rank: dict[str, int]) -> str | None:
-    """The lex-greatest word left after deleting k letters of w, with
-    letters ranked by ``rank``; None when w is shorter than k.
-
-    One greedy stack scan (the "remove k digits" scan): a letter pops
-    each smaller letter before it while deletions are left, and the
-    deletions still left at the end come off the tail.
-    """
-    if len(w) < k:
-        return None
-    kept: list[str] = []
-    for c in w:
-        while k and kept and rank[kept[-1]] < rank[c]:
-            kept.pop()
-            k -= 1
-        kept.append(c)
-    return "".join(kept[: len(kept) - k])
+def _latest_indices(k: int, a: int, top: int):
+    """For m = 1, ..., top: the index of the highest bit of D(w, k) for
+    each word w of length m over a letters, by w's rank in its class;
+    None while m < k.  No mask is built: the index L(u, j) of D(u, j)'s
+    highest bit obeys L(cu, j) = max(rank(c).a^(|u| - j) + L(u, j),
+    L(u, j - 1)), taken for all the words of one length at once, and
+    only for the j that still reach k by length top."""
+    high = {0: [0]}  # j -> L(u, j) for the words u of length m, by rank
+    for m in range(1, top + 1):
+        high = {
+            j: [0] * a**m if j == m else [
+                s if (s := x + step) > y else y
+                for step in range(0, a ** (m - j), a ** (m - 1 - j))
+                for x, y in zip(high[j], high.get(j - 1) or repeat(-1))
+            ]
+            for j in range(max(0, k - top + m), min(k, m) + 1)
+        }
+        yield high.get(k)
 
 
 def _delta_units(k: int, alphabet: Alphabet, taken: frozenset[str] = frozenset()):
     """Search units for the deletion searches, one per universe word w
-    not taken: ``((w,), latest, needs)``.
+    not taken, in length-lex order: ``((w,), latest, needs)``.
 
-    ``needs()`` builds w's k-deletion image, which a closed set must
-    hold before w may join it.  It is memoized, and the walk calls it
-    only for the units it wakes.  The image's words all have |w| - k
-    letters and the universe is in length-lex order, so the image word
-    that comes last in the universe is its lex-greatest: ``latest``,
-    found by ``_latest_need`` without building the image (None for a
-    word shorter than k, whose image is empty).
+    ``needs()`` decodes w's k-deletion image (``_delta_images``), which
+    a closed set must hold before w may join it; the walk calls it only
+    for the units it wakes.  The image's words have |w| - k letters, so
+    ``latest``, the one that comes last in the universe, is the word of
+    its mask's highest bit (``_latest_indices``), or None when w is
+    shorter than k.
     """
-    universe = _delta_universe(k, alphabet)
-    deletions = _deletions(universe)
-    rank = {c: i for i, c in enumerate(alphabet.letters)}
-    return [
-        ((w,), _latest_need(w, k, rank), partial(deletions, w, k))
-        for w in universe
-        if w not in taken
-    ]
+    classes, image = _delta_images(k, alphabet)
+    lengths = delta_length_bound(k)
+    top = max(lengths, default=0)
+    units = []
+    for m, high in enumerate(_latest_indices(k, len(alphabet.letters), top), 1):
+        if m in lengths:
+            latest = map(classes[m - k].__getitem__, high) if m > k else repeat(None)
+            pairs = zip(classes[m], latest)
+            units += [((w,), v, partial(image, w)) for w, v in pairs if w not in taken]
+    return units
 
 
-def _delta_closures(k: int, universe: list[str]):
-    """The memoized deletion closure of one word: closure(y) is {y}
-    with the closures of y's k-deletions, the least set holding y that
+def _delta_closures(k: int, alphabet: Alphabet):
+    """The deletion universe in length-lex order, and the memoized
+    deletion closure of one word: ``(universe, closure)``.  closure(y)
+    is {y} with the closures of the words that ``_delta_images``
+    decodes from y's k-deletion mask: the least set holding y that
     deleting k letters never leaves."""
-    deletions = _deletions(universe)
-    table: dict[str, frozenset[str]] = {}
+    classes, image = _delta_images(k, alphabet)
 
+    @cache
     def closure(y: str) -> frozenset[str]:
-        out = table.get(y)
-        if out is None:
-            out = frozenset((y,)).union(*map(closure, deletions(y, k)))
-            table[y] = out
-        return out
+        return frozenset((y,)).union(*map(closure, image(y)))
 
-    return closure
+    return [w for n in sorted(delta_length_bound(k)) for w in classes[n]], closure
 
 
 def _grow_dangling(
@@ -347,8 +345,9 @@ def _code_search(base: frozenset[str], units, alphabet: Alphabet, budget: _Budge
     latest unit among those outside ``base``.  Units with no needs
     outside ``base`` are ready from the start; a unit needing a word
     that no unit holds can never join.  The needs of the units a unit
-    wakes are built when it first joins a code, once, so units that no
-    code reaches cost one ``latest`` each.  The walk visits the same
+    wakes are built when it first joins a code, once; a deletion unit
+    decodes its image's mask then, and one that no code reaches builds
+    no mask, only its ``latest`` index.  The walk visits the same
     sets in the same order as a scan of every later unit would, without
     testing the units that cannot join.
     """
@@ -476,8 +475,7 @@ def is_maximal_delta_closed(
     """
     budget = _Budget(candidate_budget, "testing one-word closed extensions")
     words = _require_delta_closed_code(x_lang, k)
-    universe = _delta_universe(k, x_lang.alphabet)
-    closure = _delta_closures(k, universe)
+    universe, closure = _delta_closures(k, x_lang.alphabet)
     dangling = _grow_dangling(words, frozenset(), words)
     for y in universe:
         if y in words:

@@ -41,6 +41,7 @@ from oracles import (
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
+CAB = Alphabet(("c", "a", "b"))
 BITS = Alphabet(("0", "1"))
 
 FIVE_WORD_CODE = frozenset({"aa", "ab", "bb", "aaaab", "abbbb"})
@@ -52,6 +53,13 @@ def fin(words, alphabet=AB):
 
 def spec(text):
     return EditRelationSpec.parse(text)
+
+
+def delta_universe(k, alphabet):
+    """The deletion search's universe: every word of an admissible
+    length, in length-lex order."""
+    lengths = sorted(delta_length_bound(k))
+    return [w for n in lengths for w in alphabet.words_of_length(n)]
 
 
 def bfs_orbit(w, k, letters):
@@ -383,10 +391,12 @@ def test_walk_tests_no_unit_past_the_budget(monkeypatch, budget, tests):
 
 
 @pytest.mark.parametrize(
-    "alphabet, k", [(AB, 1), (AB, 2), (AB, 3), (AB, 4), (ABC, 1), (ABC, 2), (ABC, 3)]
+    "alphabet, k",
+    [(AB, 1), (AB, 2), (AB, 3), (AB, 4), (ABC, 1), (ABC, 2), (ABC, 3)]
+    + [(CAB, 1), (CAB, 2), (CAB, 3)],
 )
 def test_delta_unit_needs_are_deletion_images(alphabet, k):
-    universe = closed._delta_universe(k, alphabet)
+    universe = delta_universe(k, alphabet)
     for taken in (frozenset(), frozenset(universe[::3])):
         units = closed._delta_units(k, alphabet, taken)
         assert [w for (w,), _, _ in units] == [w for w in universe if w not in taken]
@@ -404,31 +414,36 @@ def test_delta_unit_needs_are_deletion_images(alphabet, k):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["ab", "abc", "cab"]), st.integers(1, 4), st.data())
 def test_latest_need_is_the_greatest_deletion(letters, k, data):
-    # the universe is in length-lex order, so its greatest index is the
-    # lex_key maximum; words of k letters or fewer are drawn too
+    # a unit's latest need is the word of its mask's highest bit, the
+    # lex_key maximum of its image; words of k letters or fewer are drawn too
     alphabet = Alphabet(tuple(letters))
     w = data.draw(st.text(letters, max_size=k + 5))
-    rank = {c: i for i, c in enumerate(letters)}
     want = max(subsequences(w, len(w) - k), key=alphabet.lex_key, default=None)
-    assert closed._latest_need(w, k, rank) == want
+    # the indices for the words of w's length, by rank in lex order
+    high = [*closed._latest_indices(k, len(letters), len(w))][-1] if w else None
+    if high is None:
+        assert want is None
+    else:
+        t = high[list(alphabet.words_of_length(len(w))).index(w)]
+        assert list(alphabet.words_of_length(len(w) - k))[t] == want
 
 
 def test_enumeration_builds_needs_only_for_the_units_it_wakes(monkeypatch):
-    # of the 4078 ab k=4 units, the walk wakes 691, and builds each
-    # woken unit's need set once, when the unit that wakes it first joins
+    # of the 4078 ab k=4 units, the walk wakes 691, and decodes each
+    # woken unit's need mask once, when the unit that wakes it first joins
     built = []
-    deletions_for = closed._deletions
+    images_for = closed._delta_images
 
-    def counted(universe):
-        deletions = deletions_for(universe)
+    def counted(k, alphabet):
+        classes, image = images_for(k, alphabet)
 
-        def recorded(u, j):
-            built.append(u)
-            return deletions(u, j)
+        def recorded(w):
+            built.append(w)
+            return image(w)
 
-        return recorded
+        return classes, recorded
 
-    monkeypatch.setattr(closed, "_deletions", counted)
+    monkeypatch.setattr(closed, "_delta_images", counted)
     assert len(closed._delta_units(4, AB)) == 4078
     assert built == []
     assert len(list(enumerate_delta_closed(4, AB))) == 1449
@@ -513,7 +528,7 @@ def maximality_by_closure_star(words, k, alphabet):
     with each one-word extension closed off by ``closure_star`` and
     tested by ``sardinas_patterson``."""
     spends = 0
-    for y in closed._delta_universe(k, alphabet):
+    for y in delta_universe(k, alphabet):
         if y in words:
             continue
         closure = closure_star(fin({y}, alphabet), EditRelationSpec("delta", k))
@@ -537,8 +552,8 @@ def test_maximality_matches_closure_star_route(monkeypatch):
 
 @pytest.mark.parametrize("k, step", [(2, 1), (3, 1), (4, 50)])
 def test_delta_closures_match_closure_star(k, step):
-    universe = closed._delta_universe(k, AB)
-    closure = closed._delta_closures(k, universe)
+    universe, closure = closed._delta_closures(k, AB)
+    assert universe == delta_universe(k, AB)
     for y in universe[::step]:
         assert closure(y) == closure_star(fin({y}), EditRelationSpec("delta", k)).words()
 
