@@ -4,18 +4,23 @@ Code-ness is decided by Sardinas & Patterson's test read one letter at
 a time: a breadth-first search over pairs of states of the trim
 deterministic automaton ``Language.trim()`` (the trie of a word list,
 the live part of the subset DFA otherwise), built once per language and
-shared with the prefix test and its witness.  Every answer here is a
-property of the set, so the table need not be minimal.  Two runs read
-the same word and each may restart at the initial state right after
-reaching a final state; X is not a code exactly when the runs can part,
-one restarting while the other continues, and later reach final states
-together.  The search visits each pair once, so it ends without an
-iteration cap.  The one search has two readers: ``is_code`` takes the
-verdict alone, and ``sardinas_patterson`` also spells, from the
-search's parent pointers, a shortest word with two factorizations:
-eps = (eps) = (eps)(eps) when the empty word is a member.  The measure
-up to a length is one weighted pass over the same table, with integer
-weights scaled by a power of the letters' common denominator.
+shared with an automaton's prefix test and its witness.  Every answer
+here is a property of the set, so the table need not be minimal.  Two
+runs read the same word and each may restart at the initial state right
+after reaching a final state; X is not a code exactly when the runs can
+part, one restarting while the other continues, and later reach final
+states together.  The search visits each pair once, so it ends without
+an iteration cap.  The one search has one entry, ``_code_test``, and
+two readers: ``is_code`` takes the verdict alone, and
+``sardinas_patterson`` also spells, from the search's parent pointers,
+a shortest word with two factorizations: eps = (eps) = (eps)(eps) when
+the empty word is a member.  The measure up to a length is one weighted
+pass over the same table, with integer weights scaled by a power of the
+letters' common denominator.
+
+A set held as words answers its prefix questions from one sort of its
+words, with no table (``_prefix_pairs``): the prefix test, the prefix
+pair that is its witness, and so the code test of a prefix code.
 
 Completeness has its one home here, with the one code precondition
 (``_require_code``) of every routine defined on codes only.  A finite
@@ -160,26 +165,58 @@ def _replay(x_lang: Language, rows, finals, parent, node, last) -> DoubleFactori
     return DoubleFactorization(word, *halves)
 
 
+def _code_test(x_lang: Language):
+    """The one code test behind ``sardinas_patterson`` and ``is_code``:
+    None when X is a code, () when the empty word is a member, else what
+    ``_replay`` reads, (rows, finals, parent, node, last): X's trim table
+    and where ``_double_factorization`` met.  A word list that is a
+    prefix code without the empty word is a code, told with no table."""
+    if x_lang.is_finite_repr and "" not in x_lang.words() and is_prefix_code(x_lang):
+        return None
+    rows, finals = x_lang.trim()
+    if 0 in finals:
+        return ()
+    meeting = _double_factorization(rows, finals)
+    return None if meeting is None else (rows, finals, *meeting)
+
+
 def sardinas_patterson(x_lang: Language) -> CodeVerdict:
     """Decide code-ness; failing verdicts carry a replayable witness."""
-    rows, finals = x_lang.trim()
-    if 0 in finals:  # the empty word is a member: eps = (eps) = (eps)(eps)
-        return CodeVerdict(False, DoubleFactorization("", ("",), ("", "")))
-    meeting = _double_factorization(rows, finals)
-    if meeting is None:
+    found = _code_test(x_lang)
+    if found is None:
         return CodeVerdict(True, None)
-    return CodeVerdict(False, _replay(x_lang, rows, finals, *meeting))
+    if not found:  # the empty word is a member: eps = (eps) = (eps)(eps)
+        return CodeVerdict(False, DoubleFactorization("", ("",), ("", "")))
+    return CodeVerdict(False, _replay(x_lang, *found))
 
 
 def is_code(x_lang: Language) -> bool:
     """The verdict of ``sardinas_patterson`` without spelling a witness."""
-    rows, finals = x_lang.trim()
-    return 0 not in finals and _double_factorization(rows, finals) is None
+    return _code_test(x_lang) is None
+
+
+def _prefix_pairs(words):
+    """(x, y) for each member y that has a member as a proper prefix, x
+    the longest such, from one pass over the words in sorted order.  In
+    that order a member that starts y starts every member from it to y,
+    so a stack holds the members that start the current word, longest on
+    top, and the first pair found, if any, is a member and the one after
+    it: X is a prefix code exactly when no member starts its successor."""
+    stack: list[str] = []
+    for y in sorted(words):
+        while stack and not y.startswith(stack[-1]):
+            stack.pop()
+        if stack:
+            yield stack[-1], y
+        stack.append(y)
 
 
 def is_prefix_code(x_lang: Language) -> bool:
-    """No member is a proper prefix of another member: in a trim
-    deterministic automaton for X, no final state has an outgoing arc."""
+    """No member is a proper prefix of another member: a word list has
+    no pair in ``_prefix_pairs``; in a trim deterministic automaton for
+    X, no final state has an outgoing arc."""
+    if x_lang.is_finite_repr:
+        return next(_prefix_pairs(x_lang.words()), None) is None
     rows, finals = x_lang.trim()
     return all(r < 0 for q in finals for r in rows[q])
 
@@ -212,10 +249,24 @@ def _least_tail(rows, sources, targets) -> list[int] | None:
 
 
 def _prefix_pair(x_lang: Language) -> tuple[str, str] | None:
-    """A codeword x and a longer codeword xu, read off the trim table, or
-    None for a prefix code: u is the least nonempty word leading from a
-    final state to a final state, and x the least word reaching a final
-    state from which u leads to a final state."""
+    """A codeword x and a longer codeword xu, or None for a prefix code:
+    u is the length-lex least nonempty word with x and xu both members,
+    and x the least member that u extends into X.
+
+    A word list reads the pair off ``_prefix_pairs``: a member y's
+    shortest tail is the one after its longest proper prefix in X, and a
+    longer tail of y has that one as a proper suffix, so the least u is
+    among those tails.  An automaton reads its trim table: u is the least
+    nonempty word leading from a final state to a final state, and x the
+    least word reaching a final state from which u leads to a final
+    state."""
+    if x_lang.is_finite_repr:
+        key = x_lang.alphabet.lex_key
+        return min(
+            _prefix_pairs(x_lang.words()),
+            key=lambda xy: (key(xy[1][len(xy[0]):]), key(xy[0])),
+            default=None,
+        )
     rows, finals = x_lang.trim()
     letters = x_lang.alphabet.letters
     tail = _least_tail(rows, finals, finals)

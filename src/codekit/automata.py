@@ -27,7 +27,8 @@ subset table, whose live states are the keys of ``_distances``, one
 backward breadth-first pass; ``independence`` reads its distances.
 ``words_upto`` and ``words()`` read the table, as do ``complement``,
 which makes it total with one dead state and flips it, and the
-code-ness, prefix and measure passes of ``analysis``.  A word
+code-ness, prefix and measure passes of ``analysis``; only a word
+list's prefix questions skip it, read off one sort of its words.  A word
 list's automaton, which star, product, union, images and the subset
 searches read, is its trie with equal futures merged, the minimal
 acyclic automaton of the list (Revuz 1992), so a subset never tells

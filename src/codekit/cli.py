@@ -76,9 +76,12 @@ def _add_budget(p):
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built on first use and shared by every later
-    ``main`` call in the process; parsing leaves it unchanged."""
+    ``main`` call in the process; parsing leaves it unchanged.  Its
+    ``subcommands`` maps each subcommand's name to its own parser, which
+    ``_parse_args`` calls directly."""
     parser = _Parser(prog="codekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     def add(name, help_text, language=True, rel=False, verify=False):
         p = sub.add_parser(name, help=help_text)
@@ -574,10 +577,25 @@ _HANDLERS = {
 }
 
 
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """argv parsed once: when its first word names a subcommand, by that
+    subcommand's parser alone.  An empty argv, an unknown name or a
+    leftover argument goes to the full parser, whose usage errors and
+    help are the ones reported."""
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand on argv (``sys.argv[1:]`` when None), parsed
+    once by ``_parse_args``, print its report and return its exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return int(e.code or 0)
     fmt = getattr(args, "format", "text")

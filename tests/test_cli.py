@@ -704,6 +704,41 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nope", "a"],
+        ["--help"],
+        ["code", "-h"],
+        ["code", "--alph", "ab", "a"],
+        ["code", "--alphabet=ab", "a"],
+        ["code", "--alphabet", "ab", "--", "a"],
+        ["code", "--alphabet", "ab", "a", "--format", "xml"],
+        ["measure", "--alphabet", "ab", "a", "--max-len", "x"],
+        ["code", "--alphabet", "ab", "a", "--bogus"],
+        ["code", "--alphabet", "ab", "a", "b"],
+        ["code", "--alphabet"],
+        ["--alphabet", "ab", "code", "a"],
+        ["code", "--alphabet", "ab", "--", "--a"],
+        ["sigma-star", "ab", "--alphabet", "ab", "--k", "1"],
+    ],
+)
+def test_argv_is_read_as_the_full_parser_reads_it(capsys, argv):
+    # main hands argv to the named subcommand's parser alone; what it
+    # parses, or exits with and prints, is what the full parser gives
+    parser = cli.build_parser()
+
+    def outcome(parse):
+        try:
+            got = parse(list(argv))
+        except SystemExit as e:
+            got = e.code
+        return got, capsys.readouterr()
+
+    assert outcome(lambda a: cli._parse_args(parser, a)) == outcome(parser.parse_args)
+
+
 CODE_ARGV = ["code", "--alphabet", "ab", "a|ab|ba"]
 CODE_TEXT = "property: code\nverdict: fails\nwitness: aba = (a)(ba) = (ab)(a)\n"
 COMPLETE_ARGV = ["complete", "--alphabet", "ab", "aa|ab|bb"]

@@ -659,13 +659,13 @@ def test_embedding_tests_code_ness_of_the_input_alone(monkeypatch):
     # the walk proves every extension a code, so their completeness is
     # read off the Kraft sum with no second Sardinas-Patterson run
     callers = []
-    search = analysis._double_factorization
+    search = analysis._code_test
 
-    def spy(rows, finals):
+    def spy(x_lang):
         callers.append([frame.name for frame in traceback.extract_stack()])
-        return search(rows, finals)
+        return search(x_lang)
 
-    monkeypatch.setattr(analysis, "_double_factorization", spy)
+    monkeypatch.setattr(analysis, "_code_test", spy)
     assert embed_delta_closed_complete(Language.finite({"a"}, ABC), 3)
     assert callers
     assert all("_require_delta_closed_code" in names for names in callers)

@@ -562,15 +562,14 @@ def test_each_input_reaches_sardinas_patterson_once(words, call):
     # the code test of the input comes first, and nothing repeats it
     # before the result's own check, complete input or not
     x = fin(words)
-    search = analysis._double_factorization
-    with patch.object(analysis, "_double_factorization", wraps=search) as spy:
+    with patch.object(analysis, "_code_test", wraps=analysis._code_test) as spy:
         try:
             call(x)
         except PreconditionError as e:
             assert "already complete" in str(e)
-    tables = [args[0] for args, _ in spy.call_args_list]
-    assert tables[0] is x.trim()[0]
-    assert sum(t is tables[0] for t in tables) == 1
+    tested = [args[0] for args, _ in spy.call_args_list]
+    assert tested[0] is x
+    assert sum(lang is x for lang in tested) == 1
 
 
 def test_constraint_report_reads_a_failed_precondition_as_fails():
