@@ -24,7 +24,8 @@ automaton beside X's trim table.
 Every deterministic walk reads one table, ``Language.trim()``, built
 once per language: the trie of a word list, else the live part of the
 subset table, whose live states are the keys of ``_distances``, one
-backward breadth-first pass; ``independence`` reads its distances.
+backward breadth-first pass; outside this module only
+``analysis._least_unbordered_exit`` reads its distances.
 ``words_upto`` and ``words()`` read the table, as do ``complement``,
 which makes it total with one dead state and flips it, and the
 code-ness, prefix and measure passes of ``analysis``; only a word

@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Every subcommand reads a language (inline expression or @file), runs
-one decision procedure or construction, and reports the verdict with a
-replayable witness when the answer is negative.  Exit codes separate
+Every request takes one path through ``main``: argv is parsed, the
+subcommand's language (inline expression or @file) is loaded and its
+``--rel`` edit relation parsed, where it has them, and the handler set
+on the subcommand's parser runs one decision procedure or construction
+on them.  A negative verdict carries a witness, which
+``--verify-witness`` replays before the report is emitted.  A new
+subcommand is one ``add(...)`` line in ``build_parser`` plus its
+handler.  Exit codes separate
 the verdict channel from the error channel: 0 holds or constructed,
 1 fails, 2 undecidable here, 3 bad usage or input, 4 budget exhausted,
 5 internal error (a failed self-check such as a witness replay), and
@@ -83,8 +88,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices
 
-    def add(name, help_text, language=True, rel=False, verify=False):
+    def add(name, run, help_text, language=True, rel=False, verify=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         if language:
             p.add_argument("language", help="expression, or @file with an alphabet header")
             p.add_argument("--alphabet", help="alphabet letters, e.g. ab")
@@ -109,50 +115,56 @@ def build_parser() -> _Parser:
         )
         return p
 
-    add("code", "unique decipherability", verify=True)
-    add("prefix", "no codeword is a proper prefix of another", verify=True)
-    add("suffix", "no codeword is a proper suffix of another", verify=True)
-    add("bifix", "prefix and suffix at once", verify=True)
+    add("code", _cmd_code, "unique decipherability", verify=True)
+    add("prefix", _cmd_prefix, "no codeword is a proper prefix of another", verify=True)
+    add("suffix", _cmd_suffix, "no codeword is a proper suffix of another", verify=True)
+    add("bifix", _cmd_bifix, "prefix and suffix at once", verify=True)
 
-    p = add("measure", "probability mass of the language up to a length")
+    p = add("measure", _cmd_measure, "probability mass of the language up to a length")
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--probs", help="letter weights, e.g. a=1/2,b=1/2")
 
-    add("complete", "every word occurs inside some message", verify=True)
-    add("maximal", "no strictly larger code exists", verify=True)
-    add("independent", "the relation maps no codeword onto another", rel=True, verify=True)
-    add("errcorrect", "distinct codewords never corrupt alike", rel=True, verify=True)
+    add("complete", _cmd_complete, "every word occurs inside some message", verify=True)
+    add("maximal", _cmd_maximal, "no strictly larger code exists", verify=True)
+    add("independent", _cmd_independent, "the relation maps no codeword onto another",
+        rel=True, verify=True)
+    add("errcorrect", _cmd_errcorrect, "distinct codewords never corrupt alike",
+        rel=True, verify=True)
 
-    p = add("image-code", "code-ness of the relation's image", rel=True, verify=True)
+    p = add("image-code", _cmd_image_code, "code-ness of the relation's image",
+            rel=True, verify=True)
     p.add_argument(
         "--closure", choices=("hat", "bar"), default="bar", help="image variant"
     )
 
-    add("extend", "a word enlarging a non-complete independent code", rel=True)
+    add("extend", _cmd_extend, "a word enlarging a non-complete independent code", rel=True)
 
-    p = add("er-complete", "embed a non-complete code into a complete one")
+    p = add("er-complete", _cmd_er_complete, "embed a non-complete code into a complete one")
     p.add_argument("--sample-len", type=int, default=6)
 
-    add("closed", "the relation never leaves the set", rel=True, verify=True)
+    add("closed", _cmd_closed, "the relation never leaves the set", rel=True, verify=True)
 
-    p = add("sigma-star", "substitution orbit of a word", language=False)
+    p = add("sigma-star", _cmd_sigma_star, "substitution orbit of a word", language=False)
     p.add_argument("word")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("classify-closed", "shape of a substitution-closed code", rel=True, verify=True)
+    p = add("classify-closed", _cmd_classify_closed, "shape of a substitution-closed code",
+            rel=True, verify=True)
     _add_budget(p)
 
-    p = add("enum-delta-closed", "all deletion-closed codes", language=False)
+    p = add("enum-delta-closed", _cmd_enum_delta_closed, "all deletion-closed codes",
+            language=False)
     p.add_argument("--alphabet", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--limit", type=int, default=None)
     _add_budget(p)
 
-    p = add("embed-closed", "complete closed codes containing the input", rel=True)
+    p = add("embed-closed", _cmd_embed_closed, "complete closed codes containing the input",
+            rel=True)
     _add_budget(p)
 
-    p = add("simulate", "noisy block transmission", language=False, rel=True)
+    p = add("simulate", _cmd_simulate, "noisy block transmission", language=False, rel=True)
     p.add_argument("--code", required=True, dest="language")
     p.add_argument("--alphabet")
     p.add_argument("--max-word-len", type=int, default=None)
@@ -169,15 +181,13 @@ def build_parser() -> _Parser:
 def _load_language(args) -> Language:
     text = args.language
     if text.startswith("@"):
-        lang = _read_language_file(text[1:], getattr(args, "alphabet", None))
+        lang = _read_language_file(text[1:], args.alphabet)
     else:
-        if not getattr(args, "alphabet", None):
+        if not args.alphabet:
             raise ParseError("--alphabet is required for inline expressions")
-        alphabet = parse_alphabet(args.alphabet)
-        lang = compile_expression(text, alphabet)
-    limit = getattr(args, "max_word_len", None)
-    if limit is not None:
-        lang = truncate(lang, limit)
+        lang = compile_expression(text, parse_alphabet(args.alphabet))
+    if args.max_word_len is not None:
+        lang = truncate(lang, args.max_word_len)
     return lang
 
 
@@ -304,8 +314,7 @@ def _verdict(args, prop, witness, render, replay, spec=None, detail=None):
 
 # --- subcommands ------------------------------------------------------------
 
-def _cmd_code(args):
-    lang = _load_language(args)
+def _cmd_code(args, lang, spec):
     verdict = sardinas_patterson(lang)
     return _verdict(args, "code", verdict.witness, _render_double, _double_replay(lang))
 
@@ -320,26 +329,22 @@ def _affix(args, name, lang, pair, relation):
     return _verdict(args, name, pair, _render_pair("begins or ends"), replay)
 
 
-def _cmd_prefix(args):
-    lang = _load_language(args)
+def _cmd_prefix(args, lang, spec):
     return _affix(args, "prefix-code", lang, _prefix_pair(lang), str.startswith)
 
 
-def _cmd_suffix(args):
-    lang = _load_language(args)
+def _cmd_suffix(args, lang, spec):
     return _affix(args, "suffix-code", lang, _suffix_pair(lang), str.endswith)
 
 
-def _cmd_bifix(args):
-    lang = _load_language(args)
+def _cmd_bifix(args, lang, spec):
     pair = _prefix_pair(lang)
     if pair is not None:
         return _affix(args, "bifix-code", lang, pair, str.startswith)
     return _affix(args, "bifix-code", lang, _suffix_pair(lang), str.endswith)
 
 
-def _cmd_measure(args):
-    lang = _load_language(args)
+def _cmd_measure(args, lang, spec):
     dist = _parse_probs(lang.alphabet, args.probs)
     value = measure_partial(lang, dist, args.max_len)
     return 0, {
@@ -349,8 +354,7 @@ def _cmd_measure(args):
     }
 
 
-def _cmd_complete(args):
-    lang = _load_language(args)
+def _cmd_complete(args, lang, spec):
     return _verdict(
         args,
         "complete",
@@ -361,8 +365,7 @@ def _cmd_complete(args):
     )
 
 
-def _cmd_maximal(args):
-    lang = _load_language(args)
+def _cmd_maximal(args, lang, spec):
 
     def replay(w):
         extended = union(lang, Language.finite((w,), lang.alphabet))
@@ -378,9 +381,7 @@ def _cmd_maximal(args):
     )
 
 
-def _cmd_independent(args):
-    lang = _load_language(args)
-    spec = EditRelationSpec.parse(args.rel)
+def _cmd_independent(args, lang, spec):
     report = indep_mod.is_independent(lang, spec)
     bar = spec.with_closure("antireflexive")
 
@@ -393,9 +394,7 @@ def _cmd_independent(args):
     return _verdict(args, "independent", report.witness, render, replay, spec)
 
 
-def _cmd_errcorrect(args):
-    lang = _load_language(args)
-    spec = EditRelationSpec.parse(args.rel)
+def _cmd_errcorrect(args, lang, spec):
     report = indep_mod.is_error_correcting(lang, spec)
 
     def replay(triple):
@@ -414,9 +413,7 @@ def _cmd_errcorrect(args):
     return _verdict(args, "error-correcting", report.witness, render, replay, spec)
 
 
-def _cmd_image_code(args):
-    lang = _load_language(args)
-    spec = EditRelationSpec.parse(args.rel)
+def _cmd_image_code(args, lang, spec):
     if args.closure == "hat":
         verdict = indep_mod.hat_image_is_code(lang, spec)
         closure = "reflexive"
@@ -432,17 +429,14 @@ def _cmd_image_code(args):
     return _verdict(args, name, verdict.witness, _render_double, replay, spec)
 
 
-def _cmd_extend(args):
-    lang = _load_language(args)
-    spec = EditRelationSpec.parse(args.rel)
+def _cmd_extend(args, lang, spec):
     w = indep_mod.witness_independent_extension(lang, spec)
     return 0, {"relation": spec.render(), "word": format_word(w)}
 
 
-def _cmd_er_complete(args):
+def _cmd_er_complete(args, lang, spec):
     if args.sample_len < 0:
         raise UsageError(f"sample_len must be at least 0, got {args.sample_len}")
-    lang = _load_language(args)
     completed = indep_mod.er_complete(lang)
     added = least_member(completed, lang, False)
     sample = [
@@ -456,9 +450,7 @@ def _cmd_er_complete(args):
     }
 
 
-def _cmd_closed(args):
-    lang = _load_language(args)
-    spec = EditRelationSpec.parse(args.rel)
+def _cmd_closed(args, lang, spec):
     report = closed_mod.is_closed(lang, spec)
     render = _render_pair("maps outside, onto")
     return _verdict(
@@ -466,7 +458,7 @@ def _cmd_closed(args):
     )
 
 
-def _cmd_sigma_star(args):
+def _cmd_sigma_star(args, lang, spec):
     alphabet = parse_alphabet(args.alphabet)
     word = parse_word(args.word, alphabet)
     orbit = closed_mod.sigma_star(word, args.k, alphabet)
@@ -482,9 +474,7 @@ def _cmd_sigma_star(args):
     return 0, payload
 
 
-def _cmd_classify_closed(args):
-    lang = _load_language(args)
-    spec = EditRelationSpec.parse(args.rel)
+def _cmd_classify_closed(args, lang, spec):
     if spec.kind == "sigma":
         result = closed_mod.classify_sigma_closed(
             lang, spec.k, candidate_budget=args.budget
@@ -506,19 +496,17 @@ def _cmd_classify_closed(args):
     return _witnessed(args, payload, result.witness, render, replay)
 
 
-def _cmd_enum_delta_closed(args):
+def _cmd_enum_delta_closed(args, lang, spec):
     alphabet = parse_alphabet(args.alphabet)
     codes = []
-    for lang in closed_mod.enumerate_delta_closed(
+    for found in closed_mod.enumerate_delta_closed(
         args.k, alphabet, limit=args.limit, candidate_budget=args.budget
     ):
-        codes.append(sorted(lang.words(), key=alphabet.lex_key))
+        codes.append(sorted(found.words(), key=alphabet.lex_key))
     return 0, {"k": args.k, "count": len(codes), "codes": codes}
 
 
-def _cmd_embed_closed(args):
-    lang = _load_language(args)
-    spec = EditRelationSpec.parse(args.rel)
+def _cmd_embed_closed(args, lang, spec):
     if spec.kind == "delta":
         results = closed_mod.embed_delta_closed_complete(
             lang, spec.k, candidate_budget=args.budget
@@ -535,9 +523,7 @@ def _cmd_embed_closed(args):
     return (0 if rendered else 1), payload
 
 
-def _cmd_simulate(args):
-    lang = _load_language(args)
-    spec = EditRelationSpec.parse(args.rel)
+def _cmd_simulate(args, lang, spec):
     config = channel_mod.ExperimentConfig(
         code=lang,
         spec=spec,
@@ -555,28 +541,6 @@ def _cmd_simulate(args):
     return 0, payload
 
 
-_HANDLERS = {
-    "code": _cmd_code,
-    "prefix": _cmd_prefix,
-    "suffix": _cmd_suffix,
-    "bifix": _cmd_bifix,
-    "measure": _cmd_measure,
-    "complete": _cmd_complete,
-    "maximal": _cmd_maximal,
-    "independent": _cmd_independent,
-    "errcorrect": _cmd_errcorrect,
-    "image-code": _cmd_image_code,
-    "extend": _cmd_extend,
-    "er-complete": _cmd_er_complete,
-    "closed": _cmd_closed,
-    "sigma-star": _cmd_sigma_star,
-    "classify-closed": _cmd_classify_closed,
-    "enum-delta-closed": _cmd_enum_delta_closed,
-    "embed-closed": _cmd_embed_closed,
-    "simulate": _cmd_simulate,
-}
-
-
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """argv parsed once: when its first word names a subcommand, by that
     subcommand's parser alone.  An empty argv, an unknown name or a
@@ -592,7 +556,9 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     """Run one subcommand on argv (``sys.argv[1:]`` when None), parsed
-    once by ``_parse_args``, print its report and return its exit code."""
+    once by ``_parse_args``: load its language, parse its relation, call
+    its handler with both (None where it has neither), print its report
+    and return its exit code."""
     parser = build_parser()
     try:
         args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
@@ -600,7 +566,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     fmt = getattr(args, "format", "text")
     try:
-        code, payload = _HANDLERS[args.command](args)
+        lang = _load_language(args) if hasattr(args, "language") else None
+        spec = EditRelationSpec.parse(args.rel) if hasattr(args, "rel") else None
+        code, payload = args.run(args, lang, spec)
     except ParseError as e:
         print(f"codekit: parse error: {e}", file=sys.stderr)
         return 3

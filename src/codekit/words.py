@@ -64,12 +64,6 @@ class Alphabet:
     def __contains__(self, c):
         return c in self.letters
 
-    def index(self, c: str) -> int:
-        try:
-            return self.letters.index(c)
-        except ValueError:
-            raise UsageError(f"letter {c!r} not in alphabet {''.join(self.letters)}") from None
-
     def check_word(self, w: str) -> str:
         w.translate(self._order)  # a letter outside raises UsageError
         return w

@@ -109,11 +109,7 @@ def test_finite_affix_pair_matches_automaton_path(words):
         args = cli.build_parser().parse_args(
             [command, "--alphabet", "ab", "a", "--verify-witness"]
         )
-        handler = cli._HANDLERS[command]
-        results = []
-        for lang in forms:
-            with patch.object(cli, "_load_language", lambda args: lang):
-                results.append(handler(args))
+        results = [args.run(args, lang, None) for lang in forms]
         assert results[0] == results[1]
 
 
@@ -623,6 +619,15 @@ def test_open_questions_need_no_subset_table(capsys):
     assert "an infinite code cannot drive the simulator" in err
 
 
+def test_an_uncovered_letter_is_the_witness_before_any_table_of_x_star(capsys):
+    # star(X).trim() here passes the determinization cap (65536 states);
+    # c occurs in no member, so the search answers without that table
+    expr = "(a|b)*.a." + ".".join(["(a|b)"] * 16)
+    code, out, _ = run(capsys, "complete", "--alphabet", "abc", expr)
+    assert code == 1
+    assert "witness: c\n" in out
+
+
 def test_both_forms_of_a_word_list_are_read_member_by_member(capsys, monkeypatch):
     # the automaton form's trim table fits under this cap; the search of
     # the set's inverse image beside the set does not
@@ -819,14 +824,42 @@ def test_maximal_replay_rejects_a_member(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fault", [RuntimeError, AssertionError, IndexError, KeyError])
 def test_internal_faults_exit_five(capsys, monkeypatch, fault):
-    def handler(args):
+    def sardinas_patterson(lang):
         raise fault("inconsistent state")
 
-    monkeypatch.setitem(cli._HANDLERS, "code", handler)
+    monkeypatch.setattr(cli, "sardinas_patterson", sardinas_patterson)
     code, out, err = run(capsys, "code", "--alphabet", "ab", "a|b", "--format", "json")
     assert code == 5
     assert out == ""
     assert err == f"codekit: internal error: {fault.__name__}: {fault('inconsistent state')}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--max-len", "-1"],
+        ["measure", "--max-len", "2", "--probs", "a=x"],
+        ["er-complete", "--sample-len", "-1"],
+        ["closed", "--rel", "bogus:1"],
+        ["classify-closed", "--rel", "delta:1"],
+        ["embed-closed", "--rel", "Lambda:1"],
+        ["simulate", "--rel", "delta:1", "--p", "2", "--len", "5"],
+    ],
+)
+def test_a_bad_language_is_reported_before_a_bad_option(capsys, argv):
+    language = ["--code", "((a"] if argv[0] == "simulate" else ["((a"]
+    code, out, err = run(capsys, *argv, *language, "--alphabet", "ab")
+    assert (code, out) == (3, "")
+    assert err == "codekit: parse error: missing closing parenthesis (at position 3)\n"
+
+
+def test_each_subcommand_parser_carries_its_own_handler():
+    subcommands = cli.build_parser().subcommands
+    handlers = [p.get_default("run") for p in subcommands.values()]
+    for handler in handlers:
+        assert handler.__name__.startswith("_cmd_")
+        assert getattr(cli, handler.__name__) is handler
+    assert len(set(handlers)) == len(handlers)
 
 
 @pytest.mark.parametrize(

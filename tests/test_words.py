@@ -37,7 +37,6 @@ def test_alphabet_validation():
         Alphabet("aab")
     with pytest.raises(ValueError):
         AB.check_word("ac")
-    assert AB.index("b") == 1
 
 
 def test_length_lex_order():
