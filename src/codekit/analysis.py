@@ -18,9 +18,12 @@ the empty word is a member.  The measure up to a length is one weighted
 pass over the same table, with integer weights scaled by a power of the
 letters' common denominator.
 
-A set held as words answers its prefix questions from one sort of its
-words, with no table (``_prefix_pairs``): the prefix test, the prefix
-pair that is its witness, and so the code test of a prefix code.
+A set held as words answers from its words, with no table: its prefix
+questions from one sort of them (``_prefix_pairs``), or from their
+lengths alone when they have one length, as a block code does: the
+prefix test, the prefix pair that is its witness, and so the code test
+of a prefix code.  Its uniform measure is its Kraft sum, read off the
+lengths too (``_kraft_sum``).
 
 Completeness has its one home here, with the one code precondition
 (``_require_code``) of every routine defined on codes only.  A finite
@@ -36,6 +39,7 @@ walk over F's trim table (``_least_unbordered_exit``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -201,7 +205,10 @@ def _prefix_pairs(words):
     that order a member that starts y starts every member from it to y,
     so a stack holds the members that start the current word, longest on
     top, and the first pair found, if any, is a member and the one after
-    it: X is a prefix code exactly when no member starts its successor."""
+    it: X is a prefix code exactly when no member starts its successor.
+    Words of one length, a block code, have no pair: no sort is made."""
+    if len(set(map(len, words))) < 2:
+        return
     stack: list[str] = []
     for y in sorted(words):
         while stack and not y.startswith(stack[-1]):
@@ -352,6 +359,15 @@ def measure_partial(x_lang: Language, dist: Distribution, max_len: int) -> Fract
     return Fraction(total, scale)
 
 
+def _kraft_sum(words, size: int) -> Fraction:
+    """The uniform measure of finitely many words over ``size`` letters:
+    their Kraft sum, the sum of size^-|w|, read off the count of words of
+    each length (Kraft 1949; McMillan 1956)."""
+    counts = Counter(map(len, words))
+    top = max(counts, default=0)
+    return Fraction(sum([c * size ** (top - n) for n, c in counts.items()]), size**top)
+
+
 def _require_code(x_lang: Language) -> None:
     if not is_code(x_lang):
         raise PreconditionError("precondition failed: input is not a code")
@@ -362,10 +378,15 @@ def _complete_by_measure(x_lang: Language, known_code: bool) -> bool | None:
     else None.  Below 1 the set is incomplete, code or not: X* has o(k^n)
     words of length n, and so has the set of their factors.  A code of
     measure 1 is complete (Schutzenberger); over 1 there is no
-    code (McMillan).  ``known_code``: the caller found X to be a code."""
-    if x_lang.to_finite() is None:
+    code (McMillan).  A word list's measure is its Kraft sum; an
+    automaton's is the measure pass.  ``known_code``: the caller found X
+    to be a code."""
+    if x_lang.is_finite_repr:
+        mu = _kraft_sum(x_lang.words(), len(x_lang.alphabet.letters))
+    elif x_lang.to_finite() is None:
         return None
-    mu = measure_finite(x_lang, Distribution.uniform(x_lang.alphabet))
+    else:
+        mu = measure_finite(x_lang, Distribution.uniform(x_lang.alphabet))
     if mu < 1:
         return False
     if mu == 1 and (known_code or is_code(x_lang)):

@@ -15,7 +15,9 @@ other reader walks it and keeps no table.  Least words are the word of
 the first subset that passes a test.  Emptiness questions on two sets
 are least words too: ``least_member`` runs the construction on both
 automata side by side, so each subset holds the states of both after
-one word, and it stops at the first member of A that B holds, or lacks.
+one word, and it stops at the first member of A that B holds, or lacks;
+two word lists answer it from their words, by one set intersection or
+difference, with no construction.
 ``equivalent`` asks it both ways, as Hopcroft & Karp's product search
 does, and the least non-factor is the one-automaton case.
 ``left_quotient`` reads its start states from the subsets of U's
@@ -29,14 +31,14 @@ backward breadth-first pass; outside this module only
 ``words_upto`` and ``words()`` read the table, as do ``complement``,
 which makes it total with one dead state and flips it, and the
 code-ness, prefix and measure passes of ``analysis``; only a word
-list's prefix questions skip it, read off one sort of its words.  A word
-list's automaton, which star, product, union, images and the subset
-searches read, is its trie with equal futures merged, the minimal
-acyclic automaton of the list (Revuz 1992), so a subset never tells
-apart two states with one future; the one-pass readers of ``trim()``
-gain nothing from the merge, so it stays the trie.  ``to_finite``
-reads the NFA instead: an infinite set is told by a cycle of letter
-arcs, so it builds no subset table.
+list's prefix questions and Kraft sum skip it, read off one sort of its
+words or their lengths.  A word list's automaton, which star, product,
+union, images and the subset searches read, is its trie with equal
+futures merged, the minimal acyclic automaton of the list (Revuz
+1992), so a subset never tells apart two states with one future; the
+one-pass readers of ``trim()`` gain nothing from the merge, so it stays
+the trie.  ``to_finite`` reads the NFA instead: an infinite set is told
+by a cycle of letter arcs, so it builds no subset table.
 
 ``compile_expression`` builds a set while it reads its expression, as
 Thompson's construction (1968) does, so no syntax tree is kept.
@@ -521,10 +523,14 @@ def is_empty(lang: Language) -> bool:
 
 def least_member(a: Language, b: Language, in_b: bool) -> str | None:
     """Length-lex least member of A that B holds (in_b=True) or lacks,
-    or None when there is none: the subset construction on both automata
-    side by side stops at the first subset holding a final state of A,
-    and one of B or none."""
+    or None when there is none.  Two word lists answer by one set
+    intersection or difference; otherwise the subset construction on
+    both automata side by side stops at the first subset holding a final
+    state of A, and one of B or none."""
     _check_same_alphabet(a, b)
+    if a.is_finite_repr and b.is_finite_repr:
+        found = a.words() & b.words() if in_b else a.words() - b.words()
+        return min(found, key=a.alphabet.lex_key, default=None)
     # B goes first, so only A's arcs are renumbered: a large B costs only
     # the states the search reaches
     nb = b.nfa()

@@ -1,6 +1,11 @@
 """Codes closed under an edit relation.
 
 A set is closed when the relation never maps a member outside the set.
+A set held as words answers from its words: each member's image is
+spelled once while the words spelled stay under the state cap, and a
+larger list, like an automaton, is read off the image product.  A code
+that the closed-family searches find is complete when its Kraft sum,
+read off its lengths, is 1.
 Deletion admits finitely many closed codes per defect count, with all
 word lengths inside a quadratic window.  Insertion and the mixed
 relation families admit none at all, and this module can replay the
@@ -12,19 +17,23 @@ a parity class, or everything, and closed codes follow suit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, compress, islice, repeat
 
+from . import automata
 from .analysis import (
-    DoubleFactorization, _require_code, is_complete, sardinas_patterson
+    DoubleFactorization, _kraft_sum, _require_code, is_complete, sardinas_patterson
 )
 from .automata import Language, is_empty, least_member
 from .errors import BudgetExceededError, PreconditionError, UsageError
 from .transducers import (
     EditRelationSpec,
+    Transducer,
     _least_source,
     build,
     image,
+    image_size_bound,
+    image_word,
     relation_image_word,
 )
 from .words import Alphabet, complement_word, parity_ones, sort_words
@@ -115,15 +124,52 @@ def is_closed(x_lang: Language, spec: EditRelationSpec) -> ClosednessReport:
     """Containment of the relation's image in the set itself.
 
     The verdict does not depend on the closure flag: identity pairs
-    never leave the set.
+    never leave the set.  A word list is read member by member
+    (``_closed_by_members``) while its images fit under the state cap;
+    an automaton, or a list past the cap, is read by one least-word
+    search of the image product beside the set.  Either way the witness is
+    (x, y): y the least word of the image that the set lacks, x the
+    least member whose image holds y.
     """
     alphabet = x_lang.alphabet
     machine = build(spec.with_closure("plain"), alphabet)
+    if x_lang.is_finite_repr:
+        report = _closed_by_members(machine, spec, x_lang)
+        if report is not None:
+            return report
     img = image(machine, x_lang)
     y = least_member(img, x_lang, False)
     if y is None:
         return ClosednessReport(True, None)
     return ClosednessReport(False, (_least_source(spec, x_lang, y), y))
+
+
+def _closed_by_members(
+    machine: Transducer, spec: EditRelationSpec, x_lang: Language
+) -> ClosednessReport | None:
+    """``is_closed`` on a word list from each member's plain image,
+    spelled once, or None once the image words spelled so far, with a
+    bound on the next member's (``image_size_bound``), would pass
+    ``automata.DEFAULT_STATE_CAP``, read at call time: the spelling
+    stays under the cap, and the product path answers larger lists."""
+    cap = automata.DEFAULT_STATE_CAP
+    letters = len(x_lang.alphabet.letters)
+    members = x_lang.words()
+    escapes = []  # (x, the words of x's image outside X), where there are some
+    spelled = 0
+    for x in members:
+        if spelled + image_size_bound(spec, letters, len(x)) > cap:
+            return None
+        img = image_word(machine, x)
+        spelled += len(img)
+        out = img - members
+        if out:
+            escapes.append((x, out))
+    if not escapes:
+        return ClosednessReport(True, None)
+    key = x_lang.alphabet.lex_key
+    y = min(frozenset().union(*[out for _, out in escapes]), key=key)
+    return ClosednessReport(False, (min([x for x, out in escapes if y in out], key=key), y))
 
 
 def closure_star(x_lang: Language, spec: EditRelationSpec) -> Language:
@@ -235,12 +281,14 @@ def _delta_units(k: int, alphabet: Alphabet, taken: frozenset[str] = frozenset()
     return units
 
 
+@lru_cache(maxsize=1)
 def _delta_closures(k: int, alphabet: Alphabet):
     """The deletion universe in length-lex order, and the memoized
     deletion closure of one word: ``(universe, closure)``.  closure(y)
     is {y} with the closures of the words that ``_delta_images``
     decodes from y's k-deletion mask: the least set holding y that
-    deleting k letters never leaves."""
+    deleting k letters never leaves.  The last table is kept across
+    calls, so a run that tests many codes of one family builds it once."""
     classes, image = _delta_images(k, alphabet)
 
     @cache
@@ -412,13 +460,8 @@ def _complete_extensions(
     complete exactly when its uniform measure, its Kraft sum, is 1:
     read off the lengths of its words before any Language is built."""
     size = len(alphabet.letters)
-
-    def kraft_one(code):
-        top = max(map(len, code))
-        return sum([size ** (top - len(w)) for w in code]) == size**top
-
     codes = chain((base,), _code_search(base, units, alphabet, budget))
-    return [Language(alphabet, words=c) for c in codes if c and kraft_one(c)]
+    return [Language(alphabet, words=c) for c in codes if c and _kraft_sum(c, size) == 1]
 
 
 def enumerate_delta_closed(

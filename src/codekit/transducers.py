@@ -18,10 +18,12 @@ built, and either is refused before any arc is built when its states,
 every pair for a product, exceed it.
 ``image_word`` runs it on one word by a single pass over the grid of
 positions in the word times machine states; the normal form leaves
-that grid without a cycle, so every word has a finite image.  Both read
-the arc index each machine builds once.  The least member of a set in
-the image of one word, a least source say, is a least-word search on
-that word's image automaton: the image is never spelled.
+that grid without a cycle, so every word has a finite image, of at
+most ``image_size_bound`` words, which a caller reads before spelling
+it.  Both read the arc index each machine builds once.  The least
+member of a set in the image of one word, a least source say, is a
+least-word search on that word's image automaton: the image is never
+spelled.
 ``relation_image_word`` applies a closure to one word's image; the
 table that spells and inverts the images of finitely many sources,
 read by the channel and by error correction, is
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 
 from . import automata
 from .automata import EPS, Language, Nfa, least_member, union as lang_union
@@ -237,6 +240,22 @@ def image_word(t: Transducer, w: str) -> frozenset[str]:
                     for y, q2 in moves.get((q, x), ()):
                         cells[q2].update([s + y for s in outs] if y else outs)
     return frozenset().union(*[cur[q] for q in t.accepting])
+
+
+def image_size_bound(spec: EditRelationSpec, letters: int, n: int) -> int:
+    """A bound on the size of a length-n word's plain image over
+    ``letters`` letters: its machine's accepting paths, counted in O(1).
+    A path takes its j defects at nondecreasing positions 0..n, in
+    C(n + j, j) ways, each defect one of c arcs, c = 1 for a deletion,
+    plus ``letters`` for an insertion and ``letters`` - 1 for a
+    substitution, as the kind allows.  That count grows with j, so a
+    cumulative kind, with any j from 1 to k, has at most k times the
+    count for j = k; the silent start state of S and Lambda adds one."""
+    k = spec.k
+    defects = _DEFECTS[spec.kind]
+    c = ("del" in defects) + ("ins" in defects) * letters + ("sub" in defects) * (letters - 1)
+    paths = comb(n + k, k) * c**k * (k if spec.kind in _CUMULATIVE else 1)
+    return paths + (spec.kind in ("S", "Lambda") and k >= 2)
 
 
 def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> frozenset[str]:

@@ -601,26 +601,35 @@ def test_prefix_pair_matches_reference_on_finite_sets(xs):
         assert analysis._prefix_pair(x) == want
 
 
+def word_lists(letters):
+    """Word lists over the letters, one-length lists as often as any:
+    random lists rarely have one length, as a block code does."""
+    one_length = st.integers(0, 5).flatmap(
+        lambda n: st.frozensets(st.text(alphabet=letters, min_size=n, max_size=n), max_size=8)
+    )
+    return st.one_of(st.frozensets(st.text(alphabet=letters, max_size=5), max_size=8), one_length)
+
+
 @given(
     st.sampled_from(["ab", "ba", "abc", "cab"]).flatmap(
-        lambda letters: st.tuples(
-            st.just(letters),
-            st.frozensets(st.text(alphabet=letters, max_size=5), max_size=8),
-            st.booleans(),
-        )
+        lambda letters: st.tuples(st.just(letters), word_lists(letters), st.booleans())
     )
 )
 @settings(max_examples=300)
 def test_a_word_list_answers_prefix_questions_as_its_automaton(case):
-    # the list sorts its words, the automaton walks its trim table; the
-    # letter order reaches the witness only through lex_key, which ba and
-    # cab put apart from plain string order
+    # the list sorts its words, or reads their lengths, and its Kraft sum;
+    # the automaton walks its trim table; the letter order reaches the
+    # witness only through lex_key, which ba and cab put apart from plain
+    # string order
     letters, words, with_eps = case
     words = words | {""} if with_eps else words - {""}
     alphabet = Alphabet(letters)
     listed = Language(alphabet, words=words)
     table = Language.regular(Language(alphabet, words=words).nfa())
-    for ask in (analysis._prefix_pair, is_prefix_code, is_code, sardinas_patterson, cli._suffix_pair):
+    for ask in (
+        analysis._prefix_pair, is_prefix_code, is_code, sardinas_patterson, cli._suffix_pair,
+        lambda x: analysis._complete_by_measure(x, known_code=False),
+    ):
         assert ask(listed) == ask(table)
 
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codekit import analysis, closed
+from codekit import analysis, automata, closed
 from codekit.analysis import is_code, sardinas_patterson, verify_double_factorization
 from codekit.automata import Language, compile_expression, star
 from codekit.closed import (
     Classification,
+    ClosednessReport,
     assert_empty_family,
     classify_Sigma_closed,
     classify_sigma_closed,
@@ -27,7 +28,14 @@ from codekit.closed import (
 )
 from codekit.errors import BudgetExceededError, PreconditionError, UsageError
 from codekit.independence import is_independent
-from codekit.transducers import EditRelationSpec, relation_image_word
+from codekit.transducers import (
+    CLOSURES,
+    KINDS,
+    EditRelationSpec,
+    image,
+    image_size_bound,
+    relation_image_word,
+)
 from codekit.words import Alphabet
 
 from oracles import (
@@ -136,6 +144,60 @@ def test_regular_witness_source_is_least(decide, expr, alphabet, rel):
         if lang.member(w) and y in oracle.image(w, sp.kind, sp.k)
     ]
     assert x == min(sources, key=alphabet.lex_key)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([AB, ABC, CAB]).flatmap(
+        lambda alphabet: st.tuples(
+            st.just(alphabet),
+            st.frozensets(st.text(alphabet.letters, max_size=6), min_size=1, max_size=6),
+        )
+    ),
+    st.sampled_from(KINDS),
+    st.integers(1, 3),
+    st.sampled_from(CLOSURES),
+)
+def test_a_word_list_is_closed_as_its_automaton(case, kind, k, closure):
+    # the list spells each member's image; the automaton form reads the
+    # image product beside the set, and its source off the inverse image
+    alphabet, words = case
+    listed = Language(alphabet, words=words)
+    table = Language.regular(listed.nfa())
+    sp = EditRelationSpec(kind, k, closure)
+    assert is_closed(listed, sp) == is_closed(table, sp)
+
+
+def test_a_word_list_past_the_state_cap_is_read_by_the_product(monkeypatch):
+    # the 8 words of length 3 have 16 deletion image words in all, and
+    # an image product of 4 * 2 pairs: under a cap of 10 the list hands
+    # over to the product path, which gives the same report
+    products = []
+
+    def recorded(machine, lang):
+        products.append(lang)
+        return image(machine, lang)
+
+    monkeypatch.setattr(closed, "image", recorded)
+    listed = fin(AB.words_of_length(3))
+    want = ClosednessReport(False, ("aaa", "aa"))
+    assert is_closed(listed, spec("delta:1")) == want and products == []
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 10)
+    assert is_closed(listed, spec("delta:1")) == want and products == [listed]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([AB, ABC]),
+    st.sampled_from(KINDS),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_image_size_bound_holds(alphabet, kind, k, data):
+    w = data.draw(st.text(alphabet.letters, max_size=7))
+    sp = EditRelationSpec(kind, k)
+    size = len(relation_image_word(sp, alphabet, w))
+    assert size <= image_size_bound(sp, len(alphabet.letters), len(w))
 
 
 # --- closure iteration ------------------------------------------------------
@@ -444,6 +506,7 @@ def test_enumeration_builds_needs_only_for_the_units_it_wakes(monkeypatch):
         return classes, recorded
 
     monkeypatch.setattr(closed, "_delta_images", counted)
+    closed._delta_closures.cache_clear()  # a kept table would not read the patch
     assert len(closed._delta_units(4, AB)) == 4078
     assert built == []
     assert len(list(enumerate_delta_closed(4, AB))) == 1449
@@ -556,6 +619,25 @@ def test_delta_closures_match_closure_star(k, step):
     assert universe == delta_universe(k, AB)
     for y in universe[::step]:
         assert closure(y) == closure_star(fin({y}), EditRelationSpec("delta", k)).words()
+
+
+def test_one_closure_table_serves_every_call_for_its_family(monkeypatch):
+    # a run that tests many codes of one family, as
+    # scripts/enumerate_closed_codes.py does, builds the table once
+    built = []
+    images_for = closed._delta_images
+    monkeypatch.setattr(
+        closed, "_delta_images", lambda k, alphabet: built.append(k) or images_for(k, alphabet)
+    )
+    closed._delta_closures.cache_clear()
+    try:
+        for words in (FIVE_WORD_CODE, {"a"}):
+            is_maximal_delta_closed(fin(words), 3)
+        assert built == [3]
+        assert closed._delta_closures(4, AB) is not closed._delta_closures(3, AB)
+        assert built == [3, 4, 3]
+    finally:
+        closed._delta_closures.cache_clear()
 
 
 def test_enumeration_budget_guard():
