@@ -1,9 +1,11 @@
 """Finite automata and the regular-language toolkit built on them.
 
 A :class:`Language` is held as words or as an NFA, but deciders outside
-this module fork only on ``to_finite``: finite or infinite.  It spells
-no word; ``words()`` answers for a finite set in either form, and
-spells an automaton's members once.  No verdict needs a minimal
+this module take their answers from ``to_finite``: finite or infinite;
+``analysis``'s code, prefix and measure tests and ``closed.is_closed``
+also fork on ``is_finite_repr`` for a faster path to the same answer.
+``to_finite`` spells no word; ``words()`` answers for a finite set in
+either form, and spells an automaton's members once.  No verdict needs a minimal
 automaton: every verdict of the package is a property of the set, read
 off any trim deterministic automaton for it, and two sets are equal
 when neither holds a word the other lacks.

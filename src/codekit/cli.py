@@ -277,12 +277,11 @@ def _double_replay(lang: Language):
 
 
 def _outside_replay(lang: Language, spec: EditRelationSpec):
-    plain = spec.with_closure("plain")
-
+    # x is a member and y is not, so y != x and the closure does not matter
     def replay(pair):
         x, y = pair
         ok = lang.member(x) and not lang.member(y)
-        return ok and y in relation_image_word(plain, lang.alphabet, x)
+        return ok and y in relation_image_word(spec, lang.alphabet, x)
 
     return replay
 

@@ -28,12 +28,9 @@ from .automata import Language, is_empty, least_member
 from .errors import BudgetExceededError, PreconditionError, UsageError
 from .transducers import (
     EditRelationSpec,
-    Transducer,
     _least_source,
-    build,
-    image,
     image_size_bound,
-    image_word,
+    relation_image,
     relation_image_word,
 )
 from .words import Alphabet, complement_word, parity_ones, sort_words
@@ -124,50 +121,50 @@ def is_closed(x_lang: Language, spec: EditRelationSpec) -> ClosednessReport:
     """Containment of the relation's image in the set itself.
 
     The verdict does not depend on the closure flag: identity pairs
-    never leave the set.  A word list is read member by member
-    (``_closed_by_members``) while its images fit under the state cap;
-    an automaton, or a list past the cap, is read by one least-word
-    search of the image product beside the set.  Either way the witness is
-    (x, y): y the least word of the image that the set lacks, x the
-    least member whose image holds y.
+    never leave the set, so the plain relation is read.  A word list is
+    read member by member (``_closed_by_members``) while its images fit
+    under the state cap; an automaton, or a list past the cap, is read
+    by one least-word search of the image product beside the set.
+    Either way the witness is (x, y): y the least word of the image that
+    the set lacks, x the least member whose image holds y.
     """
-    alphabet = x_lang.alphabet
-    machine = build(spec.with_closure("plain"), alphabet)
+    spec = spec.with_closure("plain")
     if x_lang.is_finite_repr:
-        report = _closed_by_members(machine, spec, x_lang)
+        report = _closed_by_members(spec, x_lang)
         if report is not None:
             return report
-    img = image(machine, x_lang)
-    y = least_member(img, x_lang, False)
+    y = least_member(relation_image(spec, x_lang.alphabet, x_lang), x_lang, False)
     if y is None:
         return ClosednessReport(True, None)
     return ClosednessReport(False, (_least_source(spec, x_lang, y), y))
 
 
-def _closed_by_members(
-    machine: Transducer, spec: EditRelationSpec, x_lang: Language
-) -> ClosednessReport | None:
+def _closed_by_members(spec: EditRelationSpec, x_lang: Language) -> ClosednessReport | None:
     """``is_closed`` on a word list from each member's plain image,
     spelled once, or None once the image words spelled so far, with a
     bound on the next member's (``image_size_bound``), would pass
     ``automata.DEFAULT_STATE_CAP``, read at call time: the spelling
-    stays under the cap, and the product path answers larger lists."""
+    stays under the cap, and the product path answers larger lists.  A
+    list with no member spells nothing and builds no machine.  Past the
+    cap in k the machine is refused on either path, and the list hands
+    over before its bound, a number of about k digits, is worked out."""
     cap = automata.DEFAULT_STATE_CAP
-    letters = len(x_lang.alphabet.letters)
+    alphabet = x_lang.alphabet
+    letters = len(alphabet.letters)
     members = x_lang.words()
     escapes = []  # (x, the words of x's image outside X), where there are some
     spelled = 0
     for x in members:
-        if spelled + image_size_bound(spec, letters, len(x)) > cap:
+        if spec.k >= cap or spelled + image_size_bound(spec, letters, len(x)) > cap:
             return None
-        img = image_word(machine, x)
+        img = relation_image_word(spec, alphabet, x)
         spelled += len(img)
         out = img - members
         if out:
             escapes.append((x, out))
     if not escapes:
         return ClosednessReport(True, None)
-    key = x_lang.alphabet.lex_key
+    key = alphabet.lex_key
     y = min(frozenset().union(*[out for _, out in escapes]), key=key)
     return ClosednessReport(False, (min([x for x, out in escapes if y in out], key=key), y))
 
@@ -189,7 +186,7 @@ def closure_star(x_lang: Language, spec: EditRelationSpec) -> Language:
     frontier = list(seen)
     while frontier:
         w = frontier.pop()
-        for v in relation_image_word(spec.with_closure("plain"), alphabet, w):
+        for v in relation_image_word(spec, alphabet, w):
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
@@ -584,7 +581,7 @@ def assert_empty_family(
             "and no uniquely decodable set contains it"
         )
     for a, b in zip(chain, chain[1:]):
-        if b not in relation_image_word(spec.with_closure("plain"), alphabet, a):
+        if b not in relation_image_word(spec, alphabet, a):
             raise RuntimeError("internal: emptiness chain failed replay")
     return EmptyFamilyExplanation(
         spec=spec,

@@ -46,7 +46,6 @@ from .errors import PreconditionError, UnsupportedError
 from .transducers import (
     EditRelationSpec,
     _least_hit,
-    build,
     inverse_spec,
     relation_image,
     relation_image_word,
@@ -86,7 +85,7 @@ def is_independent(x_lang: Language, spec: EditRelationSpec) -> IndependenceRepo
     x = least_member(relation_image(inverse_spec(bar), alphabet, x_lang), x_lang, True)
     if x is None:
         return IndependenceReport(True, None)
-    y = _least_hit(build(spec.with_closure("plain"), alphabet), x, x_lang)
+    y = _least_hit(spec, x, x_lang)
     return IndependenceReport(False, (x, y))
 
 

@@ -6,8 +6,11 @@ reading epsilon moves to a higher state.  A relation with k defects is
 a chain of k + 1 states with identity loops, joined by deletion
 (a:eps), insertion (eps:a) or substitution (a:b) arcs; the cumulative
 families accept after any positive number of defects.  Machines realize
-the plain relation only: the reflexive and antireflexive closures are
-applied to the images they produce.
+the plain relation only: ``build`` reads a spec's kind and k, and the
+reflexive and antireflexive closures are applied to the images a
+machine produces.  Only this module builds machines; other modules pass
+a spec, with any closure, to ``relation_image_word``,
+``relation_image`` or ``_least_hit``.
 
 ``image`` runs a machine on a language through the product automaton
 and returns that automaton, for a finite language too: with m machine
@@ -21,9 +24,9 @@ positions in the word times machine states; the normal form leaves
 that grid without a cycle, so every word has a finite image, of at
 most ``image_size_bound`` words, which a caller reads before spelling
 it.  Both read the arc index each machine builds once.  The least
-member of a set in the image of one word, a least source say, is a
-least-word search on that word's image automaton: the image is never
-spelled.
+member of a set in the image of one word (``_least_hit``), a least
+source say under the inverse relation, is a least-word search on that
+word's image automaton: the image is never spelled.
 ``relation_image_word`` applies a closure to one word's image; the
 table that spells and inverts the images of finitely many sources,
 read by the channel and by error correction, is
@@ -145,8 +148,11 @@ _CUMULATIVE = {"Delta", "I", "Sigma", "S", "Lambda"}
 
 @lru_cache(maxsize=None)
 def build(spec: EditRelationSpec, alphabet: Alphabet) -> Transducer:
-    """Chain machine for the requested relation.
+    """Chain machine for the relation's kind and k.
 
+    The machine realizes the plain relation, whatever the spec's
+    closure: the closures are applied to the images it produces, so
+    the three closures of one kind and k give equal machines.
     States 0..k count defects so far, with identity loops everywhere.
     The cumulative families accept at every positive count.  For S and
     Lambda with k >= 2 an isolated accepting start state is added: it
@@ -155,8 +161,6 @@ def build(spec: EditRelationSpec, alphabet: Alphabet) -> Transducer:
     produce from empty input.  A machine of more states than
     ``automata.DEFAULT_STATE_CAP`` raises before any arc is built.
     """
-    if spec.closure != "plain":
-        raise ValueError("closures are applied downstream, not in machines")
     k = spec.k
     silent = spec.kind in ("S", "Lambda") and k >= 2
     cap = automata.DEFAULT_STATE_CAP
@@ -260,8 +264,7 @@ def image_size_bound(spec: EditRelationSpec, letters: int, n: int) -> int:
 
 def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> frozenset[str]:
     """Image of one word under the relation with its closure applied."""
-    t = build(spec.with_closure("plain"), alphabet)
-    base = image_word(t, w)
+    base = image_word(build(spec, alphabet), w)
     if spec.closure == "reflexive":
         return base | {w}
     if spec.closure == "antireflexive":
@@ -269,36 +272,33 @@ def relation_image_word(spec: EditRelationSpec, alphabet: Alphabet, w: str) -> f
     return base
 
 
-def _least_hit(t: Transducer, w: str, lang: Language) -> str | None:
-    """Length-lex least member of the language in the image of one word,
-    or None, read off the word's image automaton."""
-    return least_member(image(t, Language.finite((w,), t.alphabet)), lang, True)
+def _least_hit(spec: EditRelationSpec, w: str, lang: Language) -> str | None:
+    """Length-lex least member of the language in the plain image of one
+    word, or None, read off the word's image automaton."""
+    t = build(spec, lang.alphabet)
+    return least_member(image(t, Language.finite((w,), lang.alphabet)), lang, True)
 
 
 def _least_source(spec: EditRelationSpec, lang: Language, y: str) -> str | None:
     """Length-lex least member of the language whose plain image holds y."""
-    back = build(inverse_spec(spec.with_closure("plain")), lang.alphabet)
-    return _least_hit(back, y, lang)
+    return _least_hit(inverse_spec(spec), y, lang)
 
 
 def relation_image(spec: EditRelationSpec, alphabet: Alphabet, lang: Language) -> Language:
     """Image of a language, honouring the closure flavour.
 
     The antireflexive restriction of S_k and Lambda_k with k >= 2 is
-    only expressible pointwise, so it needs a finite input.
+    only expressible pointwise, so it needs a finite input; every other
+    image is the product, joined with the language when reflexive.
     """
-    plain = spec.with_closure("plain")
-    if spec.closure == "plain":
-        return image(build(plain, alphabet), lang)
-    if spec.closure == "reflexive":
-        return lang_union(lang, image(build(plain, alphabet), lang))
-    if spec.is_antireflexive_already:
-        return image(build(plain, alphabet), lang)
-    if lang.to_finite() is None:
-        raise ValueError(
-            f"antireflexive image under {spec.render()} needs a finite language"
-        )
-    out: set[str] = set()
-    for x in lang.words():
-        out |= relation_image_word(spec, alphabet, x)
-    return Language.finite(out, alphabet)
+    if spec.closure == "antireflexive" and not spec.is_antireflexive_already:
+        if lang.to_finite() is None:
+            raise ValueError(
+                f"antireflexive image under {spec.render()} needs a finite language"
+            )
+        out: set[str] = set()
+        for x in lang.words():
+            out |= relation_image_word(spec, alphabet, x)
+        return Language.finite(out, alphabet)
+    img = image(build(spec, alphabet), lang)
+    return lang_union(lang, img) if spec.closure == "reflexive" else img

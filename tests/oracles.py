@@ -862,19 +862,21 @@ def reference_code_search(base, units, alphabet, budget):
     later unit ``(words, latest, needs)`` is tested, joins when the set
     holds all of ``needs()`` (``latest`` is not read), spends one budget
     unit when it joins, and the joined set is yielded and extended when
-    ``sardinas_patterson`` calls it a code.  Takes the same arguments as
-    the search it checks.
+    ``sardinas_patterson`` calls it a code.  ``needs()`` is a pure
+    function of its unit, so it is evaluated once per unit, before the
+    walk.  Takes the same arguments as the search it checks.
     """
     # imported here so that merely importing this module loads no codekit
     from codekit.analysis import sardinas_patterson
     from codekit.automata import Language
 
+    needed = [needs() for _, _, needs in units]
+
     def walk(current, start):
         for i in range(start, len(units)):
-            words, _, needs = units[i]
-            if not needs() <= current:
+            if not needed[i] <= current:
                 continue
-            candidate = current.union(words)
+            candidate = current.union(units[i][0])
             budget.spend()
             if sardinas_patterson(Language.finite(candidate, alphabet)).is_code:
                 yield candidate

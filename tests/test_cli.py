@@ -977,6 +977,26 @@ def test_relation_machine_past_the_state_cap_exits_four(capsys):
     assert peak < 4 << 20
 
 
+def test_a_relation_machine_past_the_state_cap_exits_four_before_any_bound(capsys):
+    # a bound on one image under Lambda:10^9 would have two billion bits;
+    # the word list hands over to the product path, which refuses the machine
+    argv = ["closed", "--alphabet", "ab", "aa|ab", "--rel", "Lambda:1000000000"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 4
+    assert out == (
+        "verdict: budget-exceeded\ndetail: relation machine exceeded 65536 states\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["closed", "independent"])
+def test_an_empty_set_holds_under_a_machine_past_the_state_cap(capsys, command):
+    # a set with no members tests no image, so no machine is built
+    argv = ["--alphabet", "ab", "aa|ab", "--rel", "delta:70000", "--max-word-len", "0"]
+    code, out, _ = run(capsys, command, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: holds"
+
+
 # --- closed stdout ----------------------------------------------------------
 
 class _ClosedPipe:

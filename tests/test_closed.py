@@ -32,8 +32,9 @@ from codekit.transducers import (
     CLOSURES,
     KINDS,
     EditRelationSpec,
-    image,
+    build,
     image_size_bound,
+    relation_image,
     relation_image_word,
 )
 from codekit.words import Alphabet
@@ -174,16 +175,40 @@ def test_a_word_list_past_the_state_cap_is_read_by_the_product(monkeypatch):
     # over to the product path, which gives the same report
     products = []
 
-    def recorded(machine, lang):
+    def recorded(sp, alphabet, lang):
         products.append(lang)
-        return image(machine, lang)
+        return relation_image(sp, alphabet, lang)
 
-    monkeypatch.setattr(closed, "image", recorded)
+    monkeypatch.setattr(closed, "relation_image", recorded)
     listed = fin(AB.words_of_length(3))
     want = ClosednessReport(False, ("aaa", "aa"))
     assert is_closed(listed, spec("delta:1")) == want and products == []
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 10)
     assert is_closed(listed, spec("delta:1")) == want and products == [listed]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([AB, ABC]).flatmap(
+        lambda alphabet: st.tuples(
+            st.just(alphabet),
+            st.frozensets(st.text(alphabet.letters, max_size=5), max_size=5),
+        )
+    ),
+    st.sampled_from(KINDS),
+    st.integers(1, 3),
+)
+def test_closedness_does_not_depend_on_the_closure(case, kind, k):
+    # hat only adds x and bar only removes it, and x is a member: one
+    # report, one machine and one closure_star for the three closures
+    alphabet, words = case
+    listed = Language(alphabet, words=words)
+    specs = [EditRelationSpec(kind, k, closure) for closure in CLOSURES]
+    for lang in (listed, Language.regular(listed.nfa())):
+        assert len({is_closed(lang, sp) for sp in specs}) == 1
+        if kind in ("delta", "Delta", "sigma", "Sigma"):
+            assert len({closure_star(lang, sp).words() for sp in specs}) == 1
+    assert len({build(sp, alphabet) for sp in specs}) == 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -170,8 +170,7 @@ def test_relation_image_word_closures():
     )
     assert relation_image_word(spec("sigma:1:bar"), AB, "a") == {"b"}
     for rel in ("delta:1:hat", "delta:1:bar"):
-        with pytest.raises(ValueError):
-            build(spec(rel), AB)
+        assert build(spec(rel), AB) == build(spec("delta:1"), AB)
 
 
 def test_relation_image_language_closures():
